@@ -16,6 +16,7 @@ from dataclasses import dataclass, fields
 from . import steenrod as st
 from . import tower
 from .adams import (
+    BudgetExceeded,
     ChartError,
     adams_chart,
     builtin_space,
@@ -319,8 +320,11 @@ def main(argv=None):
     try:
         cfg = _load_config(args)
         return args.func(args, cfg)
-    except (ChartError, tower.TowerExhausted, st.WindowExhausted) as e:
+    except (ChartError, tower.TowerExhausted, st.WindowExhausted, BudgetExceeded) as e:
         sys.stderr.write(f"error: {e}\n")
+        return 2
+    except MemoryError as e:
+        sys.stderr.write(f"error: out of memory: {e}\n")
         return 2
     except (ValueError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")

@@ -1,17 +1,22 @@
 """The field-chain pipeline: levelwise descent and the second E2 chart.
 
-Levels of the resolution, base-changed to a chain level, carry the index-0
-operation as a frobenius-semilinear map fixing the base-field form.  The
-derived derivations of each level against a suspension target reduce to a
-two-term complex whose kernel (computed honestly over the chain level) is
-the cochain group; assembling the kernels along the resolution and taking
-cohomology gives the chart.  At chain level 1 the whole computation
-degenerates entrywise to the classical pipeline, and the charts agree at
-every level once kernels stabilize, which they do from level 1.
+This pipeline shares the cotriple resolution and its cochain complex with
+the classical one (``adams.adams_chart``); it is not an independent
+computation.  Levels of the resolution, base-changed to a chain level, carry
+the index-0 operation as a frobenius-semilinear map fixing the base-field
+form, and the cochain group at that level is the kernel of 1 - frobenius.
+What this module adds is:
 
-Every positive-degree two-term cokernel class is an obstruction that must
-die deeper in the chain; death witnesses are Artin-Schreier solutions and
-are recorded, never assumed.
+* the verified base-form kernel: at chain levels 1, level and level + 1 the
+  kernel of 1 - frobenius on one coordinate is computed exactly and checked
+  to be the base-field slot, so the restricted complex is the classical one
+  and the chart dims must agree across the three levels;
+* the death witnesses: every positive-degree two-term cokernel class is an
+  obstruction that must die deeper in the chain, and its Artin-Schreier
+  solution is recorded, never assumed.
+
+A check that shares no code with the classical pipeline is the unstable
+Lambda-algebra (ROADMAP item 3).
 """
 
 from __future__ import annotations
@@ -32,123 +37,27 @@ from .derivations import CochainComplex
 from .tower import SemilinearEndo, semilinear_kernel_cokernel
 
 
-class WResolution:
-    """A cotriple resolution viewed over a chain level with semilinear index-0 action.
-
-    The underlying base-field data is the shared resolution; this wrapper
-    carries the level and the checks that the base change is faithful.
-    """
-
-    def __init__(self, space: SpaceModel, s_max, D, level, budget=500_000, resolution=None):
-        self.space = space
-        self.level = level
-        self.tower = tower.get_tower(space.p)
-        self.res = resolution or cotriple_resolution(space, s_max, D, budget)
-        self.s_max = s_max
-        self.D = D
-
-    def dims(self, s):
-        """Dimension over the chain level of resolution level s (flat base change)."""
-        return len(self.res.V[s])
-
-    def semilinearity_check(self, trials=20, seed=0):
-        """P^0(lambda v) = frobenius(lambda) P^0(v) on base-changed level vectors.
-
-        The index-0 operation fixes the base-field form, so the check is that
-        scalar twisting is exactly one frobenius.  Verified on pseudo-random
-        scalars at this level.
-        """
-        import random
-
-        rng = random.Random(seed)
-        tw = self.tower
-        k = self.level
-        m = tw.field(k).degree
-        for _ in range(trials):
-            lam = tower.TowerElem(tw, k, tuple(rng.randrange(tw.p) for _ in range(m)))
-            # P^0 on lambda . v has coordinates f(lambda) on the fixed form
-            lhs = tw.frobenius(lam)
-            rhs = lam ** tw.p
-            if lhs != rhs:
-                return False
-        return True
-
-
-def w_resolution(space: SpaceModel, s_max, D, level, budget=500_000, resolution=None):
-    w = WResolution(space, s_max, D, level, budget, resolution)
-    if not w.semilinearity_check():
-        raise AssertionError("semilinear scalar action failed its defining identity")
-    return w
-
-
 # ---------------------------------------------------------------------------
 # the chart
 # ---------------------------------------------------------------------------
 
-def _kernel_is_base_form(ker, n, m):
-    """True when the kernel rows are exactly the base-field unit slots."""
-    if ker.shape != (n, n * m):
-        return False
-    for r in range(n):
-        row = ker[r]
-        if row[r * m] != 1 or np.count_nonzero(row) != 1:
-            return False
-    return True
+def _verified_base_block(tw, level):
+    """The kernel of 1 - frobenius on one coordinate, checked to be the base slot.
 
-
-def _kernel_restricted_complex(adams_cc: CochainComplex, p, level):
-    """Restrict the cochain complex to the two-term D^0 kernels at a chain level.
-
-    Each cochain group Hom(V_s, M) base-changes to the chain level; D^0 is
-    the kernel of 1 - (coordinatewise frobenius), computed exactly; the
-    differentials act coordinatewise and are expressed on kernel bases.
-    When the computed kernel is verified to be the base-field form (one
-    unit slot per coordinate, which is what the descent theorem asserts),
-    the restriction is coordinate extraction; otherwise a dense solve runs.
-    Returns (complex over F_p, kernel dims, extraction matrices).
+    Coordinatewise 1 - frobenius on (F_{p^{k!}})^n is block-diagonal, so this
+    one m x m block fixes the kernel of every cochain group at the level: the
+    base-field slot of each coordinate.  Raises AssertionError otherwise.
     """
-    tw = tower.get_tower(p)
-    m = tw.field(level).degree
-    kernels = []
-    for n in adams_cc.dims:
-        if n == 0:
-            kernels.append(np.zeros((0, 0), dtype=np.int64))
-            continue
-        endo = SemilinearEndo(tw, level, n, matrix=None, twist=True, subtract_from_identity=True)
-        ker, _ = semilinear_kernel_cokernel(endo)
-        kernels.append(ker)
-    dims = [k.shape[0] for k in kernels]
-    base_form = [
-        _kernel_is_base_form(kernels[s], adams_cc.dims[s], m) for s in range(len(dims))
-    ]
-    maps = []
-    extractions = []
-    for s, D in enumerate(adams_cc.maps):
-        src_k, tgt_k = kernels[s], kernels[s + 1]
-        if src_k.shape[0] == 0 or tgt_k.size == 0:
-            maps.append(np.zeros((dims[s + 1], dims[s]), dtype=np.int64))
-            continue
-        if base_form[s] and base_form[s + 1]:
-            # images of base-slot units are D-columns in base slots
-            maps.append(D % p)
-            continue
-        big = np.kron(D % p, np.eye(m, dtype=np.int64))
-        images = (big @ src_k.T) % p
-        expressed = []
-        for col in images.T:
-            sol = tower.solve(tgt_k.T % p, col, p)
-            if sol is None:
-                raise AssertionError("differential left the semilinear kernel")
-            expressed.append(sol)
-        maps.append(np.array(expressed, dtype=np.int64).T % p)
-    for s, ker in enumerate(kernels):
-        n = adams_cc.dims[s]
-        ext = np.zeros((n, ker.shape[0]), dtype=np.int64)
-        for r in range(ker.shape[0]):
-            for c in range(n):
-                ext[c, r] = ker[r, c * m]  # coordinate at the base-field slot
-        extractions.append(ext % p)
-    return CochainComplex(p, dims, maps), kernels, extractions
+    bker, _ = semilinear_kernel_cokernel(
+        SemilinearEndo(tw, level, 1, twist=True, subtract_from_identity=True)
+    )
+    base = np.zeros((1, tw.field(level).degree), dtype=np.int64)
+    base[0, 0] = 1
+    if not np.array_equal(bker % tw.p, base):
+        raise AssertionError(
+            f"kernel of 1 - frobenius at chain level {level} is not the base-field slot"
+        )
+    return bker
 
 
 def gh_chart(X: SpaceModel, Y: SpaceModel, s_max, t_max, D, level=2, budget=500_000,
@@ -156,9 +65,11 @@ def gh_chart(X: SpaceModel, Y: SpaceModel, s_max, t_max, D, level=2, budget=500_
     """The second-pipeline E2 chart, computed at a chain level and re-checked one deeper.
 
     Per construction level, the cochain group is the kernel of the two-term
-    frobenius-semilinear complex against the suspension target.  Dims must
-    agree between the level and level + 1 (kernel stability); the chart
-    records the highest verified level.
+    frobenius-semilinear complex against the suspension target.  That kernel
+    is verified once per level (1, level, level + 1) on a single coordinate
+    block; it is the base-field slot, so the restricted complex carries the
+    classical differentials.  Dims must agree across the three levels; the
+    chart records the highest verified level.
     """
     if not suspension_has_trivial_action(Y):
         raise ChartError(
@@ -172,31 +83,32 @@ def gh_chart(X: SpaceModel, Y: SpaceModel, s_max, t_max, D, level=2, budget=500_
         )
     if level + 1 > tower.MAX_LEVEL:
         raise tower.TowerExhausted(f"level {level}+1 beyond the chain")
+    tw = tower.get_tower(X.p)
+    levels = (1, level, level + 1)
+    blocks = {k: _verified_base_block(tw, k) for k in levels}
     res = resolution or cotriple_resolution(X, s_max + 1, d_needed, budget)
     entries = {}
     certificate = {"t": {}}
     for t in range(1, t_max + 1):
         M = suspension_target(Y, t)
         acc = res.der_cochain_complex(M, s_max + 1)
-        per_level = {}
-        for k in (1, level, level + 1):
-            cc, kernels, extractions = _kernel_restricted_complex(acc, X.p, k)
-            per_level[k] = (cc, kernels, extractions)
-            if k == 1:
-                # shared-structure degeneracy: at level 1 the restricted
-                # matrices must equal the classical ones entrywise
-                for s, Mm in enumerate(cc.maps):
-                    if not np.array_equal(Mm % X.p, acc.maps[s] % X.p):
-                        raise AssertionError("level-1 base change is not the identity")
-        dims_by_level = {k: per_level[k][0].cohomology_dims(s_max) for k in per_level}
+        # on base-slot kernels the differentials act by the classical matrices
+        restricted = {
+            k: CochainComplex(X.p, acc.dims, [Dm % X.p for Dm in acc.maps]) for k in levels
+        }
+        dims_by_level = {k: cc.cohomology_dims(s_max) for k, cc in restricted.items()}
         if not (dims_by_level[level] == dims_by_level[level + 1] == dims_by_level[1]):
             raise AssertionError(f"chart dims unstable across chain levels at t={t}")
         for s, dim in enumerate(dims_by_level[level]):
             if dim:
                 entries[(s, t)] = dim
         if with_certificate:
-            cc, kernels, extractions = per_level[level]
-            certificate["t"][t] = _s0_certificate(acc, cc, kernels, extractions, X.p, level)
+            bker = blocks[level]
+            kernels = [np.kron(np.eye(n, dtype=np.int64), bker) for n in acc.dims[:2]]
+            extractions = [ker[:, :: bker.shape[1]].T for ker in kernels]
+            certificate["t"][t] = _s0_certificate(
+                acc, restricted[level], kernels, extractions, X.p, level
+            )
     count = hom_set_count(X, Y)
     r = 0
     while X.p ** r < count:
@@ -309,7 +221,18 @@ def d1_saturation_report(X: SpaceModel, Y: SpaceModel, s_max, t_max, D,
             f"schedule max {schedule_max} cannot witness deaths from level {start_level}"
         )
         return report
-    witness_cache = {}
+    # the block cokernel and its witnesses depend only on the starting level
+    _, cok = semilinear_kernel_cokernel(
+        SemilinearEndo(tw, start_level, 1, twist=True, subtract_from_identity=True)
+    )
+    witnesses = []
+    for row in cok:
+        b = tower.TowerElem(tw, start_level, tuple(int(x) for x in row))
+        try:
+            x, lvl = tw.artin_schreier_solve(b)
+            witnesses.append((lvl, x.coords))
+        except tower.TowerExhausted:
+            witnesses.append((None, None))
     for t in range(1, t_max + 1):
         M = suspension_target(Y, t)
         for s in range(0, s_max + 1):
@@ -318,21 +241,8 @@ def d1_saturation_report(X: SpaceModel, Y: SpaceModel, s_max, t_max, D,
             )
             if n == 0:
                 continue
-            endo = SemilinearEndo(tw, start_level, 1, matrix=None, twist=True,
-                                  subtract_from_identity=True)
-            _, cok = semilinear_kernel_cokernel(endo)
             # one representative family per coordinate; witnesses coincide
-            for ri in range(cok.shape[0]):
-                key = (start_level, tuple(int(x) for x in cok[ri]))
-                if key not in witness_cache:
-                    m = tw.field(start_level).degree
-                    b = tower.TowerElem(tw, start_level, key[1][:m])
-                    try:
-                        x, lvl = tw.artin_schreier_solve(b)
-                        witness_cache[key] = (lvl, x.coords)
-                    except tower.TowerExhausted:
-                        witness_cache[key] = (None, None)
-                lvl, coords = witness_cache[key]
+            for ri, (lvl, coords) in enumerate(witnesses):
                 entry = {
                     "s": s,
                     "t": t,

@@ -112,6 +112,14 @@ def test_bad_space_exit_code():
     assert code == 2
 
 
+def test_budget_exceeded_exit_code(capsys):
+    for command in ("adams-chart", "gh-chart"):
+        code, out = run([command, "--X", "S2", "--Y", "S1", "--budget", "10"])
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "past 10" in err
+
+
 def test_subprocess_determinism(tmp_path):
     # two fresh interpreters (different hash seeds) must emit identical bytes
     outs = []

@@ -1,30 +1,9 @@
 import numpy as np
 import pytest
 
+from unstable_e2 import goerss_hopkins
 from unstable_e2.adams import Chart, ChartError, adams_chart, builtin_space, cotriple_resolution
-from unstable_e2.goerss_hopkins import (
-    WResolution,
-    compare_charts,
-    d1_saturation_report,
-    gh_chart,
-    w_resolution,
-)
-
-
-def test_w_resolution_base_change_dims():
-    S2 = builtin_space("S2", 2, 6)
-    res = cotriple_resolution(S2, 2, 6)
-    w1 = w_resolution(S2, 2, 6, level=1, resolution=res)
-    w2 = w_resolution(S2, 2, 6, level=2, resolution=res)
-    for s in range(0, 3):
-        assert w1.dims(s) == w2.dims(s)  # flat base change preserves dimension
-
-
-def test_w_resolution_semilinearity():
-    S2 = builtin_space("S2", 2, 6)
-    res = cotriple_resolution(S2, 1, 6)
-    w = w_resolution(S2, 1, 6, level=2, resolution=res)
-    assert w.semilinearity_check()
+from unstable_e2.goerss_hopkins import compare_charts, d1_saturation_report, gh_chart
 
 
 def test_gh_equals_adams_on_spheres():
@@ -32,10 +11,27 @@ def test_gh_equals_adams_on_spheres():
     S1 = builtin_space("S1", 2, 8)
     res = cotriple_resolution(S2, 2, 5, budget=500_000)
     a = adams_chart(S2, S1, 1, 4, D=8, resolution=res)
-    g = gh_chart(S2, S1, 1, 4, D=8, level=2, resolution=res)
-    assert a.entries == g.entries
-    rep = compare_charts(a, g)
-    assert rep["pass"] and not rep["diffs"]
+    for level in (1, 2):
+        g = gh_chart(S2, S1, 1, 4, D=8, level=level, resolution=res)
+        assert a.entries == g.entries
+        rep = compare_charts(a, g)
+        assert rep["pass"] and not rep["diffs"]
+
+
+def test_gh_fails_loudly_on_non_base_form_kernel(monkeypatch):
+    # a one-coordinate kernel off the base slot must stop the chart, naming the
+    # level; level 1 has one slot, so the first level that can fail is 2
+    def shifted_kernel(endo):
+        m = endo.tower.field(endo.level).degree
+        ker = np.zeros((1, m), dtype=np.int64)
+        ker[0, m - 1] = 1
+        return ker, np.zeros((0, m), dtype=np.int64)
+
+    monkeypatch.setattr(goerss_hopkins, "semilinear_kernel_cokernel", shifted_kernel)
+    S2 = builtin_space("S2", 2, 6)
+    S1 = builtin_space("S1", 2, 6)
+    with pytest.raises(AssertionError, match="chain level 2"):
+        gh_chart(S2, S1, 1, 3, D=6, level=2)
 
 
 def test_gh_free_source_collapse():

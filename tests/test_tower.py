@@ -61,6 +61,17 @@ def test_frobenius_order_level3():
     assert not fixed_early
 
 
+def test_frobenius_is_pth_power():
+    for p in (2, 3):
+        tw = get_tower(p)
+        rng = random.Random(p)
+        for k in (1, 2, 3):
+            m = tw.field(k).degree
+            for _ in range(20):
+                lam = tower.TowerElem(tw, k, tuple(rng.randrange(p) for _ in range(m)))
+                assert frobenius(lam) == lam ** p
+
+
 def test_embed_commutes_with_frobenius():
     for p in (2, 3):
         tw = get_tower(p)
