@@ -4,19 +4,21 @@ The resolution iterates the free unstable algebra monad on the reduced
 cohomology of a space: level s is free on the full monomial basis of level
 s-1.  Face maps evaluate one formal layer (the outermost face evaluates
 formal generators as elements, inner faces push the evaluation inward);
-degeneracies insert formal layers.  Everything is stored as matrices on
-monomial bases and the simplicial identities are verified as matrix
-equalities on demand.
+degeneracies insert formal layers.  Face and degeneracy maps are stored as
+sparse columns on monomial bases (one {row index: coeff} dict per source
+basis element, nonzero coefficients mod p only), and the simplicial
+identities are verified on demand by composing those columns.
 
 Cochain groups of the derivation complex against a suspension-type target
 need only the generator data of each level, which is what makes s_max 2-3
 feasible: level s is materialized through its basis and through the full
-face matrices of the level below, never through anything deeper.
+face maps of the level below, never through anything deeper.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -255,11 +257,68 @@ def _product_space(a: SpaceModel, b: SpaceModel, name, p, D):
 # the cotriple resolution
 # ---------------------------------------------------------------------------
 
+class SparseMap:
+    """A linear map over F_p stored as sparse columns.
+
+    cols[j] is the image of source basis element j as {row index: coeff},
+    holding only nonzero coefficients reduced mod p.  `size` counts the
+    stored entries and `nbytes` the memory the columns hold; numpy's
+    count_nonzero is answered without densifying, and no other numpy
+    function accepts the map (toarray() gives the dense matrix).
+    """
+
+    def __init__(self, nrows, cols, p):
+        self.shape = (nrows, len(cols))
+        self.cols = cols
+        self.p = p
+
+    @property
+    def size(self):
+        return sum(len(col) for col in self.cols)
+
+    @property
+    def nbytes(self):
+        return sys.getsizeof(self.cols) + sum(sys.getsizeof(col) for col in self.cols)
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func is np.count_nonzero and len(args) == 1 and not kwargs:
+            return self.size
+        return NotImplemented
+
+    def __matmul__(self, other):
+        """The composite self . other."""
+        p = self.p
+        out = []
+        for col in other.cols:
+            acc = {}
+            for k, c in col.items():
+                for r, c2 in self.cols[k].items():
+                    acc[r] = (acc.get(r, 0) + c * c2) % p
+            out.append({r: c for r, c in acc.items() if c})
+        return SparseMap(self.shape[0], out, p)
+
+    def __eq__(self, other):
+        return (isinstance(other, SparseMap) and self.shape == other.shape
+                and self.cols == other.cols)
+
+    def is_identity(self):
+        return self.shape[0] == self.shape[1] and all(
+            col == {j: 1} for j, col in enumerate(self.cols)
+        )
+
+    def toarray(self):
+        M = np.zeros(self.shape, dtype=np.int64)
+        for j, col in enumerate(self.cols):
+            for r, c in col.items():
+                M[r, j] = c
+        return M
+
+
 class CotripleResolution:
     """Levels 0..s_max of the free-algebra monad iterated on reduced cohomology.
 
     V[s] lists the generators of level s as (degree, key) pairs; V[s+1] is
-    the full monomial basis of level s.  face_full[s][i] is the matrix of
+    the full monomial basis of level s.  face_full[s][i] is the SparseMap of
     the i-th face from level s to level s-1 on monomial bases (columns are
     V[s+1], rows V[s]); degen_full[s][j] likewise for degeneracies.
     """
@@ -298,53 +357,39 @@ class CotripleResolution:
 
     # -- construction ---------------------------------------------------------
 
-    def _images_to_matrix(self, images, level_to, level_from):
-        """Dict {source monomial: target vector} into a matrix on the V bases."""
+    def _images_to_map(self, images, level_to, level_from):
+        """Dict {source monomial: target vector} as a SparseMap on the V bases."""
         rows = self._vidx[level_to]
-        nrows = len(self.V[level_to])
-        cols = [key for _, key in self.V[level_from]]
-        M = np.zeros((nrows, len(cols)), dtype=np.int64)
-        for j, m in enumerate(cols):
-            for key, c in images[m].items():
-                M[rows[key], j] = c % self.p
-        return M
+        p = self.p
+        cols = [
+            {rows[key]: c % p for key, c in images[m].items() if c % p}
+            for _, m in self.V[level_from]
+        ]
+        return SparseMap(len(self.V[level_to]), cols, p)
 
-    def _gen_vec_from_column(self, column, level_to):
+    def _gen_vec(self, col, level_to):
         """Column over V[level_to] as a generator-combination vector in that level."""
-        level = self.levels[level_to]
-        out = {}
-        for i, c in enumerate(column):
-            if c:
-                _, key = self.V[level_to][i]
-                out[((level.pg_index[((), key)], 1),)] = int(c)
-        return out
+        pg_index, basis = self.levels[level_to].pg_index, self.V[level_to]
+        return {((pg_index[((), basis[i][1])], 1),): c for i, c in col.items()}
 
     def _build_faces(self):
         for s in range(0, self.s_max + 1):
-            mats = []
+            maps = []
             source = self.levels[s]
             for i in range(0, s + 1):
                 if i == 0:
-                    if s == 0:
-                        target = self.space.algebra
-                        gen_images = {key: {key: 1} for _, key in self.V[0]}
-                        images = extend_algebra_map(source, target, gen_images)
-                        out = {m: {k: c for k, c in vec.items()} for m, vec in images.items()}
-                        mats.append(self._images_to_matrix(out, 0, 1))
-                    else:
-                        target = self.levels[s - 1]
-                        gen_images = {key: {key: 1} for _, key in self.V[s]}
-                        images = extend_algebra_map(source, target, gen_images)
-                        mats.append(self._images_to_matrix(images, s, s + 1))
+                    target = self.space.algebra if s == 0 else self.levels[s - 1]
+                    gen_images = {key: {key: 1} for _, key in self.V[s]}
                 else:
                     prev = self.face_full[s - 1][i - 1]
                     target = self.levels[s - 1]
-                    gen_images = {}
-                    for j, (_, key) in enumerate(self.V[s]):
-                        gen_images[key] = self._gen_vec_from_column(prev[:, j], s - 1)
-                    images = extend_algebra_map(source, target, gen_images)
-                    mats.append(self._images_to_matrix(images, s, s + 1))
-            self.face_full.append(mats)
+                    gen_images = {
+                        key: self._gen_vec(prev.cols[j], s - 1)
+                        for j, (_, key) in enumerate(self.V[s])
+                    }
+                images = extend_algebra_map(source, target, gen_images)
+                maps.append(self._images_to_map(images, s, s + 1))
+            self.face_full.append(maps)
 
     def _insertion_vector(self, s, key):
         """Generator of level s+1 naming the length-one monomial on `key` of level s."""
@@ -354,7 +399,7 @@ class CotripleResolution:
 
     def _build_degens(self):
         for s in range(0, self.s_max):
-            mats = []
+            maps = []
             source = self.levels[s]
             for j in range(0, s + 1):
                 if j == 0:
@@ -363,63 +408,54 @@ class CotripleResolution:
                     }
                 else:
                     prev = self.degen_full[s - 1][j - 1]
-                    gen_images = {}
-                    for jj, (_, key) in enumerate(self.V[s]):
-                        gen_images[key] = self._gen_vec_from_column(prev[:, jj], s + 1)
+                    gen_images = {
+                        key: self._gen_vec(prev.cols[jj], s + 1)
+                        for jj, (_, key) in enumerate(self.V[s])
+                    }
                 images = extend_algebra_map(source, self.levels[s + 1], gen_images)
-                mats.append(self._images_to_matrix(images, s + 2, s + 1))
-            self.degen_full.append(mats)
+                maps.append(self._images_to_map(images, s + 2, s + 1))
+            self.degen_full.append(maps)
 
     # -- checks -----------------------------------------------------------------
 
     def verify_simplicial_identities(self):
-        """All identities d_i d_j = d_{j-1} d_i (i<j) etc., as matrix equalities."""
-        p = self.p
-        mm = tower.matmul_mod
+        """All identities d_i d_j = d_{j-1} d_i (i<j) etc., as sparse map equalities."""
+        face, degen = self.face_full, self.degen_full
         bad = []
         for s in range(1, self.s_max + 1):
             for j in range(0, s + 1):
                 for i in range(0, j):
-                    lhs = mm(self.face_full[s - 1][i], self.face_full[s][j], p)
-                    rhs = mm(self.face_full[s - 1][j - 1], self.face_full[s][i], p)
-                    if not np.array_equal(lhs, rhs):
+                    if face[s - 1][i] @ face[s][j] != face[s - 1][j - 1] @ face[s][i]:
                         bad.append(("dd", s, i, j))
         for s in range(0, self.s_max - 1):
             for j in range(0, s + 1):
                 for i in range(0, j + 1):
-                    lhs = mm(self.degen_full[s + 1][j + 1], self.degen_full[s][i], p)
-                    rhs = mm(self.degen_full[s + 1][i], self.degen_full[s][j], p)
-                    if not np.array_equal(lhs, rhs):
+                    if degen[s + 1][j + 1] @ degen[s][i] != degen[s + 1][i] @ degen[s][j]:
                         bad.append(("ss", s, i, j))
         for s in range(0, self.s_max):
             for j in range(0, s + 1):
                 for i in range(0, s + 2):
-                    comp = mm(self.face_full[s + 1][i], self.degen_full[s][j], p)
-                    n = comp.shape[1]
+                    comp = face[s + 1][i] @ degen[s][j]
                     if i == j or i == j + 1:
-                        if not np.array_equal(comp, np.eye(n, dtype=np.int64)):
+                        if not comp.is_identity():
                             bad.append(("ds-id", s, i, j))
                     elif i < j:
-                        rhs = mm(self.degen_full[s - 1][j - 1], self.face_full[s][i], p)
-                        if not np.array_equal(comp, rhs):
+                        if comp != degen[s - 1][j - 1] @ face[s][i]:
                             bad.append(("ds", s, i, j))
-                    else:
-                        rhs = mm(self.degen_full[s - 1][j], self.face_full[s][i - 1], p)
-                        if not np.array_equal(comp, rhs):
-                            bad.append(("sd", s, i, j))
+                    elif comp != degen[s - 1][j] @ face[s][i - 1]:
+                        bad.append(("sd", s, i, j))
         return bad
 
     def extra_degeneracy(self):
         """Contracting homotopy when the base cohomology is itself free.
 
-        Returns matrices h[s]: level s-1 -> level s on monomial bases (with
+        Returns SparseMaps h[s]: level s-1 -> level s on monomial bases (with
         h[0]: the base algebra -> level 0), satisfying d_last h = id and
         d_i h = h d_i for i < last; only defined for free base cohomology.
         """
         space = self.space
         if not space.gen_monomials:
             raise ValueError("extra degeneracy needs a free base cohomology")
-        h = []
         # h0: base -> level 0, generator g -> [g], extended multiplicatively
         lvl0 = self.levels[0]
         images = {}
@@ -430,19 +466,14 @@ class CotripleResolution:
                 for _ in range(e):
                     vec = lvl0.mul(vec, gv)
             images[nm] = vec
-        M0 = np.zeros((len(self.V[1]), len(self.V[0])), dtype=np.int64)
-        rows = self._vidx[1]
-        for j, (_, nm) in enumerate(self.V[0]):
-            for m, c in images[nm].items():
-                M0[rows[m], j] = c % self.p
-        h.append(M0)
+        h = [self._images_to_map(images, 1, 0)]
         for s in range(0, self.s_max):
-            source = self.levels[s]
-            gen_images = {}
-            for j, (_, key) in enumerate(self.V[s]):
-                gen_images[key] = self._gen_vec_from_column(h[s][:, j], s + 1)
-            images = extend_algebra_map(source, self.levels[s + 1], gen_images)
-            h.append(self._images_to_matrix(images, s + 2, s + 1))
+            gen_images = {
+                key: self._gen_vec(h[s].cols[j], s + 1)
+                for j, (_, key) in enumerate(self.V[s])
+            }
+            images = extend_algebra_map(self.levels[s], self.levels[s + 1], gen_images)
+            h.append(self._images_to_map(images, s + 2, s + 1))
         return h
 
     # -- the derivation cochain complex -----------------------------------------
@@ -488,17 +519,15 @@ class CotripleResolution:
                                 c = cols.get((src_vi, mn_src))
                                 if r is not None and c is not None:
                                     Mmat[r, c] = (Mmat[r, c] + coeff * cc) % p
-            # delta^i, i >= 1: duals of the full face matrices one level down
+            # delta^i, i >= 1: duals of the full face maps one level down
             for i in range(1, s + 2):
                 F = self.face_full[s][i - 1]
                 sign = -1 if i % 2 else 1
                 for (vi, mn), r in rows.items():
-                    col = F[:, vi]
-                    for src_vi in np.nonzero(col)[0]:
-                        d_src = self.V[s][src_vi][0]
-                        c = cols.get((int(src_vi), mn))
+                    for src_vi, coeff in F.cols[vi].items():
+                        c = cols.get((src_vi, mn))
                         if c is not None:
-                            Mmat[r, c] = (Mmat[r, c] + sign * int(col[src_vi])) % p
+                            Mmat[r, c] = (Mmat[r, c] + sign * coeff) % p
             maps.append(Mmat % p)
         if normalized:
             return self._normalized_complex(bases, dims, maps, top_s)
@@ -533,18 +562,15 @@ class CotripleResolution:
                 # codegeneracy on cochains: precompose the degeneracy
                 # level s-1 -> level s, evaluated on generators
                 cod = np.zeros((dims[s - 1], dims[s]), dtype=np.int64)
-                for vi, (d, key) in enumerate(self.V[s - 1]):
+                for (vi, mn), r in rows.items():
                     if j == 0:
-                        targets = [(self._insertion_index(s - 1, key), 1)]
+                        targets = {self._insertion_index(s - 1, self.V[s - 1][vi][1]): 1}
                     else:
-                        col = self.degen_full[s - 2][j - 1][:, vi]
-                        targets = [(int(ti), int(col[ti])) for ti in np.nonzero(col)[0]]
-                    for mn in M_names(bases[s - 1], vi):
-                        r = rows.get((vi, mn))
-                        for ti, c in targets:
-                            cidx = cols.get((ti, mn))
-                            if r is not None and cidx is not None:
-                                cod[r, cidx] = (cod[r, cidx] + c) % p
+                        targets = self.degen_full[s - 2][j - 1].cols[vi]
+                    for ti, c in targets.items():
+                        cidx = cols.get((ti, mn))
+                        if cidx is not None:
+                            cod[r, cidx] = (cod[r, cidx] + c) % p
                 stack.append(cod)
             K = tower.kernel_basis(np.concatenate(stack, axis=0), p)
             sub_bases.append(K.T)
@@ -567,10 +593,6 @@ class CotripleResolution:
     def _insertion_index(self, s, key):
         inner = ((self.levels[s].pg_index[((), key)], 1),)
         return self._vidx[s + 1][inner]
-
-
-def M_names(basis, vi):
-    return [b for (v2, b) in basis if v2 == vi]
 
 
 def cotriple_resolution(space: SpaceModel, s_max, D, budget=500_000):

@@ -224,7 +224,7 @@ def descent_two_term(V0: GradedVS, M0: GradedVS, level, p=2):
         n = V0.dim(d) * M0.dim(d)
         if n == 0:
             continue
-        endo = SemilinearEndo(tw, level, n, matrix=None, twist=True, subtract_from_identity=True)
+        endo = SemilinearEndo(tw, level, n, twist=True, subtract_from_identity=True)
         ker, cok = semilinear_kernel_cokernel(endo)
         report["degrees"][d] = {
             "coords": n,
@@ -366,7 +366,7 @@ def two_term_bar_der_complex(V0: GradedVS, M0: GradedVS, level, s_max, p=2):
     n = sum(V0.dim(d) * M0.dim(d) for d in set(V0.degrees()) | set(M0.degrees()))
     if n == 0:
         return CochainComplex(p, [0] * (s_max + 2), [np.zeros((0, 0), dtype=np.int64)] * (s_max + 1))
-    endo = SemilinearEndo(tw, level, n, matrix=None, twist=True, subtract_from_identity=True)
+    endo = SemilinearEndo(tw, level, n, twist=True, subtract_from_identity=True)
     tau = endo.fp_matrix()
     H = n * m
     eye = np.eye(H, dtype=np.int64)

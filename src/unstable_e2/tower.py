@@ -587,18 +587,18 @@ def artin_schreier_solve(b):
 # ---------------------------------------------------------------------------
 
 class SemilinearEndo:
-    """A map T on (F_{p^{k!}})^n of shape T(v) = A . twist(v).
+    """The coordinatewise map T(v) = twist(v) on (F_{p^{k!}})^n.
 
-    With twist on, twist applies coordinatewise Frobenius, so T is additive
-    and F_p-linear but only frobenius-semilinear over the level field.  A is
-    an n x n matrix of TowerElem at the level (or None for the identity).
+    With twist on, twist applies Frobenius to each coordinate, so T is
+    additive and F_p-linear but only frobenius-semilinear over the level
+    field; with it off T is the identity.  subtract_from_identity gives
+    v - T(v) instead.
     """
 
-    def __init__(self, tower, level, n, matrix=None, twist=False, subtract_from_identity=False):
+    def __init__(self, tower, level, n, twist=False, subtract_from_identity=False):
         self.tower = tower
         self.level = level
         self.n = n
-        self.matrix = matrix
         self.twist = twist
         self.subtract_from_identity = subtract_from_identity
 
@@ -607,60 +607,29 @@ class SemilinearEndo:
         tw, k, n = self.tower, self.level, self.n
         m = tw.field(k).degree
         F = tw.field(k).frobenius_matrix if self.twist else np.eye(m, dtype=np.int64)
-        out = np.zeros((n * m, n * m), dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                if self.matrix is None:
-                    if i != j:
-                        continue
-                    block = F.copy()
-                else:
-                    a = self.matrix[i][j]
-                    if a.is_zero():
-                        continue
-                    S = _scalar_mult_matrix(tw, tw.embed(a, k))
-                    block = (S @ F) % tw.p
-                out[i * m : (i + 1) * m, j * m : (j + 1) * m] = block
+        out = np.kron(np.eye(n, dtype=np.int64), F)
         if self.subtract_from_identity:
-            out = (np.eye(n * m, dtype=np.int64) - out) % tw.p
+            out = np.eye(n * m, dtype=np.int64) - out
         return out % tw.p
-
-
-def _scalar_mult_matrix(tower, a):
-    fl = tower.field(a.level)
-    cols = []
-    for j in range(fl.degree):
-        e = [0] * fl.degree
-        e[j] = 1
-        cols.append(fl.mul_coords(a.coords, tuple(e)))
-    return np.array(cols, dtype=np.int64).T % tower.p
 
 
 def semilinear_kernel_cokernel(T):
     """Exact F_p kernel and cokernel bases of a (semi)linear endomorphism.
 
     Returns (kernel_rows, cokernel_rows) as integer matrices whose rows are
-    coordinate vectors in the flattened F_p realization.  Coordinatewise
-    endomorphisms (matrix None) are block-diagonal, so one block is solved
-    and the result is tiled across the coordinates.
+    coordinate vectors in the flattened F_p realization.  T is
+    block-diagonal, so one block is solved and the result is tiled across
+    the coordinates.
     """
     p = T.tower.p
-    if T.matrix is None and T.n > 1:
+    if T.n > 1:
         block = SemilinearEndo(
-            T.tower, T.level, 1, matrix=None, twist=T.twist,
+            T.tower, T.level, 1, twist=T.twist,
             subtract_from_identity=T.subtract_from_identity,
         )
         bker, bcok = semilinear_kernel_cokernel(block)
-        m = T.tower.field(T.level).degree
-        ker = np.zeros((T.n * bker.shape[0], T.n * m), dtype=np.int64)
-        for c in range(T.n):
-            for r in range(bker.shape[0]):
-                ker[c * bker.shape[0] + r, c * m : (c + 1) * m] = bker[r]
-        cok = np.zeros((T.n * bcok.shape[0], T.n * m), dtype=np.int64)
-        for c in range(T.n):
-            for r in range(bcok.shape[0]):
-                cok[c * bcok.shape[0] + r, c * m : (c + 1) * m] = bcok[r]
-        return ker, cok
+        eye = np.eye(T.n, dtype=np.int64)
+        return np.kron(eye, bker), np.kron(eye, bcok)
     M = T.fp_matrix()
     ker = kernel_basis(M, p)
     cok = cokernel_basis(M, p)

@@ -365,18 +365,6 @@ def _gen_list(gens):
     return list(gens)
 
 
-def free_unstable_algebra(p, gens, D):
-    return FreeUnstableAlgebra(p, gens, D)
-
-
-def alg_basis(A, d):
-    return A.basis(d)
-
-
-def hilbert(A, D=None):
-    return A.hilbert(D)
-
-
 # ---------------------------------------------------------------------------
 # finite-type algebras (module + product tables)
 # ---------------------------------------------------------------------------
