@@ -786,15 +786,20 @@ def chart_from_json(data):
     doc = json.loads(data)
     entries = {}
     set_size = None
-    for e in doc["entries"]:
-        entries[(e["s"], e["t"])] = e["dim"]
-        if e.get("fringe"):
-            set_size = e.get("set_size")
-    return Chart(
-        doc["p"], doc["kind"], doc["window"]["s_max"], doc["window"]["t_max"],
-        doc["D"], entries, fringe_set_size=set_size,
-        tower_level=doc.get("tower_level"),
-    )
+    try:
+        for e in doc["entries"]:
+            entries[(e["s"], e["t"])] = e["dim"]
+            if e.get("fringe"):
+                set_size = e.get("set_size")
+        return Chart(
+            doc["p"], doc["kind"], doc["window"]["s_max"], doc["window"]["t_max"],
+            doc["D"], entries, fringe_set_size=set_size,
+            tower_level=doc.get("tower_level"),
+        )
+    except KeyError as e:
+        raise ChartError(f"chart JSON has no field {e.args[0]!r}") from None
+    except TypeError as e:
+        raise ChartError(f"malformed chart JSON: {e}") from None
 
 
 def _chart_svg(chart: Chart):

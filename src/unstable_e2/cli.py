@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 
@@ -43,10 +44,13 @@ class RunConfig:
 
     def validate(self):
         for f in ("p", "D", "s_max", "t_max", "window_L", "window_K", "tower_max", "budget"):
-            if getattr(self, f) is not None and getattr(self, f) < 0:
+            v = getattr(self, f)
+            if type(v) is not int:
+                raise ValueError(f"config field {f} must be an integer, not {v!r}")
+            if v < 0:
                 raise ValueError(f"config field {f} must be nonnegative")
-        if self.p < 2:
-            raise ValueError("p must be a prime >= 2")
+        if self.p < 2 or any(self.p % q == 0 for q in range(2, math.isqrt(self.p) + 1)):
+            raise ValueError(f"p must be a prime >= 2, not {self.p}")
 
 
 def _load_config(args):

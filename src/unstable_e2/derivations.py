@@ -10,6 +10,10 @@ complexes of simplicial resolutions.  The two-term route renders the
 descent isomorphism checkable: kernels match classical derivation spaces
 with an explicit inverse pair of maps, and every finite-level cokernel
 class acquires an Artin-Schreier death witness at a deeper chain level.
+The 1 - frobenius block, its kernel and cokernel and its witnesses are
+computed once per (p, level) in ``tower``, which also checks the inverse
+pair on the block; this module tiles them across the coordinates of each
+degree.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import numpy as np
 
 from . import steenrod as st
 from . import tower
-from .tower import SemilinearEndo, semilinear_kernel_cokernel
 from .unstable_algebras import FreeUnstableAlgebra, MonomialBasis
 from .unstable_modules import GradedVS, admissible_words_b
 
@@ -218,14 +221,14 @@ def descent_two_term(V0: GradedVS, M0: GradedVS, level, p=2):
     1 - frobenius.  Returns per-degree D^0/D^1 dimensions plus the raw
     kernel/cokernel bases per degree.
     """
-    tw = tower.get_tower(p)
     report = {"p": p, "level": level, "degrees": {}, "D0_total": 0, "D1_total": 0}
     for d in sorted(set(V0.degrees()) | set(M0.degrees())):
         n = V0.dim(d) * M0.dim(d)
         if n == 0:
             continue
-        endo = SemilinearEndo(tw, level, n, twist=True, subtract_from_identity=True)
-        ker, cok = semilinear_kernel_cokernel(endo)
+        bker, bcok = tower.semilinear_kernel_cokernel(p, level)
+        eye = np.eye(n, dtype=np.int64)
+        ker, cok = np.kron(eye, bker), np.kron(eye, bcok)
         report["degrees"][d] = {
             "coords": n,
             "D0": ker.shape[0],
@@ -246,9 +249,12 @@ def descent_verify(V0: GradedVS, M0: GradedVS, p=2, start_level=1, max_level=tow
         maps (both composites are identity matrices).
     (b) every D^1 class at a finite level dies at a deeper level, recorded
         by an Artin-Schreier witness.
+    1 - frobenius is block-diagonal, so both are read from its one-coordinate
+    block: the inverse pair is checked once per level, and cokernel row ri
+    dies where block row ri mod (block cokernel rank) has its witness, but
+    no earlier than one level up.
     Failures are reported, never raised.
     """
-    tw = tower.get_tower(p)
     classical = der_free_basis(V0, M0)
     classical_by_deg = {}
     for d, _, _ in classical:
@@ -269,71 +275,23 @@ def descent_verify(V0: GradedVS, M0: GradedVS, p=2, start_level=1, max_level=tow
         ) and two["D0_total"] == len(classical)
         report["levels"][k] = {"D0": two["D0_total"], "D1": two["D1_total"], "dims_ok": dims_ok}
         report["pass_dims"] = report["pass_dims"] and dims_ok
-        m = tw.field(k).degree
-        for d, cell in two["degrees"].items():
-            # inverse pair: the F_p-form inclusion vs coordinate extraction
-            ker = cell["kernel"]
-            n = cell["coords"]
-            include = np.zeros((n * m, n), dtype=np.int64)
-            for c in range(n):
-                include[c * m, c] = 1
-            # solve ker-basis coordinates for the included vectors and back
-            sol = _express_in_rows(include.T, ker, p)
-            back = _express_in_rows(ker, include.T, p)
-            ok = sol is not None and back is not None
-            if ok:
-                comp1 = (sol @ back) % p
-                comp2 = (back @ sol) % p
-                ok = np.array_equal(comp1, np.eye(comp1.shape[0], dtype=np.int64)) and np.array_equal(
-                    comp2, np.eye(comp2.shape[0], dtype=np.int64)
-                )
-            report["pass_inverse_pair"] = report["pass_inverse_pair"] and ok
+        if not two["degrees"]:
+            continue
+        if not tower.base_slot_inverse_pair(p, k):
+            report["pass_inverse_pair"] = False
         if k == start_level:
-            # D^1 saturation: every cokernel representative dies at a deeper level
+            deaths = [
+                max(k + 1, lvl) if lvl is not None and max(k + 1, lvl) <= max_level else None
+                for lvl, _ in tower.cokernel_witnesses(p, k)
+            ]
             for d, cell in two["degrees"].items():
-                for ri in range(cell["cokernel"].shape[0]):
-                    rep = cell["cokernel"][ri]
-                    death = _coker_death_level(tw, k, cell["coords"], rep, max_level)
+                for ri in range(cell["D1"]):
+                    death = deaths[ri % len(deaths)]
                     report["witnesses"].append({"degree": d, "rep": ri, "death_level": death})
                     if death is None:
                         report["pass_witnesses"] = False
     report["pass"] = report["pass_dims"] and report["pass_inverse_pair"] and report["pass_witnesses"]
     return report
-
-
-def _express_in_rows(vectors, rows, p):
-    """Coordinates of each vector (rows of `vectors`) in the row space of `rows`."""
-    if rows.shape[0] == 0:
-        return np.zeros((vectors.shape[0], 0), dtype=np.int64) if not vectors.any() else None
-    sols = []
-    for v in vectors:
-        s = tower.solve(rows.T % p, v % p, p)
-        if s is None:
-            return None
-        sols.append(s)
-    return np.array(sols, dtype=np.int64) % p
-
-
-def _coker_death_level(tw, level, ncoords, rep, max_level):
-    """Smallest level where the cokernel representative becomes a boundary."""
-    m = tw.field(level).degree
-    coords = [tower.TowerElem(tw, level, rep[c * m : (c + 1) * m]) for c in range(ncoords)]
-    for k in range(level + 1, max_level + 1):
-        ok = True
-        for x in coords:
-            if x.is_zero():
-                continue
-            try:
-                _, lvl = tw.artin_schreier_solve(x)
-            except tower.TowerExhausted:
-                ok = False
-                break
-            if lvl > k:
-                ok = False
-                break
-        if ok:
-            return k
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -361,14 +319,12 @@ def two_term_bar_der_complex(V0: GradedVS, M0: GradedVS, level, s_max, p=2):
     last face.  Its cohomology must reproduce the two-term kernel/cokernel
     data degreewise; levels beyond 1 vanish structurally.
     """
-    tw = tower.get_tower(p)
-    m = tw.field(level).degree
     n = sum(V0.dim(d) * M0.dim(d) for d in set(V0.degrees()) | set(M0.degrees()))
     if n == 0:
         return CochainComplex(p, [0] * (s_max + 2), [np.zeros((0, 0), dtype=np.int64)] * (s_max + 1))
-    endo = SemilinearEndo(tw, level, n, twist=True, subtract_from_identity=True)
-    tau = endo.fp_matrix()
-    H = n * m
+    block = tower.get_tower(p).field(level).one_minus_frobenius
+    tau = np.kron(np.eye(n, dtype=np.int64), block)
+    H = tau.shape[0]
     eye = np.eye(H, dtype=np.int64)
     dims = [(s + 1) * H for s in range(s_max + 2)]
     maps = []

@@ -8,6 +8,12 @@ are read from a frozen table; chain embeddings are constructed once per
 run by locating a root of the lower polynomial inside the upper field and
 are cached behind read-only handles.
 
+The descent facts about 1 - frobenius live here too, on one coordinate
+block: its kernel and cokernel and the Artin-Schreier witness of each
+cokernel row, computed once per (p, level) and cached read-only, and the
+inverse pair between the kernel and the base-field slot, checked on the
+block.  Callers tile the block across their coordinates.
+
 Everything here is immutable after construction and safe to share.
 """
 
@@ -303,6 +309,9 @@ class FieldLevel:
             cur = nxt
         self._reduction = red
         self.frobenius_matrix = self._frobenius_matrix()
+        # the one coordinate block of 1 - frobenius, shared read-only
+        self.one_minus_frobenius = (np.eye(n, dtype=np.int64) - self.frobenius_matrix) % p
+        self.one_minus_frobenius.setflags(write=False)
 
     def mul_coords(self, a, b):
         p, n = self.p, self.degree
@@ -560,8 +569,7 @@ class FieldTower:
         for k in range(b.level, self.max_level + 1):
             fl = self.field(k)
             bk = self.embed(b, k)
-            M = (np.eye(fl.degree, dtype=np.int64) - fl.frobenius_matrix) % self.p
-            v = solve(M, np.array(bk.coords, dtype=np.int64), self.p)
+            v = solve(fl.one_minus_frobenius, np.array(bk.coords, dtype=np.int64), self.p)
             if v is not None:
                 return TowerElem(self, k, tuple(int(c) for c in v)), k
         raise TowerExhausted(
@@ -574,63 +582,64 @@ def get_tower(p, max_level=MAX_LEVEL):
     return FieldTower(p, max_level)
 
 
-def frobenius(x):
-    return x.tower.frobenius(x)
-
-
-def artin_schreier_solve(b):
-    return b.tower.artin_schreier_solve(b)
-
-
 # ---------------------------------------------------------------------------
-# semilinear endomorphisms
+# 1 - frobenius on one coordinate
 # ---------------------------------------------------------------------------
+#
+# Coordinatewise 1 - frobenius on (F_{p^{k!}})^n is block-diagonal with n
+# copies of one m x m block (m = k!), so its kernel, cokernel, witnesses and
+# inverse pair are facts about that block and are worked out here, the first
+# three once per (p, level); callers that need the n-coordinate matrices
+# tile the block with np.kron(np.eye(n), block).
 
-class SemilinearEndo:
-    """The coordinatewise map T(v) = twist(v) on (F_{p^{k!}})^n.
+def _read_only(a):
+    a.setflags(write=False)
+    return a
 
-    With twist on, twist applies Frobenius to each coordinate, so T is
-    additive and F_p-linear but only frobenius-semilinear over the level
-    field; with it off T is the identity.  subtract_from_identity gives
-    v - T(v) instead.
+
+@functools.lru_cache(maxsize=None)
+def semilinear_kernel_cokernel(p, level):
+    """Exact F_p kernel and cokernel bases of 1 - frobenius on one coordinate.
+
+    Returns read-only (kernel_rows, cokernel_rows): integer matrices whose
+    rows are coordinate vectors of the chain level over F_p.
     """
-
-    def __init__(self, tower, level, n, twist=False, subtract_from_identity=False):
-        self.tower = tower
-        self.level = level
-        self.n = n
-        self.twist = twist
-        self.subtract_from_identity = subtract_from_identity
-
-    def fp_matrix(self):
-        """The (n*m) x (n*m) matrix of T as an F_p-linear map, m = level degree."""
-        tw, k, n = self.tower, self.level, self.n
-        m = tw.field(k).degree
-        F = tw.field(k).frobenius_matrix if self.twist else np.eye(m, dtype=np.int64)
-        out = np.kron(np.eye(n, dtype=np.int64), F)
-        if self.subtract_from_identity:
-            out = np.eye(n * m, dtype=np.int64) - out
-        return out % tw.p
+    M = get_tower(p).field(level).one_minus_frobenius
+    return _read_only(kernel_basis(M, p)), _read_only(cokernel_basis(M, p))
 
 
-def semilinear_kernel_cokernel(T):
-    """Exact F_p kernel and cokernel bases of a (semi)linear endomorphism.
+@functools.lru_cache(maxsize=None)
+def cokernel_witnesses(p, level):
+    """Artin-Schreier (level, coords) of each cokernel row, in row order.
 
-    Returns (kernel_rows, cokernel_rows) as integer matrices whose rows are
-    coordinate vectors in the flattened F_p realization.  T is
-    block-diagonal, so one block is solved and the result is tiled across
-    the coordinates.
+    A row with no solution inside the chain gets (None, None).
     """
-    p = T.tower.p
-    if T.n > 1:
-        block = SemilinearEndo(
-            T.tower, T.level, 1, twist=T.twist,
-            subtract_from_identity=T.subtract_from_identity,
-        )
-        bker, bcok = semilinear_kernel_cokernel(block)
-        eye = np.eye(T.n, dtype=np.int64)
-        return np.kron(eye, bker), np.kron(eye, bcok)
-    M = T.fp_matrix()
-    ker = kernel_basis(M, p)
-    cok = cokernel_basis(M, p)
-    return ker, cok
+    tw = get_tower(p)
+    out = []
+    for row in semilinear_kernel_cokernel(p, level)[1]:
+        try:
+            x, lvl = tw.artin_schreier_solve(TowerElem(tw, level, row))
+            out.append((lvl, x.coords))
+        except TowerExhausted:
+            out.append((None, None))
+    return tuple(out)
+
+
+def base_slot_inverse_pair(p, level):
+    """Whether the base-field slot and the kernel of 1 - frobenius are inverse.
+
+    Solves for the base slot in the kernel rows and for each kernel row in
+    the base slot; True when both solves succeed and both composites are
+    identity matrices.
+    """
+    ker = semilinear_kernel_cokernel(p, level)[0]
+    base = np.zeros(ker.shape[1], dtype=np.int64)
+    base[0] = 1
+    there = solve(ker.T, base, p)
+    back = [solve(base.reshape(-1, 1), row, p) for row in ker]
+    if there is None or any(b is None for b in back):
+        return False
+    there, back = there.reshape(1, -1), np.array(back, dtype=np.int64)
+    return np.array_equal((there @ back) % p, np.eye(1, dtype=np.int64)) and np.array_equal(
+        (back @ there) % p, np.eye(len(ker), dtype=np.int64)
+    )

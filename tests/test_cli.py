@@ -112,6 +112,36 @@ def test_bad_space_exit_code():
     assert code == 2
 
 
+def test_non_prime_p_exit_code(capsys):
+    for argv in (
+        ["adams-chart", "--p", "4", "--X", "S2", "--Y", "S1", "--smax", "1", "--tmax", "3",
+         "--D", "6"],
+        ["adem", "P[1,1]", "--p", "9"],
+    ):
+        code, out = run(argv)
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "prime" in err
+
+
+def test_compare_malformed_chart_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"p": 2, "kind": "adams", "window": {"s_max": 1}}))
+    code, out = run(["compare", str(bad), str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "'entries'" in err
+
+
+def test_config_non_integer_field_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"D": "10"}))
+    code, out = run(["kn-dims", "--n", "1", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "field D" in err
+
+
 def test_budget_exceeded_exit_code(capsys):
     for command in ("adams-chart", "gh-chart"):
         code, out = run([command, "--X", "S2", "--Y", "S1", "--budget", "10"])

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from unstable_e2 import tower
 from unstable_e2.derivations import (
     BarWindow,
     CochainComplex,
@@ -172,6 +173,67 @@ def test_descent_verify_random_instances():
         rep = descent_verify(V0, M0, p=2, max_level=2)
         assert rep["pass"], (dict(V0.basis), dict(M0.basis))
         assert rep["classical_dim"] == classical
+
+
+def test_descent_inverse_pair_check_is_live(monkeypatch):
+    # a block kernel off the base slot keeps D0 = classical but breaks the pair
+    V0 = M0 = GradedVS.single(2, 4)
+    assert descent_verify(V0, M0, p=2, start_level=2, max_level=3)["pass_inverse_pair"]
+    real = tower.semilinear_kernel_cokernel
+
+    def shifted_kernel(p, level):
+        ker, cok = real(p, level)
+        shifted = np.zeros_like(ker)
+        shifted[:, -1] = 1
+        return shifted, cok
+
+    monkeypatch.setattr(tower, "semilinear_kernel_cokernel", shifted_kernel)
+    rep = descent_verify(V0, M0, p=2, start_level=2, max_level=3)
+    assert rep["pass_dims"] and not rep["pass_inverse_pair"] and not rep["pass"]
+
+
+def _reference_death_level(tw, level, ncoords, row, max_level):
+    """First level above `level` where every nonzero coordinate of the row has
+    an Artin-Schreier solution, solved coordinate by coordinate."""
+    m = tw.field(level).degree
+    solved = []
+    for c in range(ncoords):
+        x = tower.TowerElem(tw, level, row[c * m : (c + 1) * m])
+        if x.is_zero():
+            continue
+        try:
+            solved.append(tw.artin_schreier_solve(x)[1])
+        except tower.TowerExhausted:
+            return None
+    for k in range(level + 1, max_level + 1):
+        if all(lvl <= k for lvl in solved):
+            return k
+    return None
+
+
+def test_descent_witnesses_match_per_coordinate_reference():
+    rng = random.Random(2024)
+
+    def rand_vs(p, tag):
+        basis = {}
+        for i in range(rng.randint(1, 3)):
+            basis.setdefault(rng.randint(1, 4), []).append(f"{tag}{i}")
+        return GradedVS(p, {d: tuple(v) for d, v in basis.items()})
+
+    for p in (2, 3):
+        tw = tower.get_tower(p)
+        for start in (1, 2, 3):
+            for _ in range(3):
+                V0, M0 = rand_vs(p, "v"), rand_vs(p, "m")
+                max_level = rng.randint(start, tower.MAX_LEVEL)
+                rep = descent_verify(V0, M0, p=p, start_level=start, max_level=max_level)
+                want = [
+                    {"degree": d, "rep": ri,
+                     "death_level": _reference_death_level(tw, start, cell["coords"], row, max_level)}
+                    for d, cell in descent_two_term(V0, M0, start, p)["degrees"].items()
+                    for ri, row in enumerate(cell["cokernel"])
+                ]
+                assert rep["witnesses"] == want
 
 
 def test_bar_homology_n1():

@@ -4,6 +4,7 @@ import pytest
 from unstable_e2 import goerss_hopkins
 from unstable_e2.adams import Chart, ChartError, adams_chart, builtin_space, cotriple_resolution
 from unstable_e2.goerss_hopkins import compare_charts, d1_saturation_report, gh_chart
+from unstable_e2.tower import get_tower
 
 
 def test_gh_equals_adams_on_spheres():
@@ -21,8 +22,8 @@ def test_gh_equals_adams_on_spheres():
 def test_gh_fails_loudly_on_non_base_form_kernel(monkeypatch):
     # a one-coordinate kernel off the base slot must stop the chart, naming the
     # level; level 1 has one slot, so the first level that can fail is 2
-    def shifted_kernel(endo):
-        m = endo.tower.field(endo.level).degree
+    def shifted_kernel(p, level):
+        m = get_tower(p).field(level).degree
         ker = np.zeros((1, m), dtype=np.int64)
         ker[0, m - 1] = 1
         return ker, np.zeros((0, m), dtype=np.int64)
