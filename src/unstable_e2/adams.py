@@ -79,23 +79,26 @@ def builtin_space(name, p, D):
 
 
 def _parse_atom(text):
+    """(kind, n, q): q is the field order named by K(F_q,n), None for the working prime."""
     text = text.strip().lower()
     if text in ("point", "pt", "*"):
-        return ("point", 0)
+        return ("point", 0, None)
     if text.startswith("s") and text[1:].isdigit():
-        return ("sphere", int(text[1:]))
+        return ("sphere", int(text[1:]), None)
     if text.startswith("k") and text[1:].isdigit():
-        return ("k", int(text[1:]))
-    if text.startswith("k(") and text.endswith(")"):
-        inner = text[2:-1].split(",")
-        return ("k", int(inner[-1]))
+        return ("k", int(text[1:]), None)
+    if text.startswith("k(f") and text.endswith(")"):
+        q, _, n = text[3:-1].lstrip("_").partition(",")
+        return ("k", int(n), None if q == "p" else int(q))
     if text.startswith("sphere(") and text.endswith(")"):
-        return ("sphere", int(text[7:-1]))
+        return ("sphere", int(text[7:-1]), None)
     return None
 
 
 def _atom_space(atom, p, D):
-    kind, n = atom
+    kind, n, q = atom
+    if q is not None and q != p:
+        raise ValueError(f"K(F_{q},{n}) needs p = {q}, not p = {p}")
     if kind == "point":
         mod = FTUnstableModule(p, D, {}, {})
         return SpaceModel("point", p, D, FTAlgebra(mod, {}), ())
@@ -186,9 +189,6 @@ def _product_space(a: SpaceModel, b: SpaceModel, name, p, D):
         if y == "1":
             return {x: 1}
         return alg.mul_names(x, y)
-
-    def deg_side(sm, x):
-        return 0 if x == "1" else sm.algebra.module.degree_of[x]
 
     prods = {}
     for da1, na1, db1, nb1 in pairs:

@@ -51,6 +51,10 @@ class RunConfig:
                 raise ValueError(f"config field {f} must be nonnegative")
         if self.p < 2 or any(self.p % q == 0 for q in range(2, math.isqrt(self.p) + 1)):
             raise ValueError(f"p must be a prime >= 2, not {self.p}")
+        if self.format not in ("json", "svg", "ascii"):
+            raise ValueError(f"config field format must be json, svg or ascii, not {self.format!r}")
+        if self.out is not None and type(self.out) is not str:
+            raise ValueError(f"config field out must be a string, not {self.out!r}")
 
 
 def _load_config(args):
@@ -58,9 +62,14 @@ def _load_config(args):
     if args.config:
         with open(args.config) as fh:
             data = json.load(fh)
-        for f in fields(RunConfig):
-            if f.name in data:
-                setattr(cfg, f.name, data[f.name])
+        if not isinstance(data, dict):
+            raise ValueError(f"config file must hold a JSON object, not {type(data).__name__}")
+        names = [f.name for f in fields(RunConfig)]
+        unknown = sorted(set(data) - set(names))
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}; the keys are {' '.join(names)}")
+        for k, v in data.items():
+            setattr(cfg, k, v)
     overrides = {
         "p": args.p, "D": args.D, "s_max": args.smax, "t_max": args.tmax,
         "window_L": args.window_L, "window_K": args.window_K,

@@ -88,9 +88,6 @@ class SquareZero:
                         mm[mn2] = (mm.get(mn2, 0) + c1 * c2 * c3) % self.p
         return bb, {k: v for k, v in mm.items() if v}
 
-    def project(self, x):
-        return x[0]
-
 
 def der_free_basis(W: GradedVS, M: GradedVS):
     """Basis of derivations out of the free algebra on W into M: matching-degree pairs."""
@@ -107,19 +104,10 @@ class DerSpace:
     def __init__(self, A: FreeUnstableAlgebra, M: GradedVS, check_trivial_action=None):
         if check_trivial_action is not None and not check_trivial_action:
             raise ValueError("derivation target must carry the trivial operation action")
-        self.A = A
-        self.M = M
-        self.W = GradedVS(A.p, _gens_by_degree(A))
-        self.basis = der_free_basis(self.W, M)
+        self.basis = der_free_basis(GradedVS(A.p, _gens_by_degree(A)), M)
 
     def dim(self):
         return len(self.basis)
-
-    def dims_by_degree(self):
-        out = {}
-        for d, _, _ in self.basis:
-            out[d] = out.get(d, 0) + 1
-        return out
 
 
 def _gens_by_degree(A: FreeUnstableAlgebra):
@@ -127,11 +115,6 @@ def _gens_by_degree(A: FreeUnstableAlgebra):
     for name, d in A.gens:
         by_deg.setdefault(d, []).append(name)
     return {d: tuple(sorted(v)) for d, v in by_deg.items()}
-
-
-def der_free(A: FreeUnstableAlgebra, M: GradedVS, trivial_action=True):
-    """Derivation space out of a free algebra; errors on a nontrivial action."""
-    return DerSpace(A, M, check_trivial_action=trivial_action)
 
 
 def induced_on_der(f, M: GradedVS, augmentation=None, square_zero: SquareZero | None = None):
@@ -298,17 +281,6 @@ def descent_verify(V0: GradedVS, M0: GradedVS, p=2, start_level=1, max_level=tow
 # cohomology of simplicial resolutions
 # ---------------------------------------------------------------------------
 
-def cosimplicial_D(resolution, M: GradedVS, s_max, normalized=True):
-    """D^0..D^{s_max} of a simplicial free-algebra resolution against M.
-
-    The resolution object builds its own derivation cochain complex (its
-    levels know their generator data); this just runs cohomology, after the
-    complex's own d.d = 0 assertion.
-    """
-    complexes = resolution.der_cochain_complex(M, s_max + 1, normalized=normalized)
-    return complexes.cohomology_dims(s_max)
-
-
 def two_term_bar_der_complex(V0: GradedVS, M0: GradedVS, level, s_max, p=2):
     """Derivations of the two-term simplicial resolution, Dold-Kan assembled.
 
@@ -389,22 +361,13 @@ class BarWindow:
 
     def __init__(self, p, n, D, L):
         self.p = p
-        self.n = n
         self.D = D
-        self.L = L
         words_t = _decorated_generators(p, n, D, L + 1)
         self.target = MonomialBasis(p, tuple(n + st.word_degree(w, p) for w in words_t), D)
-        self.target_words = words_t
         self.t_index = {w: i for i, w in enumerate(words_t)}
         words_f = tuple(w for w in words_t if len(w) <= L)
         self.factor = MonomialBasis(p, tuple(n + st.word_degree(w, p) for w in words_f), D)
         self.factor_words = words_f
-        self.f_index = {w: i for i, w in enumerate(words_f)}
-        # factor letters as target letters
-        self.f_to_t = tuple(self.t_index[w] for w in words_f)
-
-    def _lift_factor_mono(self, m):
-        return tuple(sorted((self.f_to_t[i], e) for i, e in m))
 
     def _phi_factor(self, m):
         """Image of a factor monomial under the algebra map g_w -> g_w - g_{w0}."""
@@ -487,9 +450,9 @@ def bar_homology_check(n, D, s_max=3, L=3, p=2):
                 dims[(s, d)] = sizes[s] - r_in - r_out
         return dims
 
+    expected = FreeUnstableAlgebra(p, [("i", n)], D).hilbert()  # rejects n < 1
     hom = run(L)
     hom_next = run(L + 1)
-    expected = FreeUnstableAlgebra(p, [("i", n)], D).hilbert()
     report = {"p": p, "n": n, "D": D, "L": L, "homology": hom, "pass": True, "cells": {}}
     for (s, d), dim in sorted(hom.items()):
         saturated = hom_next.get((s, d)) == dim

@@ -97,10 +97,7 @@ def excess(word, p):
 
 def is_admissible(word, p):
     """Classical orientation: s_j >= p*s_{j+1} + eps_{j+1} for adjacent letters."""
-    for (e1, s1), (e2, s2) in zip(word, word[1:]):
-        if s1 < p * s2 + e2:
-            return False
-    return True
+    return _first_violation(word, p) is None
 
 
 def _first_violation(word, p):
@@ -329,11 +326,6 @@ class OpElement:
     def is_zero(self):
         return not self.terms
 
-    def degree(self):
-        if not self.terms:
-            return None
-        return word_degree(next(iter(self.terms)), self.p)
-
     def __add__(self, other):
         assert self.p == other.p and self.flavor == other.flavor
         t = dict(self.terms)
@@ -347,9 +339,6 @@ class OpElement:
         for w, c in other.terms.items():
             t[w] = (t.get(w, 0) - c) % self.p
         return OpElement(self.p, self.flavor, t)
-
-    def scaled(self, c):
-        return OpElement(self.p, self.flavor, {w: v * c for w, v in self.terms.items()})
 
     def __eq__(self, other):
         return (

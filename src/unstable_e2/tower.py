@@ -413,16 +413,15 @@ class TowerElem:
 class FieldTower:
     """The fixed chain F_p < F_{p^2} < F_{p^6} < F_{p^24} with cached embeddings."""
 
-    def __init__(self, p, max_level=MAX_LEVEL):
+    def __init__(self, p):
         self.p = p
-        self.max_level = max_level
         self._levels = {}
         self._embed_step = {}  # k -> matrix for level k -> k+1
         self._embed_comp = {}  # (j, k) -> composite matrix
 
     def field(self, k):
-        if k < 1 or k > self.max_level:
-            raise TowerExhausted(f"level {k} outside chain (max {self.max_level})")
+        if k < 1 or k > MAX_LEVEL:
+            raise TowerExhausted(f"level {k} outside chain (max {MAX_LEVEL})")
         if k not in self._levels:
             self._levels[k] = FieldLevel(self.p, k)
         return self._levels[k]
@@ -566,20 +565,20 @@ class FieldTower:
         always exists in the union; the chain is finite).
         """
         b = self.reduce_to_minimal_level(b)
-        for k in range(b.level, self.max_level + 1):
+        for k in range(b.level, MAX_LEVEL + 1):
             fl = self.field(k)
             bk = self.embed(b, k)
             v = solve(fl.one_minus_frobenius, np.array(bk.coords, dtype=np.int64), self.p)
             if v is not None:
                 return TowerElem(self, k, tuple(int(c) for c in v)), k
         raise TowerExhausted(
-            f"x - x^p = b has no solution at levels <= {self.max_level} (p={self.p})"
+            f"x - x^p = b has no solution at levels <= {MAX_LEVEL} (p={self.p})"
         )
 
 
 @functools.lru_cache(maxsize=None)
-def get_tower(p, max_level=MAX_LEVEL):
-    return FieldTower(p, max_level)
+def get_tower(p):
+    return FieldTower(p)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 
 from . import steenrod as st
-from .unstable_modules import FTUnstableModule, GradedVS, admissible_words_a
+from .unstable_modules import FTUnstableModule, GradedVS, _gen_pairs, admissible_words_a
 
 
 class DegreeCapExceeded(Exception):
@@ -142,18 +142,12 @@ class MonomialBasis:
                     del out[m]
         return out
 
-    def power(self, v, e):
-        out = {(): 1}
-        for _ in range(e):
-            out = self.mul(out, v)
-        return out
-
 
 class FreeUnstableAlgebra(MonomialBasis):
     """Degree-truncated free unstable algebra on named generators (degrees >= 1)."""
 
     def __init__(self, p, gens, D):
-        self.gens = tuple(sorted((n, int(d)) for n, d in _gen_list(gens)))
+        self.gens = tuple(sorted((n, int(d)) for n, d in _gen_pairs(gens)))
         for n, d in self.gens:
             if d < 1:
                 raise ValueError("generators must sit in degrees >= 1")
@@ -357,12 +351,6 @@ class FreeUnstableAlgebra(MonomialBasis):
 
     def gen_vector(self, name):
         return {((self.pg_index[((), name)], 1),): 1}
-
-
-def _gen_list(gens):
-    if isinstance(gens, GradedVS):
-        return [(n, d) for d, n in gens.items()]
-    return list(gens)
 
 
 # ---------------------------------------------------------------------------
@@ -583,13 +571,3 @@ def monad_unit_matrix(W: GradedVS, A: FreeUnstableAlgebra, d):
         mono = ((A.pg_index[((), name)], 1),)
         M[rows[mono], j] = 1
     return M
-
-
-def monad_mult_images(GG: FreeUnstableAlgebra, G: FreeUnstableAlgebra, name_of_monomial):
-    """Evaluation G(G(W)) -> G(W): formal generators evaluate to what they name.
-
-    name_of_monomial maps a generator name of GG to the G-monomial it denotes.
-    Returns {GG basis monomial: G vector}.
-    """
-    gen_images = {name: {mono: 1} for name, mono in name_of_monomial.items()}
-    return extend_algebra_map(GG, G, gen_images)

@@ -15,7 +15,7 @@ identity and kills words with negative indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,9 +54,6 @@ class GradedVS:
 
     def dim(self, d):
         return len(self.basis.get(d, ()))
-
-    def total_dim(self):
-        return sum(len(v) for v in self.basis.values())
 
     def items(self):
         for d in sorted(self.basis):
@@ -210,43 +207,6 @@ def _gen_pairs(gens):
     return sorted((name, deg) for name, deg in gens)
 
 
-class FreeAModule:
-    """Free unstable module on named generators, derived bases up to D."""
-
-    def __init__(self, p, gens, D):
-        self.p = p
-        self.gens = tuple(_gen_pairs(gens))
-        self.gen_degrees = dict(self.gens)
-        self.D = D
-
-    def basis(self, d):
-        if d > self.D:
-            raise ValueError(f"degree {d} beyond truncation {self.D}")
-        return free_a_basis(self.gens, d, self.p)
-
-    def act(self, op, elt):
-        return act_free(self.p, st.FLAVOR_A, op, elt, self.gen_degrees)
-
-
-class FreeBModuleWindow:
-    """Windowed free module for the integer-indexed flavor; never global."""
-
-    def __init__(self, p, gens, window: ModWindow):
-        self.p = p
-        self.gens = tuple(_gen_pairs(gens))
-        self.gen_degrees = dict(self.gens)
-        self.window = window
-
-    def basis(self, d):
-        return free_b_basis_window(self.gens, d, self.window, self.p)
-
-    def act(self, op, elt):
-        return act_free(
-            self.p, st.FLAVOR_B, op, elt, self.gen_degrees,
-            window=self.window.rewrite_window(),
-        )
-
-
 def act_free(p, flavor, op, elt, gen_degrees, window=None):
     """Action on a free module: rewrite composed words, drop excess violations.
 
@@ -285,8 +245,8 @@ def one_minus_p0_window(V, window, d, p=2, length_cap=None):
     rows indexed by the target window basis.
     """
     L = window.L if length_cap is None else length_cap
-    src = _window_basis(V, d, window, L, p)
-    tgt = _window_basis(V, d, window, L + 1, p)
+    src = free_b_basis_window(V, d, replace(window, L=L), p)
+    tgt = free_b_basis_window(V, d, replace(window, L=L + 1), p)
     tgt_index = {b: i for i, b in enumerate(tgt)}
     ctx = st.get_context(p, st.FLAVOR_B, window.rewrite_window())
     gen_degrees = dict(_gen_pairs(V))
@@ -303,15 +263,6 @@ def one_minus_p0_window(V, window, d, p=2, length_cap=None):
     return M, src, tgt
 
 
-def _window_basis(V, d, window, L, p):
-    pairs = _gen_pairs(V)
-    out = []
-    for name, n in pairs:
-        for w in admissible_words_b(p, d - n, n, L, window.K):
-            out.append((w, name))
-    return tuple(sorted(out, key=lambda t: (t[1], t[0])))
-
-
 def quotient_q_window(V, window, d, p=2, length_cap=None):
     """Matrix of the quotient q: windowed F(V) -> F_0(V) in degree d.
 
@@ -319,7 +270,7 @@ def quotient_q_window(V, window, d, p=2, length_cap=None):
     then rewrite in the classical algebra and filter by excess.
     """
     L = window.L if length_cap is None else length_cap
-    src = _window_basis(V, d, window, L, p)
+    src = free_b_basis_window(V, d, replace(window, L=L), p)
     tgt = free_a_basis(V, d, p)
     tgt_index = {b: i for i, b in enumerate(tgt)}
     ctx = st.get_context(p, st.FLAVOR_A)
@@ -388,7 +339,7 @@ def _stabilized_coker_dim(V, window, d, p, L, j_max=None):
     saturation witness.  Returns (rank, saturated).
     """
     j_max = L + 3 if j_max is None else j_max
-    tgt1 = _window_basis(V, d, window, L + 1, p)
+    tgt1 = free_b_basis_window(V, d, replace(window, L=L + 1), p)
     if not tgt1:
         return 0, True
     prev = None
@@ -446,15 +397,6 @@ class FTUnstableModule:
                     nxt[n2] = (nxt.get(n2, 0) + c * c2) % self.p
             cur = {k: v for k, v in nxt.items() if v}
         return cur
-
-    def act(self, op, elt):
-        """Action of an OpElement on a dict {name: coeff}."""
-        out = {}
-        for w, oc in op.terms.items():
-            for n, c in elt.items():
-                for n2, c2 in self.act_word(w, n).items():
-                    out[n2] = (out.get(n2, 0) + oc * c * c2) % self.p
-        return {k: v for k, v in out.items() if v}
 
     def validate(self):
         """Instability plus every Adem relation instance within the window."""

@@ -16,7 +16,6 @@ from unstable_e2.adams import (
     hom_set_count,
     suspension_target,
 )
-from unstable_e2.derivations import cosimplicial_D
 from unstable_e2.unstable_modules import GradedVS
 
 
@@ -56,6 +55,18 @@ def test_product_space_kunneth():
 def test_unknown_space():
     with pytest.raises(ValueError):
         builtin_space("T3", 2, 6)
+
+
+def test_k_space_field_must_match_p():
+    K1 = builtin_space("K1", 2, 6)
+    for spelling in ("K(F_2,1)", "K(F2,1)", "K(F_p,1)"):
+        K = builtin_space(spelling, 2, 6)
+        assert K.algebra.to_text() == K1.algebra.to_text()
+        assert (K.name, K.generators, K.gen_monomials) == (K1.name, K1.generators, K1.gen_monomials)
+    with pytest.raises(ValueError, match="p = 3"):
+        builtin_space("K(F_3,1)", 2, 6)
+    with pytest.raises(ValueError, match="p = 2"):
+        builtin_space("K(F_2,2)", 3, 8)
 
 
 def test_simplicial_identities_smax3():
@@ -166,15 +177,6 @@ def test_normalized_matches_unnormalized():
         plain = res.der_cochain_complex(M, 3).cohomology_dims(2)
         norm = res.der_cochain_complex(M, 3, normalized=True).cohomology_dims(2)
         assert plain == norm, t
-
-
-def test_cosimplicial_D_delegates():
-    S2 = builtin_space("S2", 2, 5)
-    S1 = builtin_space("S1", 2, 5)
-    res = cotriple_resolution(S2, 3, 5)
-    M = suspension_target(S1, 2)
-    dims = cosimplicial_D(res, M, 2)
-    assert dims == res.der_cochain_complex(M, 3, normalized=True).cohomology_dims(2)
 
 
 def test_chart_stable_under_deeper_truncation():

@@ -142,6 +142,45 @@ def test_config_non_integer_field_exit_code(tmp_path, capsys):
     assert err.startswith("error: ") and "field D" in err
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ([1, 2], "JSON object"),
+        ({"smax": 1, "tmax": 2}, "unknown config keys ['smax', 'tmax']"),
+        ({"out": 7}, "field out"),
+        ({"format": "png"}, "field format"),
+    ],
+    ids=["not-an-object", "unknown-key", "out-not-a-string", "bad-format"],
+)
+def test_bad_config_file_exit_code(tmp_path, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    # its own process: an unchecked "out": 7 would write to and close descriptor 7
+    r = subprocess.run(
+        [sys.executable, "-m", "unstable_e2.cli", "kn-dims", "--n", "1", "--D", "3",
+         "--config", str(cfg)],
+        capture_output=True, text=True,
+    )
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("error: ") and message in r.stderr
+
+
+def test_bar_check_degree_zero_exit_code(capsys):
+    for n in ("0", "-1"):
+        code, out = run(["bar-check", "--n", n])
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "degrees >= 1" in err
+
+
+def test_k_space_wrong_field_exit_code(capsys):
+    code, out = run(["adams-chart", "--X", "K(F_3,1)", "--Y", "S1", "--smax", "1",
+                     "--tmax", "3", "--D", "6"])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "K(F_3,1)" in err
+
+
 def test_budget_exceeded_exit_code(capsys):
     for command in ("adams-chart", "gh-chart"):
         code, out = run([command, "--X", "S2", "--Y", "S1", "--budget", "10"])

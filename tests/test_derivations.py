@@ -10,7 +10,6 @@ from unstable_e2.derivations import (
     DerSpace,
     SquareZero,
     bar_homology_check,
-    der_free,
     der_free_basis,
     descent_two_term,
     descent_verify,
@@ -46,12 +45,12 @@ def test_two_term_on_isomorphism_is_contractible():
 
 def test_der_free_dimensions():
     A = FreeUnstableAlgebra(2, [("w", 3)], 6)
-    assert der_free(A, GradedVS.single(2, 3, "m")).dim() == 1
-    assert der_free(A, GradedVS.single(2, 5, "m")).dim() == 0
+    assert DerSpace(A, GradedVS.single(2, 3, "m")).dim() == 1
+    assert DerSpace(A, GradedVS.single(2, 5, "m")).dim() == 0
     # several generators, shifted target
     B = FreeUnstableAlgebra(2, [("a", 1), ("b", 2)], 6)
     M = GradedVS(2, {1: ("m1",), 2: ("m2", "m2x")})
-    assert der_free(B, M).dim() == 1 + 2
+    assert DerSpace(B, M).dim() == 1 + 2
 
 
 def test_der_free_rejects_nontrivial_action():
@@ -120,7 +119,7 @@ def test_square_zero_multiplication():
     assert bb == {} and mm == {}
     # projection is multiplicative on the base components
     x, y = ({"u": 1}, {"m": 1}), ({"u": 1}, {"m": 1})
-    assert sz.project(sz.mul(x, y)) == base.mul({"u": 1}, {"u": 1})
+    assert sz.mul(x, y)[0] == base.mul({"u": 1}, {"u": 1})
 
 
 def test_descent_two_term_examples():

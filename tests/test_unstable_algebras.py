@@ -11,7 +11,6 @@ from unstable_e2.unstable_algebras import (
     FreeUnstableAlgebra,
     FTAlgebra,
     extend_algebra_map,
-    monad_mult_images,
     monad_unit_matrix,
 )
 from unstable_e2.unstable_modules import GradedVS, admissible_words_a
@@ -141,7 +140,7 @@ def test_monad_unit_and_mult_laws():
     # G(G(W)) on the reduced basis of G(W)
     names = {m: ("g", m) for _, m in G.reduced_basis_items()}
     GG = FreeUnstableAlgebra(p, [(names[m], G.monomial_degree(m)) for m in names], D)
-    mult = monad_mult_images(GG, G, {names[m]: m for m in names})
+    mult = extend_algebra_map(GG, G, {names[m]: {m: 1} for m in names})
     # unit law 1: mult . G(unit-insertion) = id on G(W)
     # the insertion sends w to the generator named by the monomial [w]
     ins = {"w": {((GG.pg_index[((), names[((G.pg_index[((), 'w')], 1),)])], 1),): 1}}

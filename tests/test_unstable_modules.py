@@ -197,18 +197,16 @@ def test_act_free_flavor_b():
 
 
 def test_module_classes():
-    from unstable_e2.unstable_modules import FreeAModule, FreeBModuleWindow
-
-    F1 = FreeAModule(2, [("x", 1)], 6)
-    assert F1.basis(4) == ((((0, 2), (0, 1)), "x"),)
-    assert F1.act(st.OpElement.from_word([1], 2), {(((0, 1),), "x"): 1}) == {}
-    with pytest.raises(ValueError):
-        F1.basis(7)
-    FB = FreeBModuleWindow(2, [("x", 2)], ModWindow(D=6, L=2, K=2))
-    names = [w for w, _ in FB.basis(2)]
+    gens = [("x", 1)]
+    assert free_a_basis(gens, 4, 2) == ((((0, 2), (0, 1)), "x"),)
+    sq1 = st.OpElement.from_word([1], 2)
+    assert act_free(2, st.FLAVOR_A, sq1, {(((0, 1),), "x"): 1}, {"x": 1}) == {}
+    window = ModWindow(D=6, L=2, K=2)
+    names = [w for w, _ in free_b_basis_window([("x", 2)], 2, window, 2)]
     assert ((0, 0),) in names
     p0 = st.OpElement(2, st.FLAVOR_B, {((0, 0),): 1})
-    assert FB.act(p0, {((), "x"): 1}) == {(((0, 0),), "x"): 1}
+    out = act_free(2, st.FLAVOR_B, p0, {((), "x"): 1}, {"x": 2}, window=window.rewrite_window())
+    assert out == {(((0, 0),), "x"): 1}
 
 
 def test_saturation_reached_within_l_equals_d_plus_two():
