@@ -5,20 +5,20 @@ cohomology of a space: level s is free on the full monomial basis of level
 s-1.  Face maps evaluate one formal layer (the outermost face evaluates
 formal generators as elements, inner faces push the evaluation inward);
 degeneracies insert formal layers.  Face and degeneracy maps are stored as
-sparse columns on monomial bases (one {row index: coeff} dict per source
-basis element, nonzero coefficients mod p only), and the simplicial
+``tower.SparseMap``s on monomial bases (one {row index: coeff} dict per
+source basis element, nonzero coefficients mod p only), and the simplicial
 identities are verified on demand by composing those columns.
 
 Cochain groups of the derivation complex against a suspension-type target
 need only the generator data of each level, which is what makes s_max 2-3
 feasible: level s is materialized through its basis and through the full
-face maps of the level below, never through anything deeper.
+face maps of the level below, never through anything deeper.  The
+coboundaries are SparseMaps too, read off the face columns.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -182,6 +182,7 @@ def _product_space(a: SpaceModel, b: SpaceModel, name, p, D):
     for da, na, db, nb in pairs:
         basis.setdefault(da + db, []).append(tname(na, nb))
     basis = {d: tuple(sorted(v)) for d, v in basis.items()}
+    names = {nm for v in basis.values() for nm in v}
 
     def mul_side(alg, x, y):
         if x == "1":
@@ -233,7 +234,8 @@ def _product_space(a: SpaceModel, b: SpaceModel, name, p, D):
                 sgn = -1 if (p != 2 and da % 2) else 1
                 for xb, cb in vb.items():
                     out[tname(na, xb)] = (out.get(tname(na, xb), 0) + sgn * cb) % p
-            out = {k: v for k, v in out.items() if v and k != "1|1"}
+            # the degree cut: images above D (and "1|1") are not basis names
+            out = {k: v for k, v in out.items() if v and k in names}
             if out:
                 cols[tname(na, nb)] = out
         if cols:
@@ -256,63 +258,6 @@ def _product_space(a: SpaceModel, b: SpaceModel, name, p, D):
 # ---------------------------------------------------------------------------
 # the cotriple resolution
 # ---------------------------------------------------------------------------
-
-class SparseMap:
-    """A linear map over F_p stored as sparse columns.
-
-    cols[j] is the image of source basis element j as {row index: coeff},
-    holding only nonzero coefficients reduced mod p.  `size` counts the
-    stored entries and `nbytes` the memory the columns hold; numpy's
-    count_nonzero is answered without densifying, and no other numpy
-    function accepts the map (toarray() gives the dense matrix).
-    """
-
-    def __init__(self, nrows, cols, p):
-        self.shape = (nrows, len(cols))
-        self.cols = cols
-        self.p = p
-
-    @property
-    def size(self):
-        return sum(len(col) for col in self.cols)
-
-    @property
-    def nbytes(self):
-        return sys.getsizeof(self.cols) + sum(sys.getsizeof(col) for col in self.cols)
-
-    def __array_function__(self, func, types, args, kwargs):
-        if func is np.count_nonzero and len(args) == 1 and not kwargs:
-            return self.size
-        return NotImplemented
-
-    def __matmul__(self, other):
-        """The composite self . other."""
-        p = self.p
-        out = []
-        for col in other.cols:
-            acc = {}
-            for k, c in col.items():
-                for r, c2 in self.cols[k].items():
-                    acc[r] = (acc.get(r, 0) + c * c2) % p
-            out.append({r: c for r, c in acc.items() if c})
-        return SparseMap(self.shape[0], out, p)
-
-    def __eq__(self, other):
-        return (isinstance(other, SparseMap) and self.shape == other.shape
-                and self.cols == other.cols)
-
-    def is_identity(self):
-        return self.shape[0] == self.shape[1] and all(
-            col == {j: 1} for j, col in enumerate(self.cols)
-        )
-
-    def toarray(self):
-        M = np.zeros(self.shape, dtype=np.int64)
-        for j, col in enumerate(self.cols):
-            for r, c in col.items():
-                M[r, j] = c
-        return M
-
 
 class CotripleResolution:
     """Levels 0..s_max of the free-algebra monad iterated on reduced cohomology.
@@ -365,7 +310,7 @@ class CotripleResolution:
             {rows[key]: c % p for key, c in images[m].items() if c % p}
             for _, m in self.V[level_from]
         ]
-        return SparseMap(len(self.V[level_to]), cols, p)
+        return tower.SparseMap(len(self.V[level_to]), cols, p)
 
     def _gen_vec(self, col, level_to):
         """Column over V[level_to] as a generator-combination vector in that level."""
@@ -481,8 +426,9 @@ class CotripleResolution:
     def der_cochain_complex(self, M: GradedVS, top_s, normalized=False, m_act=None):
         """Hom(generators of each level, M) with cofaces from the face maps.
 
-        m_act(word) may supply the operation action on M as a dict-of-dicts
-        matrix {m_name: {m_name2: coeff}}; None means the trivial action.
+        Each coboundary is a SparseMap built column by column.  m_act(word)
+        may supply the operation action on M as a dict-of-dicts matrix
+        {m_name: {m_name2: coeff}}; None means the trivial action.
         """
         p = self.p
         if top_s > self.s_max + 1:
@@ -499,26 +445,30 @@ class CotripleResolution:
         for s in range(0, top_s):
             rows = {b: i for i, b in enumerate(bases[s + 1])}
             cols = {b: i for i, b in enumerate(bases[s])}
-            Mmat = np.zeros((dims[s + 1], dims[s]), dtype=np.int64)
-            # delta^0: classify each generator of level s+1 (a monomial of level s)
-            proj = self._generator_classification(s)
+            out = [{} for _ in bases[s]]
+
+            def add(r, c, x):
+                out[c][r] = (out[c].get(r, 0) + x) % p
+
+            # delta^0: a generator of level s+1 that is one polygen w(g) of
+            # level s pairs with g through the action of w; decomposable
+            # generators pair with nothing (square-zero targets kill them)
+            level = self.levels[s]
             for vi, (d, key) in enumerate(self.V[s + 1]):
-                for src_vi, word, coeff in proj.get(vi, ()):
-                    if word == ():
-                        for mn in M.basis.get(d, ()):
-                            r = rows.get((vi, mn))
-                            c = cols.get((src_vi, mn))
-                            if r is not None and c is not None:
-                                Mmat[r, c] = (Mmat[r, c] + coeff) % p
-                    elif m_act is not None:
-                        act = m_act(word)
-                        d_src = self.V[s][src_vi][0]
-                        for mn_src in M.basis.get(d_src, ()):
-                            for mn_t, cc in act.get(mn_src, {}).items():
-                                r = rows.get((vi, mn_t))
-                                c = cols.get((src_vi, mn_src))
-                                if r is not None and c is not None:
-                                    Mmat[r, c] = (Mmat[r, c] + coeff * cc) % p
+                if len(key) != 1 or key[0][1] != 1:
+                    continue
+                word, genkey = level.polygens[key[0][0]]
+                src_vi = self._vidx[s][genkey]
+                if word == ():
+                    for mn in M.basis.get(d, ()):
+                        add(rows[(vi, mn)], cols[(src_vi, mn)], 1)
+                elif m_act is not None:
+                    act = m_act(word)
+                    for mn_src in M.basis.get(self.V[s][src_vi][0], ()):
+                        for mn_t, cc in act.get(mn_src, {}).items():
+                            r = rows.get((vi, mn_t))
+                            if r is not None:
+                                add(r, cols[(src_vi, mn_src)], cc)
             # delta^i, i >= 1: duals of the full face maps one level down
             for i in range(1, s + 2):
                 F = self.face_full[s][i - 1]
@@ -527,25 +477,13 @@ class CotripleResolution:
                     for src_vi, coeff in F.cols[vi].items():
                         c = cols.get((src_vi, mn))
                         if c is not None:
-                            Mmat[r, c] = (Mmat[r, c] + sign * coeff) % p
-            maps.append(Mmat % p)
+                            add(r, c, sign * coeff)
+            maps.append(tower.SparseMap(
+                dims[s + 1], [{r: x for r, x in col.items() if x} for col in out], p
+            ))
         if normalized:
             return self._normalized_complex(bases, dims, maps, top_s)
         return CochainComplex(p, dims, maps)
-
-    def _generator_classification(self, s):
-        """For each generator of level s+1: its single-polygen content in level s.
-
-        Returns {V[s+1] index: ((V[s] index, word, coeff), ...)}; decomposable
-        monomials classify to nothing (square-zero targets kill them).
-        """
-        out = {}
-        level = self.levels[s]
-        for vi, (d, key) in enumerate(self.V[s + 1]):
-            if len(key) == 1 and key[0][1] == 1:
-                w, genkey = level.polygens[key[0][0]]
-                out[vi] = ((self._vidx[s][genkey], w, 1),)
-        return out
 
     def _normalized_complex(self, bases, dims, maps, top_s):
         """Restrict to the intersection of codegeneracy kernels."""
@@ -577,17 +515,15 @@ class CotripleResolution:
         new_dims = [sb.shape[1] for sb in sub_bases]
         new_maps = []
         for s in range(0, top_s):
-            img = (maps[s] @ sub_bases[s]) % p
+            img = (maps[s] @ tower.SparseMap.from_dense(sub_bases[s], p)).toarray()
             expressed = []
             for col in img.T:
                 sol = tower.solve(sub_bases[s + 1], col, p)
                 if sol is None:
                     raise ValueError("differential does not preserve the normalized subcomplex")
                 expressed.append(sol)
-            if expressed:
-                new_maps.append(np.array(expressed, dtype=np.int64).T % p)
-            else:
-                new_maps.append(np.zeros((new_dims[s + 1], 0), dtype=np.int64))
+            shape = (len(expressed), new_dims[s + 1])
+            new_maps.append(np.array(expressed, dtype=np.int64).reshape(shape).T)
         return CochainComplex(p, new_dims, new_maps)
 
     def _insertion_index(self, s, key):
@@ -631,15 +567,20 @@ def suspension_has_trivial_action(Y: SpaceModel):
     return not any(cols for cols in Y.algebra.module.action.values())
 
 
-def adams_chart(X: SpaceModel, Y: SpaceModel, s_max, t_max, D, budget=500_000,
-                resolution=None):
-    """The unstable Adams E2 chart on the window, plus the (0,0) hom-set cell."""
+def _chart_resolution(X: SpaceModel, Y: SpaceModel, s_max, t_max, D, budget, resolution):
+    """The resolution a chart on the window ranks, after the truncation check."""
     d_needed = t_max + Y.top_degree()
     if D < d_needed:
         raise ChartError(
             f"truncation D={D} below the sufficiency bound t_max + top(H*Y) = {d_needed}"
         )
-    res = resolution or cotriple_resolution(X, s_max + 1, d_needed, budget)
+    return resolution or cotriple_resolution(X, s_max + 1, d_needed, budget)
+
+
+def adams_chart(X: SpaceModel, Y: SpaceModel, s_max, t_max, D, budget=500_000,
+                resolution=None):
+    """The unstable Adams E2 chart on the window, plus the (0,0) hom-set cell."""
+    res = _chart_resolution(X, Y, s_max, t_max, D, budget, resolution)
     m_act = None
     if not suspension_has_trivial_action(Y):
         mod = Y.algebra.module

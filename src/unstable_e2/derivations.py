@@ -14,6 +14,8 @@ The 1 - frobenius block, its kernel and cokernel and its witnesses are
 computed once per (p, level) in ``tower``, which also checks the inverse
 pair on the block; this module tiles them across the coordinates of each
 degree.
+
+Every differential here is a ``tower.SparseMap``, ranked once.
 """
 
 from __future__ import annotations
@@ -27,18 +29,23 @@ from .unstable_modules import GradedVS, admissible_words_b
 
 
 class CochainComplex:
-    """Finite cochain complex of F_p vector spaces; d.d = 0 checked at build."""
+    """Finite cochain complex of F_p vector spaces; d.d = 0 checked at build.
+
+    Differentials are SparseMaps; a dense matrix is converted on entry.
+    """
 
     def __init__(self, p, dims, maps):
         self.p = p
         self.dims = list(dims)
-        self.maps = [np.asarray(M, dtype=np.int64) % p for M in maps]
+        self.maps = [
+            M if isinstance(M, tower.SparseMap) else tower.SparseMap.from_dense(M, p)
+            for M in maps
+        ]
         assert len(self.maps) == len(self.dims) - 1
         for s, M in enumerate(self.maps):
             assert M.shape == (self.dims[s + 1], self.dims[s]), (s, M.shape)
         for s in range(len(self.maps) - 1):
-            comp = tower.matmul_mod(self.maps[s + 1], self.maps[s], p)
-            if comp.size and comp.any():
+            if any(tower.matmul_mod(self.maps[s + 1], self.maps[s], p).cols):
                 raise ValueError(f"d.d != 0 between cochain degrees {s} and {s+2}")
 
     def cohomology_dims(self, s_max=None):
@@ -48,12 +55,10 @@ class CochainComplex:
             raise ValueError(
                 f"H^{top} needs the outgoing differential; complex stops at C^{len(self.dims) - 1}"
             )
-        out = []
-        for s in range(top + 1):
-            r_out = tower.rank(self.maps[s], self.p)
-            r_in = tower.rank(self.maps[s - 1], self.p) if s >= 1 else 0
-            out.append(self.dims[s] - r_out - r_in)
-        return tuple(out)
+        ranks = [tower.rank(M, self.p) for M in self.maps[: top + 1]]
+        return tuple(
+            self.dims[s] - ranks[s] - (ranks[s - 1] if s else 0) for s in range(top + 1)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +297,6 @@ def two_term_bar_der_complex(V0: GradedVS, M0: GradedVS, level, s_max, p=2):
     data degreewise; levels beyond 1 vanish structurally.
     """
     n = sum(V0.dim(d) * M0.dim(d) for d in set(V0.degrees()) | set(M0.degrees()))
-    if n == 0:
-        return CochainComplex(p, [0] * (s_max + 2), [np.zeros((0, 0), dtype=np.int64)] * (s_max + 1))
     block = tower.get_tower(p).field(level).one_minus_frobenius
     tau = np.kron(np.eye(n, dtype=np.int64), block)
     H = tau.shape[0]
@@ -368,6 +371,7 @@ class BarWindow:
         words_f = tuple(w for w in words_t if len(w) <= L)
         self.factor = MonomialBasis(p, tuple(n + st.word_degree(w, p) for w in words_f), D)
         self.factor_words = words_f
+        self._bases = {}  # (s, d) -> bar_basis(s, d); inner levels bound two boundaries
 
     def _phi_factor(self, m):
         """Image of a factor monomial under the algebra map g_w -> g_w - g_{w0}."""
@@ -383,7 +387,9 @@ class BarWindow:
         return vec
 
     def bar_basis(self, s, d):
-        """Basis of the degree-d part of the s-th bar level: (m0, m1..ms)."""
+        """Basis of the degree-d part of the s-th bar level: (m0, m1..ms), enumerated once."""
+        if (s, d) in self._bases:
+            return self._bases[(s, d)]
         out = []
 
         def rec(slot, deg_left, acc):
@@ -398,20 +404,28 @@ class BarWindow:
                     acc.pop()
 
         rec(0, d, [])
-        return sorted(out)
+        out.sort()
+        self._bases[(s, d)] = out
+        return out
 
     def boundary_matrix(self, s, d):
-        """Alternating-sum boundary from bar level s to s-1 in degree d."""
+        """Alternating-sum boundary from bar level s to s-1 in degree d, as a SparseMap."""
+        p = self.p
         src = self.bar_basis(s, d)
         tgt = self.bar_basis(s - 1, d)
         tgt_idx = {b: i for i, b in enumerate(tgt)}
-        M = np.zeros((len(tgt), len(src)), dtype=np.int64)
-        for j, elem in enumerate(src):
+
+        def add(col, key, c):
+            r = tgt_idx[key]
+            col[r] = (col.get(r, 0) + c) % p
+
+        cols = []
+        for elem in src:
             m0, factors = elem[0], list(elem[1:])
-            for i in range(0, s + 1):
+            col = {}
+            # face 0 is omitted: epsilon of a positive-degree factor is 0
+            for i in range(1, s + 1):
                 sign = -1 if i % 2 else 1
-                if i == 0:
-                    continue  # epsilon of a positive-degree factor is 0
                 if i < s:
                     r = self.factor.mul_monomials(factors[i - 1], factors[i])
                     if r is None:
@@ -420,15 +434,13 @@ class BarWindow:
                     if self.factor.monomial_degree(merged) > self.D:
                         continue
                     key = (m0,) + tuple(factors[: i - 1] + [merged] + factors[i + 1 :])
-                    M[tgt_idx[key], j] = (M[tgt_idx[key], j] + sign * c) % self.p
+                    add(col, key, sign * c)
                 else:
-                    phi = self._phi_factor(factors[-1])
-                    base = {m0: 1}
-                    prod = self.target.mul(base, phi)
+                    prod = self.target.mul({m0: 1}, self._phi_factor(factors[-1]))
                     for m, c in prod.items():
-                        key = (m,) + tuple(factors[:-1])
-                        M[tgt_idx[key], j] = (M[tgt_idx[key], j] + sign * c) % self.p
-        return M, src, tgt
+                        add(col, (m,) + tuple(factors[:-1]), sign * c)
+            cols.append({r: c for r, c in col.items() if c})
+        return tower.SparseMap(len(tgt), cols, p), src, tgt
 
 
 def bar_homology_check(n, D, s_max=3, L=3, p=2):
@@ -442,12 +454,12 @@ def bar_homology_check(n, D, s_max=3, L=3, p=2):
         bw = BarWindow(p, n, D, length_cap)
         dims = {}
         for d in range(0, D + 1):
-            sizes = [len(bw.bar_basis(s, d)) for s in range(0, s_max + 2)]
-            mats = [bw.boundary_matrix(s, d)[0] for s in range(1, s_max + 2)]
+            # boundary s + 1 runs from bar level s + 1 to s; each is ranked once
+            bounds = [bw.boundary_matrix(s, d) for s in range(1, s_max + 2)]
+            sizes = [len(bounds[0][2])] + [len(src) for _, src, _ in bounds]
+            ranks = [tower.rank(M, p) for M, _, _ in bounds]
             for s in range(s_max + 1):
-                r_in = tower.rank(mats[s], p)
-                r_out = tower.rank(mats[s - 1], p) if s >= 1 else 0
-                dims[(s, d)] = sizes[s] - r_in - r_out
+                dims[(s, d)] = sizes[s] - ranks[s] - (ranks[s - 1] if s else 0)
         return dims
 
     expected = FreeUnstableAlgebra(p, [("i", n)], D).hilbert()  # rejects n < 1

@@ -10,7 +10,8 @@ What this module adds is:
 * the verified base-form kernel: at chain levels 1, level and level + 1 the
   kernel of 1 - frobenius on one coordinate is checked to be the base-field
   slot, so the classical complex is the restricted one at all three levels
-  and is ranked once per t;
+  and the chart's entries are ``adams_chart``'s on the same resolution,
+  relabelled with the highest verified level;
 * the death witnesses: every positive-degree two-term cokernel class is an
   obstruction that must die deeper in the chain, and its Artin-Schreier
   solution is recorded, never assumed.
@@ -21,10 +22,12 @@ pair on the block; the s = 0 certificate tiles the kernel block across the
 cochain coordinates.
 
 A check that shares no code with the classical pipeline is the unstable
-Lambda-algebra (ROADMAP item 3).
+Lambda-algebra oracle of the test suite (``tests/oracles.py``).
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -33,8 +36,8 @@ from .adams import (
     Chart,
     ChartError,
     SpaceModel,
-    cotriple_resolution,
-    hom_set_count,
+    _chart_resolution,
+    adams_chart,
     suspension_has_trivial_action,
     suspension_target,
 )
@@ -70,66 +73,46 @@ def gh_chart(X: SpaceModel, Y: SpaceModel, s_max, t_max, D, level=2, budget=500_
     frobenius-semilinear complex against the suspension target.  That kernel
     is verified once per level (1, level, level + 1) on a single coordinate
     block; it is the base-field slot, so the restricted complex is the
-    classical one at every one of the three levels and is ranked once per t.
-    The chart records the highest verified level.
+    classical one at every one of the three levels, and the entries are
+    ``adams_chart``'s.  The chart records the highest verified level.
     """
     if not suspension_has_trivial_action(Y):
         raise ChartError(
             "second pipeline needs a trivially-acting suspension target; "
             f"{Y.name} has nontrivial operations"
         )
-    d_needed = t_max + Y.top_degree()
-    if D < d_needed:
-        raise ChartError(
-            f"truncation D={D} below the sufficiency bound t_max + top(H*Y) = {d_needed}"
-        )
     if level + 1 > tower.MAX_LEVEL:
         raise tower.TowerExhausted(f"level {level}+1 beyond the chain")
     blocks = {k: _verified_base_block(X.p, k) for k in (1, level, level + 1)}
-    res = resolution or cotriple_resolution(X, s_max + 1, d_needed, budget)
-    entries = {}
-    certificate = {"t": {}}
-    for t in range(1, t_max + 1):
-        M = suspension_target(Y, t)
-        acc = res.der_cochain_complex(M, s_max + 1)
-        # on base-slot kernels the differentials act by the classical matrices,
-        # so the classical complex is the restricted one at all verified levels
-        for s, dim in enumerate(acc.cohomology_dims(s_max)):
-            if dim:
-                entries[(s, t)] = dim
-        if with_certificate:
-            bker = blocks[level]
-            extractions = [
-                np.kron(np.eye(n, dtype=np.int64), bker)[:, :: bker.shape[1]].T
-                for n in acc.dims[:2]
-            ]
-            certificate["t"][t] = _s0_certificate(acc, acc, extractions, X.p, level)
-    count = hom_set_count(X, Y)
-    r = 0
-    while X.p ** r < count:
-        r += 1
-    if X.p ** r != count:
-        raise ChartError(f"hom-set cardinality {count} is not a p-power")
-    entries[(0, 0)] = r
-    chart = Chart(X.p, "gh", s_max, t_max, D, entries, fringe_set_size=count,
-                  tower_level=level + 1)
-    if with_certificate:
-        return chart, certificate
-    return chart
+    res = _chart_resolution(X, Y, s_max, t_max, D, budget, resolution)
+    chart = replace(adams_chart(X, Y, s_max, t_max, D, budget, res),
+                    kind="gh", tower_level=level + 1)
+    if not with_certificate:
+        return chart
+    certificate = {"t": {
+        t: _s0_certificate(res.der_cochain_complex(suspension_target(Y, t), 1),
+                           blocks[level], X.p, level)
+        for t in range(1, t_max + 1)
+    }}
+    return chart, certificate
 
 
-def _s0_certificate(adams_cc, gh_cc, extractions, p, level):
+def _s0_certificate(cc, bker, p, level):
     """Explicit cochain comparison at the s = 0 column.
 
     Checks the inverse pair between the level's kernel and the classical
     cochain group (on the one-coordinate block, since the kernel is tiled
-    from it) and that the extraction intertwines the differentials.
+    from it) and that the extraction of base slots, tiled from the kernel
+    block, intertwines the first differential.
     """
-    ok_pair = adams_cc.dims[0] == 0 or tower.base_slot_inverse_pair(p, level)
-    # cochain-map condition at the first differential
-    lhs = (extractions[1] @ gh_cc.maps[0]) % p
-    rhs = (adams_cc.maps[0] @ extractions[0]) % p
-    return {"inverse_pair": bool(ok_pair), "cochain_s0": np.array_equal(lhs, rhs)}
+    ok_pair = cc.dims[0] == 0 or tower.base_slot_inverse_pair(p, level)
+    m = bker.shape[1]
+    ext0, ext1 = (
+        tower.SparseMap.from_dense(np.kron(np.eye(n, dtype=np.int64), bker)[:, ::m].T, p)
+        for n in cc.dims[:2]
+    )
+    d0 = cc.maps[0]
+    return {"inverse_pair": bool(ok_pair), "cochain_s0": ext1 @ d0 == d0 @ ext0}
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +159,7 @@ def d1_saturation_report(X: SpaceModel, Y: SpaceModel, s_max, t_max, D,
     Artin-Schreier solution.  An exhausted schedule is inconclusive, not a
     pass.
     """
-    d_needed = t_max + Y.top_degree()
-    if D < d_needed:
-        raise ChartError(f"truncation D={D} below sufficiency bound {d_needed}")
-    res = resolution or cotriple_resolution(X, s_max + 1, d_needed, budget)
+    res = _chart_resolution(X, Y, s_max, t_max, D, budget, resolution)
     report = {"entries": [], "pass": True, "inconclusive": False}
     if schedule_max <= start_level:
         report["inconclusive"] = True

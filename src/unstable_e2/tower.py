@@ -14,12 +14,18 @@ cokernel row, computed once per (p, level) and cached read-only, and the
 inverse pair between the kernel and the base-field slot, checked on the
 block.  Callers tile the block across their coordinates.
 
+Every structure map and differential is a SparseMap ({row: coeff}
+columns), composed by matmul_mod and ranked by rank: one column elimination
+per prime, on Python-int bitsets at p = 2.  Dense rref, kernels and solves
+serve the field-level blocks and the module windows.
+
 Everything here is immutable after construction and safe to share.
 """
 
 from __future__ import annotations
 
 import functools
+import sys
 from importlib import resources
 
 import numpy as np
@@ -49,8 +55,6 @@ def rref(M, p):
         pivot_cols the list of pivot column indices.
     """
     R = np.array(M, dtype=np.int64) % p
-    if R.ndim != 2:
-        R = R.reshape(len(R), -1)
     nrows, ncols = R.shape
     pivots = []
     r = 0
@@ -72,29 +76,6 @@ def rref(M, p):
         pivots.append(c)
         r += 1
     return R, pivots
-
-
-def rank(M, p):
-    M = np.asarray(M)
-    if M.size == 0:
-        return 0
-    if p == 2 and M.shape[0] * M.shape[1] > 65536:
-        return gf2_rank(M)
-    return len(rref(M, p)[1])
-
-
-def matmul_mod(A, B, p):
-    """Exact mod-p matrix product through the float64 BLAS path.
-
-    Entries below p and inner dimensions in the 10^5 range keep every dot
-    product well inside exact float64 integer territory.
-    """
-    A = np.asarray(A)
-    B = np.asarray(B)
-    if A.size == 0 or B.size == 0:
-        return np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    prod = A.astype(np.float64) @ B.astype(np.float64)
-    return prod.astype(np.int64) % p
 
 
 def kernel_basis(M, p):
@@ -148,44 +129,123 @@ def cokernel_basis(M, p):
     return np.array(reps, dtype=np.int64).reshape(len(reps), nt)
 
 
-# packed-word GF(2) rank, for the larger homology computations
+# ---------------------------------------------------------------------------
+# sparse maps over F_p: the structure maps and every differential
+# ---------------------------------------------------------------------------
 
-def _gf2_pack(M):
-    M = (np.asarray(M) % 2).astype(np.uint8)
-    nrows, ncols = M.shape
-    nwords = (ncols + 63) // 64
-    W = np.zeros((nrows, nwords), dtype=np.uint64)
-    for w in range(nwords):
-        chunk = M[:, w * 64 : (w + 1) * 64]
-        weights = (np.uint64(1) << np.arange(chunk.shape[1], dtype=np.uint64))
-        W[:, w] = (chunk.astype(np.uint64) * weights).sum(axis=1)
-    return W, ncols
+class SparseMap:
+    """A linear map over F_p stored as sparse columns.
+
+    cols[j] is the image of source basis element j as {row index: coeff},
+    holding only nonzero coefficients reduced mod p.  `size` counts the
+    stored entries and `nbytes` the memory the columns hold; numpy's
+    count_nonzero is answered without densifying, and no other numpy
+    function accepts the map (toarray() gives the dense matrix).
+    """
+
+    def __init__(self, nrows, cols, p):
+        self.shape = (nrows, len(cols))
+        self.cols = cols
+        self.p = p
+
+    @classmethod
+    def from_dense(cls, M, p):
+        """The map of an integer matrix (any values, reduced mod p)."""
+        M = np.array(M, dtype=np.int64) % p
+        cols = [{} for _ in range(M.shape[1])]
+        js, rs = np.nonzero(M.T)
+        for j, r, c in zip(js.tolist(), rs.tolist(), M.T[js, rs].tolist()):
+            cols[j][r] = c
+        return cls(M.shape[0], cols, p)
+
+    @property
+    def size(self):
+        return sum(len(col) for col in self.cols)
+
+    @property
+    def nbytes(self):
+        return sys.getsizeof(self.cols) + sum(sys.getsizeof(col) for col in self.cols)
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func is np.count_nonzero and len(args) == 1 and not kwargs:
+            return self.size
+        return NotImplemented
+
+    def __matmul__(self, other):
+        """The composite self . other."""
+        return matmul_mod(self, other, self.p)
+
+    def __eq__(self, other):
+        return (isinstance(other, SparseMap) and self.shape == other.shape
+                and self.cols == other.cols)
+
+    def is_identity(self):
+        return self.shape[0] == self.shape[1] and all(
+            col == {j: 1} for j, col in enumerate(self.cols)
+        )
+
+    def toarray(self):
+        M = np.zeros(self.shape, dtype=np.int64)
+        for j, col in enumerate(self.cols):
+            for r, c in col.items():
+                M[r, j] = c
+        return M
+
+
+def matmul_mod(A, B, p):
+    """The composite A . B of two SparseMaps over F_p, one column of B at a time."""
+    out = []
+    for col in B.cols:
+        acc = {}
+        for k, c in col.items():
+            for r, c2 in A.cols[k].items():
+                acc[r] = (acc.get(r, 0) + c * c2) % p
+        out.append({r: c for r, c in acc.items() if c})
+    return SparseMap(A.shape[0], out, p)
+
+
+def rank(M, p):
+    """Rank over F_p of a SparseMap or of an integer matrix (converted on entry).
+
+    Column elimination with the pivot on each column's lowest row: bitsets
+    at p = 2 (gf2_rank), {row: coeff} columns at odd p.
+    """
+    if not isinstance(M, SparseMap):
+        M = SparseMap.from_dense(M, p)
+    if p == 2:
+        return gf2_rank(M)
+    pivots = {}  # lowest row -> reduced column, scaled to 1 there
+    for col in M.cols:
+        v = dict(col)
+        while v:
+            r = min(v)
+            piv = pivots.get(r)
+            if piv is None:
+                inv = pow(v[r], p - 2, p)
+                pivots[r] = {k: c * inv % p for k, c in v.items()}
+                break
+            c = v[r]
+            for k, pc in piv.items():
+                x = (v.get(k, 0) - c * pc) % p
+                if x:
+                    v[k] = x
+                else:
+                    del v[k]
+    return len(pivots)
 
 
 def gf2_rank(M):
-    """Rank over GF(2) via packed-word elimination."""
-    M = np.asarray(M)
-    if M.size == 0:
-        return 0
-    W, ncols = _gf2_pack(M)
-    nrows = W.shape[0]
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        w, bit = divmod(c, 64)
-        mask = np.uint64(1) << np.uint64(bit)
-        hits = np.nonzero(W[r:, w] & mask)[0]
-        if len(hits) == 0:
-            continue
-        i = r + int(hits[0])
-        if i != r:
-            W[[r, i]] = W[[i, r]]
-        below = r + 1 + np.nonzero(W[r + 1 :, w] & mask)[0]
-        if len(below):
-            W[below] ^= W[r]
-        r += 1
-    return r
+    """Rank over GF(2) of a SparseMap: each column a Python int, pivoting on its lowest set bit."""
+    pivots = {}  # lowest set bit -> reduced column
+    for col in M.cols:
+        v = sum(1 << r for r in col)
+        while v:
+            piv = pivots.get(v & -v)
+            if piv is None:
+                pivots[v & -v] = v
+                break
+            v ^= piv
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------------

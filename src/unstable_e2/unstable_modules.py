@@ -304,12 +304,13 @@ def exactness_report(V, window, p=2):
         M, src, tgt = one_minus_p0_window(V, window, d, p)
         Q, srcq, f0 = quotient_q_window(V, window, d, p, length_cap=window.L + 1)
         assert srcq == tgt
-        inj = tower.rank(M, p) == len(src)
+        r = tower.rank(M, p)
+        inj = r == len(src)
         comp_zero = True
         if len(src) and len(f0):
             comp = (Q @ M) % p
             comp_zero = not comp.any()
-        raw_coker = len(tgt) - tower.rank(M, p)
+        raw_coker = len(tgt) - r
         stab, saturated = _stabilized_coker_dim(V, window, d, p, window.L)
         saturated = saturated and window.L >= 1  # a length-0 window proves nothing
         f0_dim = len(f0)
@@ -346,10 +347,8 @@ def _stabilized_coker_dim(V, window, d, p, L, j_max=None):
     for j in range(1, j_max + 1):
         M2, _, tgt2 = one_minus_p0_window(V, window, d, p, length_cap=L + j)
         idx2 = {b: i for i, b in enumerate(tgt2)}
-        incl = np.zeros((len(tgt2), len(tgt1)), dtype=np.int64)
-        for jj, b in enumerate(tgt1):
-            incl[idx2[b], jj] = 1
-        both = np.concatenate([incl, M2], axis=1) if M2.shape[1] else incl
+        M2 = tower.SparseMap.from_dense(M2, p)
+        both = tower.SparseMap(len(tgt2), [{idx2[b]: 1} for b in tgt1] + M2.cols, p)
         r = tower.rank(both, p) - tower.rank(M2, p)
         if prev is not None and r == prev:
             return r, True

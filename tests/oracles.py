@@ -3,10 +3,13 @@
 Everything here recomputes from first principles, staying off the code
 paths it checks: raw sequence enumeration instead of structured DFS,
 generating-function coefficient extraction instead of monomial bases, a
-standalone 16-element field instead of the chain.
+standalone 16-element field instead of the chain, and the unstable Lambda
+algebra instead of the cotriple resolution.
 """
 
+import functools
 import itertools
+import math
 
 
 def brute_force_admissible(p, word_deg, excess_cap):
@@ -76,3 +79,111 @@ class F16:
     def f4_subfield(cls):
         # the elements fixed by double frobenius
         return sorted(x for x in range(16) if cls.sq(cls.sq(x)) == x)
+
+
+# ---------------------------------------------------------------------------
+# the unstable Lambda algebra at p = 2
+# ---------------------------------------------------------------------------
+#
+# Bousfield, Curtis, Kan, Quillen, Rector and Schlesinger, Topology 5 (1966).
+# A word is a tuple of indices (i1, ..., is), standing for l_i1 ... l_is; it
+# is admissible when i_(j+1) <= 2 i_j.  Admissible words are a basis, and
+#     l_i l_(2i+1+n) = sum_(j>=0) C(n-j-1, j) l_(i+n-j) l_(2i+1+j)
+# rewrites every other word.  The differential is the derivation with
+#     d l_n = sum_(j>=1) C(n-j, j) l_(n-j) l_(j-1).
+# Lambda(n), spanned by the admissible words whose first index is < n, is a
+# subcomplex, and dim H^s(Lambda(n)) at index sum t - s - n is the unstable
+# Adams E2^(s,t) of S^n.  Vectors are sets of words (coefficients mod 2).
+
+def _binom2(m, j):
+    return math.comb(m, j) % 2 if 0 <= j <= m else 0
+
+
+@functools.lru_cache(maxsize=None)
+def lambda_admissible(word):
+    """The admissible expansion of a word, as a frozenset of admissible words."""
+    for k in range(len(word) - 1):
+        i, b = word[k], word[k + 1]
+        if b > 2 * i:
+            n = b - 2 * i - 1
+            out = set()
+            for j in range(n):
+                if _binom2(n - j - 1, j):
+                    out ^= lambda_admissible(word[:k] + (i + n - j, 2 * i + 1 + j) + word[k + 2 :])
+            return frozenset(out)
+    return frozenset((word,))
+
+
+def lambda_d(vector):
+    """The differential of a set of admissible words, in admissible form."""
+    out = set()
+    for word in vector:
+        for k, n in enumerate(word):
+            for j in range(1, n + 1):
+                if _binom2(n - j, j):
+                    out ^= lambda_admissible(word[:k] + (n - j, j - 1) + word[k + 1 :])
+    return out
+
+
+def lambda_words(n, s, k):
+    """Admissible words of length s and index sum k with first index < n."""
+    out = []
+
+    def rec(word, left, bound):
+        if len(word) == s:
+            if left == 0:
+                out.append(word)
+            return
+        for i in range(0, min(bound, left) + 1):
+            rec(word + (i,), left - i, 2 * i)
+
+    rec((), k, n - 1)
+    return out
+
+
+def _gf2_rank(rows):
+    """Rank of 0/1 row vectors given as ints (xor basis with distinct top bits)."""
+    basis = []
+    for v in rows:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+    return len(basis)
+
+
+def _lambda_d_rank(n, s, k):
+    """Rank of d from Lambda(n) at (length s, index sum k) to (s + 1, k - 1)."""
+    if k < 0:
+        return 0
+    index = {w: i for i, w in enumerate(lambda_words(n, s + 1, k - 1))}
+    rows = []
+    for w in lambda_words(n, s, k):
+        image = lambda_d({w})
+        # a word outside Lambda(n) raises: the subcomplex property is checked too
+        rows.append(sum(1 << index[v] for v in image))
+    return _gf2_rank(rows)
+
+
+def lambda_cohomology(n, s, k):
+    """dim H^s(Lambda(n)) at index sum k."""
+    if k < 0:
+        return 0
+    return (len(lambda_words(n, s, k)) - _lambda_d_rank(n, s, k)
+            - (_lambda_d_rank(n, s - 1, k + 1) if s else 0))
+
+
+def lambda_chart(n, target_dims, s_max, t_max):
+    """Cells (s, t) of maps from S^n into Y, for a target with trivial action.
+
+    target_dims maps each degree d of the unreduced cohomology of Y to its
+    dimension; the cell is sum_d dim H^d(Y) dim H^s(Lambda(n)) at index sum
+    t + d - s - n.  Zero cells are left out.
+    """
+    out = {}
+    for s in range(s_max + 1):
+        for t in range(t_max + 1):
+            dim = sum(m * lambda_cohomology(n, s, t + d - s - n) for d, m in target_dims.items())
+            if dim:
+                out[(s, t)] = dim
+    return out

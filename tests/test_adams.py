@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
-from unstable_e2 import tower
 from unstable_e2.adams import (
     BudgetExceeded,
     Chart,
     ChartError,
     SpaceModel,
-    SparseMap,
     adams_chart,
     builtin_space,
     chart_emit,
@@ -16,6 +14,8 @@ from unstable_e2.adams import (
     hom_set_count,
     suspension_target,
 )
+from unstable_e2.derivations import BarWindow
+from unstable_e2.tower import SparseMap
 from unstable_e2.unstable_modules import GradedVS
 
 
@@ -104,7 +104,7 @@ def test_sparse_composites_match_dense_products(monkeypatch, name, D):
     assert res.verify_simplicial_identities() == []
     assert seen
     for a, b, out in seen:
-        dense = tower.matmul_mod(a.toarray(), b.toarray(), res.p)
+        dense = (a.toarray() @ b.toarray()) % res.p
         assert np.array_equal(out.toarray(), dense)
 
 
@@ -113,6 +113,10 @@ def test_structure_maps_stay_sparse():
     res = cotriple_resolution(S2, 2, 6)
     maps = [M for mats in res.face_full + res.degen_full for M in mats]
     assert maps
+    # the cochain differentials and the bar boundaries are sparse too
+    maps += res.der_cochain_complex(suspension_target(S2, 2), 3).maps
+    bw = BarWindow(2, 2, 5, 2)
+    maps += [bw.boundary_matrix(s, d)[0] for s in (1, 2, 3) for d in range(6)]
     for M in maps:
         assert not isinstance(M, np.ndarray)
         assert np.count_nonzero(M) == M.size
@@ -331,3 +335,15 @@ def test_cochain_group_against_brute_force_maps():
             key.append(tuple(sorted(f.get(mono, {}).items())))
         seen.add(tuple(key))
     assert len(seen) == len(maps)
+
+
+def test_product_chart_does_not_depend_on_truncation():
+    # K1*S1 -> S1 at D = 6, 7 and 8: the product's action is cut at D, and
+    # every D at or above t_max + top(H*Y) gives the same window
+    charts = [
+        adams_chart(builtin_space("K1*S1", 2, D), builtin_space("S1", 2, D), 1, 3, D=D)
+        for D in (6, 7, 8)
+    ]
+    assert charts[0].entries == {(0, 0): 2, (0, 1): 2, (1, 1): 1, (1, 2): 1}
+    assert all(c.entries == charts[0].entries for c in charts)
+    assert all(c.fringe_set_size == 4 for c in charts)

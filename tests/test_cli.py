@@ -215,3 +215,16 @@ def test_svg_ascii_determinism(tmp_path):
             assert code == 0
             outs.append(f.read_bytes())
         assert outs[0] == outs[1]
+
+
+def test_product_with_k_space_exit_code():
+    # its own process, so that a traceback's exit code is what the test sees;
+    # the product's action names a class above D unless it is cut at D
+    for D in ("6", "8"):
+        r = subprocess.run(
+            [sys.executable, "-m", "unstable_e2.cli", "adams-chart", "--X", "K1*S1",
+             "--Y", "S1", "--smax", "1", "--tmax", "3", "--D", D],
+            capture_output=True, text=True,
+        )
+        assert r.returncode == 0 and r.stderr == "", r.stderr
+        assert json.loads(r.stdout)["D"] == int(D)

@@ -24,6 +24,13 @@ def test_cochain_complex_rejects_bad_differential():
     I = np.eye(2, dtype=np.int64)
     with pytest.raises(ValueError):
         CochainComplex(2, [2, 2, 2], [I, I])
+    S = tower.SparseMap.from_dense(I, 2)
+    with pytest.raises(ValueError):
+        CochainComplex(2, [2, 2, 2], [S, S])
+    # d.d is taken mod p: twice the identity is zero at p = 2 but not at p = 3
+    two = tower.SparseMap.from_dense(2 * I, 3)
+    with pytest.raises(ValueError):
+        CochainComplex(3, [2, 2, 2], [two, two])
 
 
 def test_constant_cosimplicial_cohomology():
@@ -264,5 +271,5 @@ def test_bar_window_boundary_squares_to_zero():
         for s in range(2, 5):
             M1, _, _ = bw.boundary_matrix(s - 1, d) if s >= 2 else (None, None, None)
             M2, _, _ = bw.boundary_matrix(s, d)
-            if M1 is not None and M1.size and M2.size:
-                assert not ((M1 @ M2) % 2).any(), (s, d)
+            if M1 is not None:
+                assert not any((M1 @ M2).cols), (s, d)

@@ -190,7 +190,36 @@ def test_gf2_rank_matches_generic():
     random.seed(9)
     for _ in range(10):
         M = np.array([[random.randrange(2) for _ in range(70)] for _ in range(40)])
-        assert tower.gf2_rank(M) == len(rref(M, 2)[1])
+        assert tower.gf2_rank(tower.SparseMap.from_dense(M, 2)) == len(rref(M, 2)[1])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rank_matches_rref_on_random_matrices(p):
+    rng = np.random.default_rng(11 + p)
+    shapes = [(0, 4), (4, 0), (0, 0), (5, 5), (6, 3), (3, 9), (40, 25), (25, 60)]
+    for rows, cols in shapes:
+        for density in (0.0, 0.05, 0.3, 1.0):
+            M = rng.integers(0, p, size=(rows, cols)) * (rng.random((rows, cols)) < density)
+            want = len(rref(M, p)[1])
+            assert rank(M, p) == want, (rows, cols, density)
+            assert rank(tower.SparseMap.from_dense(M, p), p) == want
+    # low-rank products, where elimination has to cancel whole columns
+    for _ in range(10):
+        A, B = rng.integers(0, p, size=(30, 4)), rng.integers(0, p, size=(4, 30))
+        M = (A @ B) % p
+        assert rank(M, p) == len(rref(M, p)[1]) <= 4
+
+
+def test_sparse_map_round_trip_and_product():
+    rng = np.random.default_rng(5)
+    for p in (2, 3):
+        A = rng.integers(0, p, size=(7, 5)) * (rng.random((7, 5)) < 0.4)
+        B = rng.integers(0, p, size=(5, 6)) * (rng.random((5, 6)) < 0.4)
+        sa, sb = tower.SparseMap.from_dense(A, p), tower.SparseMap.from_dense(B, p)
+        assert np.array_equal(sa.toarray(), A % p)
+        assert sa.size == np.count_nonzero(A % p)
+        assert all(all(c % p for c in col.values()) for col in sa.cols)
+        assert np.array_equal(tower.matmul_mod(sa, sb, p).toarray(), (A @ B) % p)
 
 
 def test_level_two_class_dies_at_level_four_not_three():
