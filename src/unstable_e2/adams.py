@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -265,7 +266,8 @@ class CotripleResolution:
     V[s] lists the generators of level s as (degree, key) pairs; V[s+1] is
     the full monomial basis of level s.  face_full[s][i] is the SparseMap of
     the i-th face from level s to level s-1 on monomial bases (columns are
-    V[s+1], rows V[s]); degen_full[s][j] likewise for degeneracies.
+    V[s+1], rows V[s]); degen_full[s][j] likewise for degeneracies, which
+    are built on first use, since no chart reads them.
     """
 
     def __init__(self, space: SpaceModel, s_max, D, budget=500_000):
@@ -296,9 +298,7 @@ class CotripleResolution:
             {key: i for i, (_, key) in enumerate(vs)} for vs in self.V
         ]
         self.face_full = []
-        self.degen_full = []
         self._build_faces()
-        self._build_degens()
 
     # -- construction ---------------------------------------------------------
 
@@ -336,30 +336,22 @@ class CotripleResolution:
                 maps.append(self._images_to_map(images, s, s + 1))
             self.face_full.append(maps)
 
-    def _insertion_vector(self, s, key):
-        """Generator of level s+1 naming the length-one monomial on `key` of level s."""
-        inner = ((self.levels[s].pg_index[((), key)], 1),)
-        outer = ((self.levels[s + 1].pg_index[((), inner)], 1),)
-        return {outer: 1}
-
-    def _build_degens(self):
+    @cached_property
+    def degen_full(self):
+        degen = []
         for s in range(0, self.s_max):
             maps = []
-            source = self.levels[s]
             for j in range(0, s + 1):
-                if j == 0:
-                    gen_images = {
-                        key: self._insertion_vector(s, key) for _, key in self.V[s]
-                    }
-                else:
-                    prev = self.degen_full[s - 1][j - 1]
-                    gen_images = {
-                        key: self._gen_vec(prev.cols[jj], s + 1)
-                        for jj, (_, key) in enumerate(self.V[s])
-                    }
-                images = extend_algebra_map(source, self.levels[s + 1], gen_images)
+                cols = degen[s - 1][j - 1].cols if j else [
+                    {self._insertion_index(s, key): 1} for _, key in self.V[s]
+                ]
+                gen_images = {
+                    key: self._gen_vec(col, s + 1) for (_, key), col in zip(self.V[s], cols)
+                }
+                images = extend_algebra_map(self.levels[s], self.levels[s + 1], gen_images)
                 maps.append(self._images_to_map(images, s + 2, s + 1))
-            self.degen_full.append(maps)
+            degen.append(maps)
+        return degen
 
     # -- checks -----------------------------------------------------------------
 
@@ -432,7 +424,7 @@ class CotripleResolution:
         """
         p = self.p
         if top_s > self.s_max + 1:
-            raise ChartError(f"resolution holds {self.s_max + 1} levels, need {top_s + 1}")
+            raise ChartError(f"resolution holds {self.s_max + 1} levels, need {top_s}")
         bases = []
         for s in range(0, top_s + 1):
             basis = []
@@ -568,13 +560,17 @@ def suspension_has_trivial_action(Y: SpaceModel):
 
 
 def _chart_resolution(X: SpaceModel, Y: SpaceModel, s_max, t_max, D, budget, resolution):
-    """The resolution a chart on the window ranks, after the truncation check."""
+    """The resolution a chart on the window ranks, after the truncation check.
+
+    Rows 0..s_max read cochain groups 0..s_max + 1: V[0..s_max + 1] and the
+    faces of levels 0..s_max, all held by cotriple_resolution(X, s_max).
+    """
     d_needed = t_max + Y.top_degree()
     if D < d_needed:
         raise ChartError(
             f"truncation D={D} below the sufficiency bound t_max + top(H*Y) = {d_needed}"
         )
-    return resolution or cotriple_resolution(X, s_max + 1, d_needed, budget)
+    return resolution or cotriple_resolution(X, s_max, d_needed, budget)
 
 
 def adams_chart(X: SpaceModel, Y: SpaceModel, s_max, t_max, D, budget=500_000,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from unstable_e2 import adams
 from unstable_e2.adams import (
     BudgetExceeded,
     Chart,
@@ -72,7 +73,9 @@ def test_k_space_field_must_match_p():
 def test_simplicial_identities_smax3():
     S2 = builtin_space("S2", 2, 6)
     res = cotriple_resolution(S2, 3, 6)
+    assert "degen_full" not in vars(res)  # degeneracies are built on first use
     assert res.verify_simplicial_identities() == []
+    assert [len(maps) for maps in res.degen_full] == [1, 2, 3]
 
 
 def test_simplicial_check_catches_a_corrupted_face():
@@ -152,6 +155,33 @@ def test_chart_refuses_small_truncation():
     S1 = builtin_space("S1", 2, 10)
     with pytest.raises(ChartError):
         adams_chart(S2, S1, 2, 6, D=5)
+
+
+@pytest.mark.parametrize("p,X,s_max,t_max,D", [(2, "S2", 3, 8, 10), (3, "S3", 2, 12, 13)])
+def test_chart_builds_only_the_levels_it_reads(monkeypatch, p, X, s_max, t_max, D):
+    built = []
+    build = adams.cotriple_resolution
+
+    def recording(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(adams, "cotriple_resolution", recording)
+    Xs, S1 = builtin_space(X, p, D), builtin_space("S1", p, D)
+    chart = adams_chart(Xs, S1, s_max, t_max, D)
+    (res,) = built
+    assert res.s_max == s_max and len(res.levels) == s_max + 1
+    assert "degen_full" not in vars(res)
+    deeper = build(Xs, s_max + 1, t_max + 1)
+    assert adams_chart(Xs, S1, s_max, t_max, D, resolution=deeper).entries == chart.entries
+
+
+def test_chart_resolution_depth_guard():
+    S2, S1 = builtin_space("S2", 2, 10), builtin_space("S1", 2, 10)
+    exact = adams_chart(S2, S1, 2, 6, 10, resolution=cotriple_resolution(S2, 2, 7))
+    assert exact.entries == adams_chart(S2, S1, 2, 6, 10).entries
+    with pytest.raises(ChartError, match="holds 2 levels, need 3"):
+        adams_chart(S2, S1, 2, 6, 10, resolution=cotriple_resolution(S2, 1, 7))
 
 
 def test_sphere_chart_hom_column():

@@ -189,6 +189,15 @@ def test_budget_exceeded_exit_code(capsys):
         assert err.startswith("error: ") and "past 10" in err
 
 
+def test_budget_counts_only_the_levels_built(capsys):
+    # levels 0..3 of S2 at degree cap 9 fit in 4000 basis elements; a fifth
+    # level, which no chart reads, would not
+    code, out = run(["adams-chart", "--X", "S2", "--Y", "S1", "--smax", "3", "--tmax", "8",
+                     "--D", "10", "--budget", "4000"])
+    assert code == 0 and capsys.readouterr().err == ""
+    assert json.loads(out)["window"] == {"s_max": 3, "t_max": 8}
+
+
 def test_subprocess_determinism(tmp_path):
     # two fresh interpreters (different hash seeds) must emit identical bytes
     outs = []
