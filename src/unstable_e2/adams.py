@@ -563,14 +563,23 @@ def _chart_resolution(X: SpaceModel, Y: SpaceModel, s_max, t_max, D, budget, res
     """The resolution a chart on the window ranks, after the truncation check.
 
     Rows 0..s_max read cochain groups 0..s_max + 1: V[0..s_max + 1] and the
-    faces of levels 0..s_max, all held by cotriple_resolution(X, s_max).
+    faces of levels 0..s_max, all held by cotriple_resolution(X, s_max).  A
+    caller's resolution must be one of X, to that depth and degree.
     """
     d_needed = t_max + Y.top_degree()
     if D < d_needed:
         raise ChartError(
             f"truncation D={D} below the sufficiency bound t_max + top(H*Y) = {d_needed}"
         )
-    return resolution or cotriple_resolution(X, s_max, d_needed, budget)
+    if resolution is None:
+        return cotriple_resolution(X, s_max, d_needed, budget)
+    if resolution.space is not X:
+        raise ChartError(f"resolution is of {resolution.space.name}, not of {X.name}")
+    if resolution.D < d_needed:
+        raise ChartError(f"resolution stops at degree {resolution.D}, need {d_needed}")
+    if resolution.s_max < s_max:
+        raise ChartError(f"resolution holds {resolution.s_max + 1} levels, need {s_max + 1}")
+    return resolution
 
 
 def adams_chart(X: SpaceModel, Y: SpaceModel, s_max, t_max, D, budget=500_000,

@@ -364,7 +364,6 @@ class BarWindow:
 
     def __init__(self, p, n, D, L):
         self.p = p
-        self.D = D
         words_t = _decorated_generators(p, n, D, L + 1)
         self.target = MonomialBasis(p, tuple(n + st.word_degree(w, p) for w in words_t), D)
         self.t_index = {w: i for i, w in enumerate(words_t)}
@@ -372,9 +371,12 @@ class BarWindow:
         self.factor = MonomialBasis(p, tuple(n + st.word_degree(w, p) for w in words_f), D)
         self.factor_words = words_f
         self._bases = {}  # (s, d) -> bar_basis(s, d); inner levels bound two boundaries
+        self._phi = {}  # factor monomial -> _phi_factor image
 
     def _phi_factor(self, m):
         """Image of a factor monomial under the algebra map g_w -> g_w - g_{w0}."""
+        if m in self._phi:
+            return self._phi[m]
         vec = {(): 1}
         for i, e in m:
             w = self.factor_words[i]
@@ -384,6 +386,7 @@ class BarWindow:
             }
             for _ in range(e):
                 vec = self.target.mul(vec, img)
+        self._phi[m] = vec
         return vec
 
     def bar_basis(self, s, d):
@@ -431,8 +434,6 @@ class BarWindow:
                     if r is None:
                         continue
                     c, merged = r
-                    if self.factor.monomial_degree(merged) > self.D:
-                        continue
                     key = (m0,) + tuple(factors[: i - 1] + [merged] + factors[i + 1 :])
                     add(col, key, sign * c)
                 else:

@@ -221,7 +221,8 @@ class AdemContext:
     """Memoized rewriting of words to the admissible basis.
 
     One context per (p, flavor, window); the memo table is read-mostly and
-    the rewrite itself is a pure function of the word.
+    the rewrite itself is a pure function of the word.  Each inadmissible
+    letter pair's sorted Adem terms are computed once, in ``_pairs``.
     """
 
     def __init__(self, p, flavor, window=None):
@@ -232,6 +233,7 @@ class AdemContext:
         else:
             self.window = window
         self._memo = {}
+        self._pairs = {}  # (e1, a, e2, b) -> sorted [(replacement letters, coeff)]
 
     def _check_window(self, word):
         if self.flavor != FLAVOR_B:
@@ -254,9 +256,12 @@ class AdemContext:
         if i is None:
             result = {word: 1}
         else:
-            (e1, a), (e2, b) = word[i], word[i + 1]
+            pair = word[i] + word[i + 1]
+            terms = self._pairs.get(pair)
+            if terms is None:
+                terms = self._pairs[pair] = sorted(_adem_pair(*pair, self.p, self.flavor).items())
             result = {}
-            for repl, c in sorted(_adem_pair(e1, a, e2, b, self.p, self.flavor).items()):
+            for repl, c in terms:
                 new = word[:i] + repl + word[i + 2 :]
                 if self.flavor == FLAVOR_A:
                     new = normalize_word_a(new, self.p)

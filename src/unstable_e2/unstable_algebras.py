@@ -10,8 +10,12 @@ p-th powers of shorter classes.
 
 Monomials are tuples ((polygen_index, exponent), ...) sorted by index;
 odd-degree polygens square to zero at odd primes.  All bases, action and
-multiplication are truncated at a fixed top degree D and memoized; the
-data never mutates after construction, so instances can be shared freely.
+multiplication are truncated at a fixed top degree D.  The bases are built
+at construction.  Operations on polynomial generators, the parts of the
+total power operation on their powers, and products of basis monomials
+are kept in per-instance tables filled on first use.  Each entry is a pure
+function of its key, so instances can be shared freely.  A product beyond
+D raises on every call and is never stored.
 """
 
 from __future__ import annotations
@@ -46,7 +50,8 @@ class MonomialBasis:
 
     Monomials are tuples ((letter_index, exponent), ...) sorted by index;
     at odd primes odd-degree letters square to zero and contribute Koszul
-    signs under multiplication.
+    signs under multiplication.  The product of each pair of monomials is
+    computed once and kept in a table on the instance.
     """
 
     def __init__(self, p, degrees, D):
@@ -58,6 +63,7 @@ class MonomialBasis:
         for d in sorted(self._basis):
             for i, m in enumerate(self._basis[d]):
                 self.index[m] = (d, i)
+        self._products = {}  # (m1, m2) -> mul_monomials(m1, m2), filled on first use
 
     def _enumerate_basis(self):
         # letters are sorted by degree, so the scan can stop early; recursion
@@ -100,14 +106,25 @@ class MonomialBasis:
                 yield d, m
 
     def mul_monomials(self, m1, m2):
-        """Product of two basis monomials: (coeff, monomial) or None when zero."""
+        """Product of two basis monomials: (coeff, monomial) or None when zero.
+
+        Products within the truncation are kept in a per-basis table; one
+        beyond it raises on every call and is never stored.
+        """
         if not m1:
             return 1, m2
         if not m2:
             return 1, m1
+        key = (m1, m2)
+        if key in self._products:
+            return self._products[key]
         deg = self.monomial_degree(m1) + self.monomial_degree(m2)
         if deg > self.D:
             raise DegreeCapExceeded(f"product degree {deg} exceeds truncation {self.D}")
+        self._products[key] = r = self._product(m1, m2)
+        return r
+
+    def _product(self, m1, m2):
         sign = 1
         if self.p != 2:
             # Koszul sign from interleaving odd-degree factors

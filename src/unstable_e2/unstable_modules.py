@@ -137,8 +137,17 @@ def admissible_words_b(p, word_deg, excess_cap, length_cap, index_floor, _cache=
             c = c // p
         return best
 
-    def min_le(r):
-        return min(0, r * step * floor)
+    def letters(deg_left, eps, smax, r):
+        # indices s <= smax leaving a degree that r more letters can reach,
+        # high to low: the remainder grows as s falls while max_le shrinks,
+        # so the scan stops at the first s whose remainder is out of reach
+        s = min(smax, (deg_left - eps - min(0, r * step * floor)) // step)
+        while s >= floor:
+            rem = deg_left - (step * s + eps)
+            if rem > max_le(s // p, r):
+                return
+            yield s, rem
+            s -= 1
 
     out = []
 
@@ -148,11 +157,7 @@ def admissible_words_b(p, word_deg, excess_cap, length_cap, index_floor, _cache=
         if len_left <= 0:
             return
         for eps in (0, 1) if p != 2 else (0,):
-            smax = (prev_s - eps) // p
-            for s in range(floor, smax + 1):
-                rem = deg_left - (step * s + eps)
-                if rem < min_le(len_left - 1) or rem > max_le(s // p, len_left - 1):
-                    continue
+            for s, rem in letters(deg_left, eps, (prev_s - eps) // p, len_left - 1):
                 acc.append((eps, s))
                 rec(rem, s, len_left - 1, acc)
                 acc.pop()
@@ -162,10 +167,7 @@ def admissible_words_b(p, word_deg, excess_cap, length_cap, index_floor, _cache=
     if length_cap >= 1:
         for eps1 in (0, 1) if p != 2 else (0,):
             cap = _first_index_cap(p, excess_cap, word_deg, eps1)
-            for s1 in range(floor, cap + 1):
-                rem = word_deg - (step * s1 + eps1)
-                if rem < min_le(length_cap - 1) or rem > max_le(s1 // p, length_cap - 1):
-                    continue
+            for s1, rem in letters(word_deg, eps1, cap, length_cap - 1):
                 rec(rem, s1, length_cap - 1, [(eps1, s1)])
     result = tuple(sorted(set(out)))
     _cache[key] = result

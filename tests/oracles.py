@@ -40,6 +40,37 @@ def brute_force_admissible(p, word_deg, excess_cap):
     return sorted(out)
 
 
+def brute_force_admissible_b(p, word_deg, excess_cap, length_cap, index_floor):
+    """Admissible flavor-B words by filtering every word of length <= L.
+
+    Indices run over [-K, max(word_deg + excess_cap, 0)]: excess <= cap bounds
+    the first index by that, and admissibility bounds every later index by
+    the first.  Degree, admissibility and excess are computed here from
+    their definitions.
+    """
+    top = max(word_deg + excess_cap, 0)
+    letters = [(e, s) for e in ((0,) if p == 2 else (0, 1)) for s in range(-index_floor, top + 1)]
+
+    def deg(letter):
+        e, s = letter
+        return s if p == 2 else 2 * (p - 1) * s + e
+
+    out = []
+    for n in range(length_cap + 1):
+        for w in itertools.product(letters, repeat=n):
+            if sum(map(deg, w)) != word_deg:
+                continue
+            if any(w[i][1] < p * w[i + 1][1] + w[i + 1][0] for i in range(n - 1)):
+                continue
+            if w:
+                e1, s1 = w[0]
+                lead = s1 if p == 2 else 2 * s1 + e1
+                if lead - (word_deg - deg(w[0])) > excess_cap:
+                    continue
+            out.append(w)
+    return sorted(out)
+
+
 def partition_count_dims(gen_degrees, D):
     """Graded dimensions of a polynomial algebra via generating functions."""
     coeffs = [0] * (D + 1)

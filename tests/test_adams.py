@@ -182,6 +182,13 @@ def test_chart_resolution_depth_guard():
     assert exact.entries == adams_chart(S2, S1, 2, 6, 10).entries
     with pytest.raises(ChartError, match="holds 2 levels, need 3"):
         adams_chart(S2, S1, 2, 6, 10, resolution=cotriple_resolution(S2, 1, 7))
+    # a resolution cut below t_max + top(H*Y), or of another space, would
+    # give a wrong chart without an error
+    with pytest.raises(ChartError, match="stops at degree 4, need 7"):
+        adams_chart(S2, S1, 2, 6, 10, resolution=cotriple_resolution(S2, 2, 4))
+    S3 = builtin_space("S3", 2, 10)
+    with pytest.raises(ChartError, match="of S3, not of S2"):
+        adams_chart(S2, S1, 2, 6, 10, resolution=cotriple_resolution(S3, 2, 7))
 
 
 def test_sphere_chart_hom_column():

@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
 
+from unstable_e2 import steenrod as st
 from unstable_e2 import tower
 from unstable_e2.derivations import (
     BarWindow,
@@ -17,7 +19,7 @@ from unstable_e2.derivations import (
     two_term_bar_der_complex,
 )
 from unstable_e2.unstable_algebras import FreeUnstableAlgebra, FTAlgebra, AlgebraMap
-from unstable_e2.unstable_modules import FTUnstableModule, GradedVS
+from unstable_e2.unstable_modules import FTUnstableModule, GradedVS, ModWindow, exactness_report
 
 
 def test_cochain_complex_rejects_bad_differential():
@@ -273,3 +275,24 @@ def test_bar_window_boundary_squares_to_zero():
             M2, _, _ = bw.boundary_matrix(s, d)
             if M1 is not None:
                 assert not any((M1 @ M2).cols), (s, d)
+
+
+def test_kernel_tables_give_the_same_results_warm_and_cold(monkeypatch):
+    # Adem pair terms, monomial products and bar factor images are tabulated
+    # on first use: a run that reads the filled tables must match a fresh one
+    words = [tuple((0, s) for s in w) for n in (2, 3) for w in itertools.product(range(1, 8), repeat=n)]
+
+    def run():
+        sweep = [st.adem_rewrite(st.OpElement(p, st.FLAVOR_A, {w: 1})) for p in (2, 3) for w in words]
+        bar = bar_homology_check(1, 5, s_max=3, L=2)
+        exact = exactness_report(GradedVS.single(2, 2), ModWindow(D=12, L=6, K=8), 2)
+        return sweep, bar, exact
+
+    first = run()
+    assert first[1]["pass"] and first[2]["pass"]
+    assert run() == first
+    bw = BarWindow(2, 1, 5, 2)
+    cold = [bw.boundary_matrix(s, 5)[0].cols for s in range(1, 5)]
+    assert [bw.boundary_matrix(s, 5)[0].cols for s in range(1, 5)] == cold
+    monkeypatch.setattr(st, "_contexts", {})
+    assert run() == first

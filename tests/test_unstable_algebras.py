@@ -129,8 +129,9 @@ def test_act_word_matches_op_composition():
 def test_degree_cap_errors():
     A = FreeUnstableAlgebra(2, [("a", 3)], 5)
     av = A.gen_vector("a")
-    with pytest.raises(DegreeCapExceeded):
-        A.mul(A.act_letter(0, 2, av), av)
+    for _ in range(2):  # an over-cap product is never stored in the product table
+        with pytest.raises(DegreeCapExceeded):
+            A.mul(A.act_letter(0, 2, av), av)
 
 
 def test_monad_unit_and_mult_laws():

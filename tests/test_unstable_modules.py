@@ -17,7 +17,7 @@ from unstable_e2.unstable_modules import (
     quotient_q_window,
 )
 
-from oracles import brute_force_admissible
+from oracles import brute_force_admissible, brute_force_admissible_b
 
 
 def test_free_a_basis_examples():
@@ -34,6 +34,30 @@ def test_free_a_dims_against_brute_force():
             slow = brute_force_admissible(2, d - n, n)
             assert len(fast) == len(slow), (n, d)
             assert sorted(w for w, _ in fast) == slow
+
+
+@pytest.mark.parametrize(
+    "p,word_deg,excess_cap,L,K",
+    [
+        (2, 0, 0, 0, 2),
+        (2, 3, 0, 0, 2),
+        (2, 0, 4, 4, 3),
+        (2, 2, 5, 4, 3),
+        (2, -3, 6, 4, 4),
+        (2, 6, 6, 4, 2),
+        (2, 7, 5, 5, 2),
+        (3, 0, 0, 0, 1),
+        (3, 0, 6, 3, 2),
+        (3, 1, 5, 3, 2),
+        (3, 4, 8, 3, 2),
+        (3, -4, 9, 3, 2),
+        (3, 9, 9, 3, 1),
+        (3, -8, 14, 4, 3),
+    ],
+)
+def test_admissible_words_b_against_brute_force(p, word_deg, excess_cap, L, K):
+    fast = admissible_words_b(p, word_deg, excess_cap, L, K)
+    assert list(fast) == brute_force_admissible_b(p, word_deg, excess_cap, L, K)
 
 
 def test_free_b_window_examples():
