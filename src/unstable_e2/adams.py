@@ -22,8 +22,6 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import numpy as np
-
 from . import steenrod as st
 from . import tower
 from .derivations import CochainComplex
@@ -479,6 +477,8 @@ class CotripleResolution:
 
     def _normalized_complex(self, bases, dims, maps, top_s):
         """Restrict to the intersection of codegeneracy kernels."""
+        import numpy as np
+
         p = self.p
         sub_bases = []
         for s in range(0, top_s + 1):
@@ -503,7 +503,7 @@ class CotripleResolution:
                             cod[r, cidx] = (cod[r, cidx] + c) % p
                 stack.append(cod)
             K = tower.kernel_basis(np.concatenate(stack, axis=0), p)
-            sub_bases.append(K.T)
+            sub_bases.append(np.array(K, dtype=np.int64).reshape(-1, dims[s]).T)
         new_dims = [sb.shape[1] for sb in sub_bases]
         new_maps = []
         for s in range(0, top_s):

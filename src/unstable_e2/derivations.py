@@ -20,8 +20,6 @@ Every differential here is a ``tower.SparseMap``, ranked once.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import steenrod as st
 from . import tower
 from .unstable_algebras import FreeUnstableAlgebra, MonomialBasis
@@ -132,6 +130,8 @@ def induced_on_der(f, M: GradedVS, augmentation=None, square_zero: SquareZero | 
     by the source derivation basis, columns by the target's: the entry is
     the ms-coefficient of the target derivation evaluated on f(generator).
     """
+    import numpy as np
+
     src_space = DerSpace(f.source, M)
     tgt_space = DerSpace(f.target, M)
     p = f.source.p
@@ -214,19 +214,25 @@ def descent_two_term(V0: GradedVS, M0: GradedVS, level, p=2):
         n = V0.dim(d) * M0.dim(d)
         if n == 0:
             continue
-        bker, bcok = tower.semilinear_kernel_cokernel(p, level)
-        eye = np.eye(n, dtype=np.int64)
-        ker, cok = np.kron(eye, bker), np.kron(eye, bcok)
+        ker, cok = (_tile(block, n) for block in tower.semilinear_kernel_cokernel(p, level))
         report["degrees"][d] = {
             "coords": n,
-            "D0": ker.shape[0],
-            "D1": cok.shape[0],
+            "D0": len(ker),
+            "D1": len(cok),
             "kernel": ker,
             "cokernel": cok,
         }
-        report["D0_total"] += ker.shape[0]
-        report["D1_total"] += cok.shape[0]
+        report["D0_total"] += len(ker)
+        report["D1_total"] += len(cok)
     return report
+
+
+def _tile(block, n):
+    """Rows of the block-diagonal matrix with n copies of block (np.kron(eye(n), block))."""
+    return tuple(
+        (0,) * (i * len(row)) + tuple(row) + (0,) * ((n - 1 - i) * len(row))
+        for i in range(n) for row in block
+    )
 
 
 def descent_verify(V0: GradedVS, M0: GradedVS, p=2, start_level=1, max_level=tower.MAX_LEVEL):
@@ -296,6 +302,8 @@ def two_term_bar_der_complex(V0: GradedVS, M0: GradedVS, level, s_max, p=2):
     last face.  Its cohomology must reproduce the two-term kernel/cokernel
     data degreewise; levels beyond 1 vanish structurally.
     """
+    import numpy as np
+
     n = sum(V0.dim(d) * M0.dim(d) for d in set(V0.degrees()) | set(M0.degrees()))
     block = tower.get_tower(p).field(level).one_minus_frobenius
     tau = np.kron(np.eye(n, dtype=np.int64), block)

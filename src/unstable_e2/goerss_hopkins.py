@@ -17,9 +17,10 @@ What this module adds is:
   solution is recorded, never assumed.
 
 The 1 - frobenius block, its kernel and cokernel and its witnesses are
-computed once per (p, level) in ``tower``, which also checks the inverse
-pair on the block; the s = 0 certificate tiles the kernel block across the
-cochain coordinates.
+computed once per (p, level) in ``tower`` as tuples of row tuples, and
+``tower`` also checks the inverse pair on the block.  The s = 0 certificate
+builds its extraction maps as SparseMaps straight from the base slot of each
+kernel row, one copy per cochain coordinate, so nothing here needs numpy.
 
 A check that shares no code with the classical pipeline is the unstable
 Lambda-algebra oracle of the test suite (``tests/oracles.py``).
@@ -28,8 +29,6 @@ Lambda-algebra oracle of the test suite (``tests/oracles.py``).
 from __future__ import annotations
 
 from dataclasses import replace
-
-import numpy as np
 
 from . import tower
 from .adams import (
@@ -56,9 +55,8 @@ def _verified_base_block(p, level):
     base-field slot of each coordinate.  Raises AssertionError otherwise.
     """
     bker, _ = semilinear_kernel_cokernel(p, level)
-    base = np.zeros((1, bker.shape[1]), dtype=np.int64)
-    base[0, 0] = 1
-    if not np.array_equal(bker % p, base):
+    base = [1] + [0] * (tower.get_tower(p).field(level).degree - 1)
+    if [[c % p for c in row] for row in bker] != [base]:
         raise AssertionError(
             f"kernel of 1 - frobenius at chain level {level} is not the base-field slot"
         )
@@ -103,12 +101,13 @@ def _s0_certificate(cc, bker, p, level):
     Checks the inverse pair between the level's kernel and the classical
     cochain group (on the one-coordinate block, since the kernel is tiled
     from it) and that the extraction of base slots, tiled from the kernel
-    block, intertwines the first differential.
+    block, intertwines the first differential: kernel row k of coordinate i
+    extracts its base slot, bker[k][0], into coordinate i.
     """
     ok_pair = cc.dims[0] == 0 or tower.base_slot_inverse_pair(p, level)
-    m = bker.shape[1]
+    slots = [row[0] % p for row in bker]
     ext0, ext1 = (
-        tower.SparseMap.from_dense(np.kron(np.eye(n, dtype=np.int64), bker)[:, ::m].T, p)
+        tower.SparseMap(n, [{i: c} if c else {} for i in range(n) for c in slots], p)
         for n in cc.dims[:2]
     )
     d0 = cc.maps[0]

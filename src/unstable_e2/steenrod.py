@@ -222,7 +222,8 @@ class AdemContext:
 
     One context per (p, flavor, window); the memo table is read-mostly and
     the rewrite itself is a pure function of the word.  Each inadmissible
-    letter pair's sorted Adem terms are computed once, in ``_pairs``.
+    letter pair's sorted Adem terms are computed once, in ``_pairs``, each
+    with a flag that says whether flavor-A normalization must run on it.
     """
 
     def __init__(self, p, flavor, window=None):
@@ -233,7 +234,7 @@ class AdemContext:
         else:
             self.window = window
         self._memo = {}
-        self._pairs = {}  # (e1, a, e2, b) -> sorted [(replacement letters, coeff)]
+        self._pairs = {}  # (e1, a, e2, b) -> sorted [(replacement letters, coeff, normalize?)]
 
     def _check_window(self, word):
         if self.flavor != FLAVOR_B:
@@ -246,11 +247,14 @@ class AdemContext:
                 raise WindowExhausted(f"index {s} exceeds window K={w.K}")
 
     def rewrite(self, word):
-        """Admissible form of a word, as dict {admissible word: coeff mod p}."""
+        """Admissible form of a word, as dict {admissible word: coeff mod p}.
+
+        The dict is the memo's own entry: callers read it and never change it.
+        """
         word = tuple(word)
         hit = self._memo.get(word)
         if hit is not None:
-            return dict(hit)
+            return hit
         self._check_window(word)
         i = _first_violation(word, self.p)
         if i is None:
@@ -259,11 +263,16 @@ class AdemContext:
             pair = word[i] + word[i + 1]
             terms = self._pairs.get(pair)
             if terms is None:
-                terms = self._pairs[pair] = sorted(_adem_pair(*pair, self.p, self.flavor).items())
+                # in a normalized flavor-A word only a replacement with an
+                # index-0 letter (P^0, or a bare Bockstein to merge) needs work
+                terms = self._pairs[pair] = [
+                    (repl, c, self.flavor == FLAVOR_A and any(s == 0 for _, s in repl))
+                    for repl, c in sorted(_adem_pair(*pair, self.p, self.flavor).items())
+                ]
             result = {}
-            for repl, c in terms:
+            for repl, c, normalize in terms:
                 new = word[:i] + repl + word[i + 2 :]
-                if self.flavor == FLAVOR_A:
+                if normalize:
                     new = normalize_word_a(new, self.p)
                     if new is None:
                         continue
@@ -274,7 +283,7 @@ class AdemContext:
                     elif w2 in result:
                         del result[w2]
         self._memo[word] = result
-        return dict(result)
+        return result
 
 
 _contexts = {}
@@ -299,19 +308,16 @@ class OpElement:
     def __init__(self, p, flavor, terms):
         self.p = p
         self.flavor = flavor
-        clean = {}
-        deg = None
-        for w, c in terms.items():
-            c %= p
-            if not c:
-                continue
-            d = word_degree(w, p)
-            if deg is None:
-                deg = d
-            elif d != deg:
-                raise ValueError("inhomogeneous combination of words")
-            clean[tuple(w)] = c
-        self.terms = clean
+        self.terms = {tuple(w): c % p for w, c in terms.items() if c % p}
+        if len(self.terms) > 1 and len({word_degree(w, p) for w in self.terms}) > 1:
+            raise ValueError("inhomogeneous combination of words")
+
+    @classmethod
+    def _homogeneous(cls, p, flavor, terms):
+        """An element on nonzero reduced terms already known to share one degree."""
+        x = cls.__new__(cls)
+        x.p, x.flavor, x.terms = p, flavor, terms
+        return x
 
     @classmethod
     def from_word(cls, indices, p, flavor=FLAVOR_A):
@@ -366,7 +372,8 @@ def adem_rewrite(x, window=None):
     for w, c in x.terms.items():
         for w2, c2 in ctx.rewrite(w).items():
             out[w2] = (out.get(w2, 0) + c * c2) % x.p
-    return OpElement(x.p, x.flavor, out)
+    # rewriting keeps the degree, so the terms need no homogeneity check
+    return OpElement._homogeneous(x.p, x.flavor, {w: c for w, c in out.items() if c})
 
 
 def multiply(a, b, window=None):
@@ -453,7 +460,8 @@ def act_polynomial(x, poly, degree_cap=64):
 def parse_word_text(text, p=None):
     """Parse the bit-exact word syntax; returns (OpElement, p).
 
-    The prime is taken from the argument; Sq implies p = 2 when unspecified.
+    The prime is taken from the argument; Sq implies p = 2 and P implies
+    p = 3 when unspecified.  A P word at p = 2 is refused (ValueError).
     """
     text = text.strip()
     flavor = FLAVOR_A
@@ -463,7 +471,9 @@ def parse_word_text(text, p=None):
     if text.startswith("Sq["):
         body, implied_p = text[3:], 2
     elif text.startswith("P["):
-        body, implied_p = text[2:], p if p not in (None, 2) else 3
+        if p == 2:
+            raise ValueError(f"{text!r}: P[...] words need an odd prime p, not p = 2")
+        body, implied_p = text[2:], 3
     else:
         raise ValueError(f"cannot parse operation word {text!r}")
     if not body.endswith("]"):

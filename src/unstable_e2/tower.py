@@ -6,18 +6,21 @@ chain is a constructive stand-in for an algebraic closure: any element
 algebraic of degree dividing 24 lives at some level.  Defining polynomials
 are read from a frozen table; chain embeddings are constructed once per
 run by locating a root of the lower polynomial inside the upper field and
-are cached behind read-only handles.
+are cached as immutable tuples.
 
 The descent facts about 1 - frobenius live here too, on one coordinate
 block: its kernel and cokernel and the Artin-Schreier witness of each
-cokernel row, computed once per (p, level) and cached read-only, and the
+cokernel row, computed once per (p, level) and cached, and the
 inverse pair between the kernel and the base-field slot, checked on the
 block.  Callers tile the block across their coordinates.
 
 Every structure map and differential is a SparseMap ({row: coeff}
 columns), composed by matmul_mod and ranked by rank: one column elimination
-per prime, on Python-int bitsets at p = 2.  Dense rref, kernels and solves
-serve the field-level blocks and the module windows.
+per prime, on Python-int bitsets at p = 2.  The only dense matrices are
+the field-level blocks and embeddings, at most 24 x 24, kept as tuples of
+row tuples; rref, kernels, cokernels and solves on them are plain Python and
+accept any nested int sequence, numpy arrays included.  Nothing here needs
+numpy except SparseMap.toarray, which imports it when called.
 
 Everything here is immutable after construction and safe to share.
 """
@@ -27,8 +30,6 @@ from __future__ import annotations
 import functools
 import sys
 from importlib import resources
-
-import numpy as np
 
 MAX_LEVEL = 4
 
@@ -43,6 +44,19 @@ class TowerExhausted(Exception):
 # exact linear algebra over F_p
 # ---------------------------------------------------------------------------
 
+def _dense(M, p):
+    """The rows of an integer matrix as lists reduced mod p, and its column count.
+
+    M is any nested int sequence; a numpy array is read through tolist(), and
+    its shape gives the column count of a matrix with no rows.
+    """
+    shape = getattr(M, "shape", None)
+    if shape is not None:
+        return [[int(c) % p for c in row] for row in M.tolist()], shape[1]
+    rows = [[int(c) % p for c in row] for row in M]
+    return rows, len(rows[0]) if rows else 0
+
+
 def rref(M, p):
     """Reduced row echelon form over F_p.
 
@@ -51,82 +65,71 @@ def rref(M, p):
         p: prime modulus.
 
     Returns:
-        (R, pivot_cols): R is the RREF (dtype int64, entries in [0, p)),
-        pivot_cols the list of pivot column indices.
+        (R, pivot_cols): R is the RREF as a tuple of row tuples with entries
+        in [0, p), pivot_cols the list of pivot column indices.
     """
-    R = np.array(M, dtype=np.int64) % p
-    nrows, ncols = R.shape
+    R, ncols = _dense(M, p)
     pivots = []
-    r = 0
     for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.nonzero(R[r:, c])[0]
-        if len(nz) == 0:
+        r = len(pivots)
+        i = next((i for i in range(r, len(R)) if R[i][c]), None)
+        if i is None:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            R[[r, i]] = R[[i, r]]
-        inv = pow(int(R[r, c]), p - 2, p)
-        R[r] = (R[r] * inv) % p
-        others = np.nonzero(R[:, c])[0]
-        others = others[others != r]
-        if len(others):
-            R[others] = (R[others] - np.outer(R[others, c], R[r])) % p
+        R[r], R[i] = R[i], R[r]
+        inv = pow(R[r][c], p - 2, p)
+        row = R[r] = [x * inv % p for x in R[r]]
+        for k, other in enumerate(R):
+            f = other[c]
+            if f and k != r:
+                R[k] = [(x - f * y) % p for x, y in zip(other, row)]
         pivots.append(c)
-        r += 1
-    return R, pivots
+    return tuple(map(tuple, R)), pivots
 
 
 def kernel_basis(M, p):
-    """Basis of the right kernel of M over F_p, as rows of a matrix."""
-    M = np.asarray(M, dtype=np.int64) % p
-    if M.ndim != 2:
-        M = M.reshape(len(M), -1)
-    ncols = M.shape[1]
-    if ncols == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    R, pivots = rref(M, p)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for bi, fc in enumerate(free):
-        basis[bi, fc] = 1
+    """Basis of the right kernel of M over F_p, as a tuple of row tuples."""
+    rows, ncols = _dense(M, p)
+    R, pivots = rref(rows, p)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[fc] = 1
         for ri, pc in enumerate(pivots):
-            basis[bi, pc] = (-int(R[ri, fc])) % p
-    return basis
+            v[pc] = -R[ri][fc] % p
+        basis.append(tuple(v))
+    return tuple(basis)
 
 
 def solve(M, b, p):
-    """One solution v of M v = b over F_p, or None if inconsistent."""
-    M = np.asarray(M, dtype=np.int64) % p
-    b = np.asarray(b, dtype=np.int64) % p
-    aug = np.concatenate([M, b.reshape(-1, 1)], axis=1)
-    R, pivots = rref(aug, p)
-    if M.shape[1] in pivots:
+    """One solution v of M v = b over F_p as a tuple, or None if inconsistent."""
+    rows, ncols = _dense(M, p)
+    R, pivots = rref([row + [x] for row, x in zip(rows, b)], p)
+    if ncols in pivots:
         return None
-    v = np.zeros(M.shape[1], dtype=np.int64)
+    v = [0] * ncols
     for ri, pc in enumerate(pivots):
-        v[pc] = R[ri, -1]
-    return v
+        v[pc] = R[ri][-1]
+    return tuple(v)
 
 
 def cokernel_basis(M, p):
-    """Representatives of target/(column span of M), as rows (coordinate vectors).
+    """Representatives of target/(column span of M), as a tuple of row tuples.
 
     The column space in reduced row echelon form has pivots at certain
     coordinates; the standard basis vectors at the non-pivot coordinates
     complete it, so one reduction suffices.
     """
-    M = np.asarray(M, dtype=np.int64) % p
-    nt = M.shape[0]
-    _, pivots = rref(M.T % p, p)
-    reps = []
-    for j in range(nt):
-        if j not in pivots:
-            e = np.zeros(nt, dtype=np.int64)
-            e[j] = 1
-            reps.append(e)
-    return np.array(reps, dtype=np.int64).reshape(len(reps), nt)
+    rows, _ = _dense(M, p)
+    nt = len(rows)
+    _, pivots = rref(list(zip(*rows)), p)
+    return tuple(
+        tuple(int(i == j) for i in range(nt)) for j in range(nt) if j not in pivots
+    )
+
+
+def _matvec(M, v, p):
+    """M v over F_p, for M given by its rows."""
+    return tuple(sum(a * x for a, x in zip(row, v)) % p for row in M)
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +154,13 @@ class SparseMap:
     @classmethod
     def from_dense(cls, M, p):
         """The map of an integer matrix (any values, reduced mod p)."""
-        M = np.array(M, dtype=np.int64) % p
-        cols = [{} for _ in range(M.shape[1])]
-        js, rs = np.nonzero(M.T)
-        for j, r, c in zip(js.tolist(), rs.tolist(), M.T[js, rs].tolist()):
-            cols[j][r] = c
-        return cls(M.shape[0], cols, p)
+        rows, ncols = _dense(M, p)
+        cols = [{} for _ in range(ncols)]
+        for r, row in enumerate(rows):
+            for j, c in enumerate(row):
+                if c:
+                    cols[j][r] = c
+        return cls(len(rows), cols, p)
 
     @property
     def size(self):
@@ -167,6 +171,8 @@ class SparseMap:
         return sys.getsizeof(self.cols) + sum(sys.getsizeof(col) for col in self.cols)
 
     def __array_function__(self, func, types, args, kwargs):
+        import numpy as np
+
         if func is np.count_nonzero and len(args) == 1 and not kwargs:
             return self.size
         return NotImplemented
@@ -185,6 +191,8 @@ class SparseMap:
         )
 
     def toarray(self):
+        import numpy as np
+
         M = np.zeros(self.shape, dtype=np.int64)
         for j, col in enumerate(self.cols):
             for r, c in col.items():
@@ -368,10 +376,12 @@ class FieldLevel:
             red.append(list(nxt))
             cur = nxt
         self._reduction = red
-        self.frobenius_matrix = self._frobenius_matrix()
-        # the one coordinate block of 1 - frobenius, shared read-only
-        self.one_minus_frobenius = (np.eye(n, dtype=np.int64) - self.frobenius_matrix) % p
-        self.one_minus_frobenius.setflags(write=False)
+        self.frobenius_matrix = self.power_frobenius_matrix(1)
+        # the one coordinate block of 1 - frobenius, shared (tuples are immutable)
+        self.one_minus_frobenius = tuple(
+            tuple((int(i == j) - c) % p for j, c in enumerate(row))
+            for i, row in enumerate(self.frobenius_matrix)
+        )
 
     def mul_coords(self, a, b):
         p, n = self.p, self.degree
@@ -399,14 +409,11 @@ class FieldLevel:
             e >>= 1
         return result
 
-    def _frobenius_matrix(self):
+    def power_frobenius_matrix(self, k):
+        """Matrix of x -> x^(p^k), as row tuples: column j is e_j^(p^k)."""
         n = self.degree
-        cols = []
-        for j in range(n):
-            e = [0] * n
-            e[j] = 1
-            cols.append(self.pow_coords(tuple(e), self.p))
-        return np.array(cols, dtype=np.int64).T % self.p
+        units = (tuple(int(i == j) for i in range(n)) for j in range(n))
+        return tuple(zip(*(self.pow_coords(e, self.p ** k) for e in units)))
 
 
 class TowerElem:
@@ -532,23 +539,24 @@ class FieldTower:
         lo, hi = self.field(k), self.field(k + 1)
         dlo, dhi = lo.degree, hi.degree
         if dlo == 1:
-            M = np.zeros((dhi, 1), dtype=np.int64)
-            M[0, 0] = 1
+            M = ((1,),) + ((0,),) * (dhi - 1)
             self._embed_step[k] = M
             return M
         # the copy of F_{p^dlo} inside the upper field is the kernel of Frob^dlo - id
-        F = np.linalg.matrix_power(hi.frobenius_matrix, dlo) % self.p
-        K = kernel_basis((F - np.eye(dhi, dtype=np.int64)) % self.p, self.p)
-        assert K.shape[0] == dlo
+        F = hi.power_frobenius_matrix(dlo)
+        K = kernel_basis(
+            [[c - (i == j) for j, c in enumerate(row)] for i, row in enumerate(F)], self.p
+        )
+        assert len(K) == dlo
         # scan that subfield (p^dlo elements, deterministic order) for a root of lo.poly
         root = None
         counters = [0] * dlo
         while True:
-            vec = np.zeros(dhi, dtype=np.int64)
+            vec = [0] * dhi
             for i, c in enumerate(counters):
                 if c:
-                    vec = (vec + c * K[i]) % self.p
-            cand = TowerElem(self, k + 1, tuple(vec))
+                    vec = [(v + c * x) % self.p for v, x in zip(vec, K[i])]
+            cand = TowerElem(self, k + 1, vec)
             acc = self.zero(k + 1)
             pw = self.one(k + 1)
             for c in lo.poly:
@@ -573,20 +581,21 @@ class FieldTower:
         for _ in range(dlo):
             cols.append(pw.coords)
             pw = pw * root
-        M = np.array(cols, dtype=np.int64).T % self.p
+        M = tuple(zip(*cols))
         self._embed_step[k] = M
         return M
 
     def embedding_matrix(self, j, k):
         """Composite embedding matrix level j -> level k (j <= k)."""
         if j == k:
-            return np.eye(self.field(j).degree, dtype=np.int64)
+            n = self.field(j).degree
+            return tuple(tuple(int(a == b) for b in range(n)) for a in range(n))
         key = (j, k)
         if key not in self._embed_comp:
-            M = self._embedding_step(j)
+            cols = zip(*self._embedding_step(j))
             for i in range(j + 1, k):
-                M = (self._embedding_step(i) @ M) % self.p
-            self._embed_comp[key] = M
+                cols = [_matvec(self._embedding_step(i), col, self.p) for col in cols]
+            self._embed_comp[key] = tuple(zip(*cols))
         return self._embed_comp[key]
 
     def embed(self, x, k):
@@ -597,17 +606,15 @@ class FieldTower:
             if y.level > k:
                 raise ValueError(f"element of level {x.level} does not lie in level {k}")
             return self.embed(y, k)
-        M = self.embedding_matrix(x.level, k)
-        coords = (M @ np.array(x.coords, dtype=np.int64)) % self.p
-        return TowerElem(self, k, tuple(int(c) for c in coords))
+        return TowerElem(self, k, _matvec(self.embedding_matrix(x.level, k), x.coords, self.p))
 
     def reduce_to_minimal_level(self, x):
         """Rewrite x at the smallest chain level containing it."""
         for j in range(1, x.level):
             M = self.embedding_matrix(j, x.level)
-            v = solve(M, np.array(x.coords, dtype=np.int64), self.p)
+            v = solve(M, x.coords, self.p)
             if v is not None:
-                return TowerElem(self, j, tuple(int(c) for c in v))
+                return TowerElem(self, j, v)
         return x
 
     # -- the named operations ------------------------------------------------
@@ -615,8 +622,7 @@ class FieldTower:
     def frobenius(self, x):
         """x -> x^p at the same level."""
         fl = self.field(x.level)
-        coords = (fl.frobenius_matrix @ np.array(x.coords, dtype=np.int64)) % self.p
-        return TowerElem(self, x.level, tuple(int(c) for c in coords))
+        return TowerElem(self, x.level, _matvec(fl.frobenius_matrix, x.coords, self.p))
 
     def artin_schreier_solve(self, b):
         """Solve x - x^p = b at the minimal chain level that contains a solution.
@@ -628,9 +634,9 @@ class FieldTower:
         for k in range(b.level, MAX_LEVEL + 1):
             fl = self.field(k)
             bk = self.embed(b, k)
-            v = solve(fl.one_minus_frobenius, np.array(bk.coords, dtype=np.int64), self.p)
+            v = solve(fl.one_minus_frobenius, bk.coords, self.p)
             if v is not None:
-                return TowerElem(self, k, tuple(int(c) for c in v)), k
+                return TowerElem(self, k, v), k
         raise TowerExhausted(
             f"x - x^p = b has no solution at levels <= {MAX_LEVEL} (p={self.p})"
         )
@@ -648,23 +654,18 @@ def get_tower(p):
 # Coordinatewise 1 - frobenius on (F_{p^{k!}})^n is block-diagonal with n
 # copies of one m x m block (m = k!), so its kernel, cokernel, witnesses and
 # inverse pair are facts about that block and are worked out here, the first
-# three once per (p, level); callers that need the n-coordinate matrices
-# tile the block with np.kron(np.eye(n), block).
-
-def _read_only(a):
-    a.setflags(write=False)
-    return a
-
+# three once per (p, level); callers that need the n-coordinate rows tile
+# the block rows across the coordinates.
 
 @functools.lru_cache(maxsize=None)
 def semilinear_kernel_cokernel(p, level):
     """Exact F_p kernel and cokernel bases of 1 - frobenius on one coordinate.
 
-    Returns read-only (kernel_rows, cokernel_rows): integer matrices whose
-    rows are coordinate vectors of the chain level over F_p.
+    Returns (kernel_rows, cokernel_rows): tuples of row tuples, each row a
+    coordinate vector of the chain level over F_p.
     """
     M = get_tower(p).field(level).one_minus_frobenius
-    return _read_only(kernel_basis(M, p)), _read_only(cokernel_basis(M, p))
+    return kernel_basis(M, p), cokernel_basis(M, p)
 
 
 @functools.lru_cache(maxsize=None)
@@ -692,13 +693,13 @@ def base_slot_inverse_pair(p, level):
     identity matrices.
     """
     ker = semilinear_kernel_cokernel(p, level)[0]
-    base = np.zeros(ker.shape[1], dtype=np.int64)
-    base[0] = 1
-    there = solve(ker.T, base, p)
-    back = [solve(base.reshape(-1, 1), row, p) for row in ker]
-    if there is None or any(b is None for b in back):
+    m = get_tower(p).field(level).degree
+    base = (1,) + (0,) * (m - 1)
+    there = solve([[row[i] for row in ker] for i in range(m)], base, p)
+    back = [solve([(c,) for c in base], row, p) for row in ker]
+    if there is None or None in back:
         return False
-    there, back = there.reshape(1, -1), np.array(back, dtype=np.int64)
-    return np.array_equal((there @ back) % p, np.eye(1, dtype=np.int64)) and np.array_equal(
-        (back @ there) % p, np.eye(len(ker), dtype=np.int64)
+    r = len(ker)
+    return sum(t * b for t, (b,) in zip(there, back)) % p == 1 and all(
+        back[i][0] * there[j] % p == (i == j) for i in range(r) for j in range(r)
     )

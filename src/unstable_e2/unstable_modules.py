@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from . import steenrod as st
 from . import tower
 
@@ -241,10 +239,10 @@ def act_free(p, flavor, op, elt, gen_degrees, window=None):
 # ---------------------------------------------------------------------------
 
 def one_minus_p0_window(V, window, d, p=2, length_cap=None):
-    """Matrix of x -> x - x.P^0 in degree d, from the length<=L window into length<=L+1.
+    """Map x -> x - x.P^0 in degree d, from the length<=L window into length<=L+1.
 
-    Returns (matrix, source_basis, target_basis); the matrix is over F_p with
-    rows indexed by the target window basis.
+    Returns (map, source_basis, target_basis); the map is a SparseMap over
+    F_p with rows indexed by the target window basis.
     """
     L = window.L if length_cap is None else length_cap
     src = free_b_basis_window(V, d, replace(window, L=L), p)
@@ -252,21 +250,23 @@ def one_minus_p0_window(V, window, d, p=2, length_cap=None):
     tgt_index = {b: i for i, b in enumerate(tgt)}
     ctx = st.get_context(p, st.FLAVOR_B, window.rewrite_window())
     gen_degrees = dict(_gen_pairs(V))
-    M = np.zeros((len(tgt), len(src)), dtype=np.int64)
-    for j, (w, g) in enumerate(src):
-        M[tgt_index[(w, g)], j] = (M[tgt_index[(w, g)], j] + 1) % p
+    cols = []
+    for w, g in src:
+        col = {tgt_index[(w, g)]: 1}
         n = gen_degrees[g]
         for w2, c2 in ctx.rewrite(w + ((0, 0),)).items():
             if st.excess(w2, p) > n:
                 continue
             key = (w2, g)
             assert key in tgt_index, f"rewrite left the window: {key}"
-            M[tgt_index[key], j] = (M[tgt_index[key], j] - c2) % p
-    return M, src, tgt
+            r = tgt_index[key]
+            col[r] = (col.get(r, 0) - c2) % p
+        cols.append({r: c for r, c in col.items() if c})
+    return tower.SparseMap(len(tgt), cols, p), src, tgt
 
 
 def quotient_q_window(V, window, d, p=2, length_cap=None):
-    """Matrix of the quotient q: windowed F(V) -> F_0(V) in degree d.
+    """The quotient q: windowed F(V) -> F_0(V) in degree d, as a SparseMap.
 
     Index-0 letters become the identity, words with a negative index die,
     then rewrite in the classical algebra and filter by excess.
@@ -277,8 +277,8 @@ def quotient_q_window(V, window, d, p=2, length_cap=None):
     tgt_index = {b: i for i, b in enumerate(tgt)}
     ctx = st.get_context(p, st.FLAVOR_A)
     gen_degrees = dict(_gen_pairs(V))
-    M = np.zeros((len(tgt), len(src)), dtype=np.int64)
-    for j, (w, g) in enumerate(src):
+    cols = [{} for _ in src]
+    for col, (w, g) in zip(cols, src):
         if any(s < 0 for _, s in w):
             continue
         aw = st.normalize_word_a(w, p)
@@ -288,8 +288,13 @@ def quotient_q_window(V, window, d, p=2, length_cap=None):
         for w2, c2 in ctx.rewrite(aw).items():
             if st.excess(w2, p) > n:
                 continue
-            M[tgt_index[(w2, g)], j] = (M[tgt_index[(w2, g)], j] + c2) % p
-    return M, src, tgt
+            r = tgt_index[(w2, g)]
+            v = (col.get(r, 0) + c2) % p
+            if v:
+                col[r] = v
+            else:
+                col.pop(r, None)
+    return tower.SparseMap(len(tgt), cols, p), src, tgt
 
 
 def exactness_report(V, window, p=2):
@@ -308,10 +313,7 @@ def exactness_report(V, window, p=2):
         assert srcq == tgt
         r = tower.rank(M, p)
         inj = r == len(src)
-        comp_zero = True
-        if len(src) and len(f0):
-            comp = (Q @ M) % p
-            comp_zero = not comp.any()
+        comp_zero = not any((Q @ M).cols)
         raw_coker = len(tgt) - r
         stab, saturated = _stabilized_coker_dim(V, window, d, p, window.L)
         saturated = saturated and window.L >= 1  # a length-0 window proves nothing
@@ -349,7 +351,6 @@ def _stabilized_coker_dim(V, window, d, p, L, j_max=None):
     for j in range(1, j_max + 1):
         M2, _, tgt2 = one_minus_p0_window(V, window, d, p, length_cap=L + j)
         idx2 = {b: i for i, b in enumerate(tgt2)}
-        M2 = tower.SparseMap.from_dense(M2, p)
         both = tower.SparseMap(len(tgt2), [{idx2[b]: 1} for b in tgt1] + M2.cols, p)
         r = tower.rank(both, p) - tower.rank(M2, p)
         if prev is not None and r == prev:

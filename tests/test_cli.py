@@ -124,6 +124,15 @@ def test_non_prime_p_exit_code(capsys):
         assert err.startswith("error: ") and "prime" in err
 
 
+def test_adem_p_word_at_p2_exit_code(capsys):
+    # P[...] implies an odd prime; the default p = 2 must refuse it, not compute Sq^1 Sq^1
+    code, out = run(["adem", "P[1,1]"])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "odd prime" in err
+    assert run(["adem", "P[1,1]", "--p", "3"]) == (0, "2*P[2]\n")
+
+
 def test_compare_malformed_chart_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"p": 2, "kind": "adams", "window": {"s_max": 1}}))

@@ -198,6 +198,10 @@ def test_descent_inverse_pair_check_is_live(monkeypatch):
     monkeypatch.setattr(tower, "semilinear_kernel_cokernel", shifted_kernel)
     rep = descent_verify(V0, M0, p=2, start_level=2, max_level=3)
     assert rep["pass_dims"] and not rep["pass_inverse_pair"] and not rep["pass"]
+    # a doubled kernel row passes both solves; only the composites catch it
+    monkeypatch.setattr(tower, "semilinear_kernel_cokernel", lambda p, level: (
+        real(p, level)[0] * 2, real(p, level)[1]))
+    assert not tower.base_slot_inverse_pair(2, 2)
 
 
 def _reference_death_level(tw, level, ncoords, row, max_level):

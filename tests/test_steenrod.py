@@ -204,6 +204,35 @@ def test_parse_and_format():
     assert x.terms == {((0, 3),): 1}
 
 
+def test_p_words_need_an_odd_prime():
+    x, p = parse_word_text("P[1,1]")
+    assert p == 3 and format_element(adem_rewrite(x)) == "2*P[2]"
+    for text in ("P[1,1]", "A:P[b1,1]"):
+        with pytest.raises(ValueError, match="odd prime"):
+            parse_word_text(text, p=2)
+
+
+def test_inhomogeneous_element_raises():
+    with pytest.raises(ValueError, match="inhomogeneous"):
+        OpElement(2, FLAVOR_A, {((0, 1),): 1, ((0, 2),): 1})
+    with pytest.raises(ValueError, match="inhomogeneous"):
+        OpElement(3, FLAVOR_A, {((0, 1),): 1, ((1, 1),): 2})
+    # a word whose coefficient is 0 mod p is dropped before the check
+    assert OpElement(2, FLAVOR_A, {((0, 1),): 1, ((0, 2),): 2}).terms == {((0, 1),): 1}
+
+
+def test_rewrite_results_do_not_alias_the_memo():
+    # rewrite hands out the memo's own entry; the elements built from it are copies
+    ctx = st.get_context(2, FLAVOR_A)
+    word = ((0, 2), (0, 2))
+    entry = ctx.rewrite(word)
+    assert ctx.rewrite(word) is entry and entry == {((0, 3), (0, 1)): 1}
+    for x in (adem_rewrite(OpElement(2, FLAVOR_A, {word: 1})), multiply(W([2]), W([2]))):
+        assert x.terms == entry and x.terms is not entry
+        x.terms.clear()
+    assert ctx.rewrite(word) == {((0, 3), (0, 1)): 1}
+
+
 def test_flavor_b_odd_p_idempotence():
     random.seed(41)
     for _ in range(300):

@@ -6,6 +6,7 @@ import pytest
 from unstable_e2 import tower
 from unstable_e2.tower import (
     TowerExhausted,
+    cokernel_basis,
     get_tower,
     kernel_basis,
     rank,
@@ -131,8 +132,8 @@ def test_kernel_of_one_minus_frobenius_every_level():
     for p in (2, 3):
         for k in range(1, 5):
             ker, cok = semilinear_kernel_cokernel(p, k)
-            assert ker.shape[0] == 1
-            assert cok.shape[0] == 1
+            assert len(ker) == 1
+            assert len(cok) == 1
 
 
 def test_cached_block_arrays_are_read_only():
@@ -140,8 +141,10 @@ def test_cached_block_arrays_are_read_only():
         ker, cok = semilinear_kernel_cokernel(p, k)
         assert semilinear_kernel_cokernel(p, k)[0] is ker
         for a in (ker, cok, get_tower(p).field(k).one_minus_frobenius):
-            with pytest.raises(ValueError):
-                a[0, 0] = 1
+            with pytest.raises(TypeError):
+                a[0] = a[0]
+            with pytest.raises(TypeError):
+                a[0][0] = 1
 
 
 def test_cokernel_saturation_from_level_one():
@@ -154,8 +157,8 @@ def test_cokernel_saturation_from_level_one():
 
 def test_semilinear_examples():
     ker, cok = semilinear_kernel_cokernel(2, 2)
-    assert ker.shape[0] == 1 and list(ker[0]) == [1, 0]
-    assert cok.shape[0] == 1
+    assert len(ker) == 1 and list(ker[0]) == [1, 0]
+    assert len(cok) == 1
 
 
 def test_tower_exhausted():
@@ -167,9 +170,12 @@ def test_tower_exhausted():
 def test_rref_rank_examples():
     assert rank(np.eye(4, dtype=np.int64), 2) == 4
     K = kernel_basis(np.array([[1, 1]]), 2)
-    assert K.shape == (1, 2) and list(K[0]) == [1, 1]
+    assert K == ((1, 1),)
     R, piv = rref(np.array([[2, 4], [1, 2]]), 5)
     assert len(piv) == 1
+    # a numpy shape keeps the column count of a matrix with no rows
+    assert kernel_basis(np.zeros((0, 3), dtype=np.int64), 2) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert cokernel_basis(np.zeros((2, 0), dtype=np.int64), 3) == ((1, 0), (0, 1))
 
 
 def test_rank_equals_rank_of_rref_and_solve():
@@ -184,6 +190,12 @@ def test_rank_equals_rank_of_rref_and_solve():
             sol = solve(M, b, p)
             assert sol is not None
             assert np.array_equal((M @ sol) % p, b)
+            K = np.array(kernel_basis(M, p), dtype=np.int64).reshape(-1, 5)
+            assert len(K) == 5 - len(piv) == rank(K, p)
+            assert not ((M @ K.T) % p).any()
+            C = np.array(cokernel_basis(M, p), dtype=np.int64).reshape(-1, 4)
+            assert len(C) == 4 - len(piv)
+            assert rank(np.concatenate([M, C.T], axis=1), p) == 4
 
 
 def test_gf2_rank_matches_generic():

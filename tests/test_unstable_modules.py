@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from unstable_e2 import steenrod as st
+from unstable_e2 import tower, unstable_modules
 from unstable_e2.unstable_modules import (
     FTUnstableModule,
     GradedVS,
@@ -105,8 +106,7 @@ def test_one_minus_p0_generator_row():
     V = GradedVS.single(2, 1)
     M, src, tgt = one_minus_p0_window(V, w, 1)
     jx = src.index(((), "x"))
-    assert M[tgt.index(((), "x")), jx] == 1
-    assert M[tgt.index((((0, 0),), "x")), jx] == 1  # -1 mod 2
+    assert M.cols[jx] == {tgt.index(((), "x")): 1, tgt.index((((0, 0),), "x")): 1}  # -1 mod 2
 
 
 def test_one_minus_p0_empty():
@@ -123,12 +123,12 @@ def test_q_examples():
     jx = src.index(((), "x"))
     j0x = src.index((((0, 0),), "x"))
     ix = f0.index(((), "x"))
-    assert Q[ix, jx] == 1 and Q[ix, j0x] == 1
+    assert Q.cols[jx] == {ix: 1} and Q.cols[j0x] == {ix: 1}
     # negative-index words die
     Q2, src2, f02 = quotient_q_window(GradedVS.single(2, 2), w, 2, length_cap=4)
     for j, (wd, g) in enumerate(src2):
         if any(s < 0 for _, s in wd):
-            assert not Q2[:, j].any()
+            assert not Q2.cols[j]
 
 
 def test_q_after_one_minus_p0_is_zero():
@@ -138,8 +138,8 @@ def test_q_after_one_minus_p0_is_zero():
         M, src, tgt = one_minus_p0_window(V, w, d)
         Q, srcq, f0 = quotient_q_window(V, w, d, length_cap=w.L + 1)
         assert srcq == tgt
-        if len(src) and len(f0):
-            assert not ((Q @ M) % 2).any(), d
+        assert Q.shape == (len(f0), len(tgt)) and M.shape == (len(tgt), len(src))
+        assert not any((Q @ M).cols), d
 
 
 def test_exactness_report_example():
@@ -147,6 +147,21 @@ def test_exactness_report_example():
     rep = exactness_report(V, ModWindow(D=4, L=4, K=4))
     assert rep["pass"]
     assert [rep["degrees"][d]["stabilized_coker"] for d in (1, 2, 3, 4)] == [1, 1, 0, 1]
+
+
+def test_exactness_q_composite_check_is_live(monkeypatch):
+    # a q that keeps only the bare generator no longer kills x - x.P^0
+    real = unstable_modules.quotient_q_window
+
+    def generator_only_q(V, window, d, p=2, length_cap=None):
+        Q, src, f0 = real(V, window, d, p, length_cap)
+        cols = [col if not w else {} for col, (w, _) in zip(Q.cols, src)]
+        return tower.SparseMap(len(f0), cols, p), src, f0
+
+    monkeypatch.setattr(unstable_modules, "quotient_q_window", generator_only_q)
+    rep = exactness_report(GradedVS.single(2, 1), ModWindow(D=2, L=2, K=2))
+    assert not rep["degrees"][1]["q_composite_zero"] and not rep["pass"]
+    assert rep["degrees"][0]["q_composite_zero"] and rep["degrees"][2]["q_composite_zero"]
 
 
 def test_exactness_vacuous_for_zero_module():
@@ -205,7 +220,7 @@ def test_window_matrix_entries_stable():
     cols2 = {b: i for i, b in enumerate(src2)}
     for j, b in enumerate(src1):
         for i, t in enumerate(tgt1):
-            assert M1[i, j] == M2[rows2[t], cols2[b]]
+            assert M1.cols[j].get(i, 0) == M2.cols[cols2[b]].get(rows2[t], 0)
 
 
 def test_act_free_flavor_b():
