@@ -349,6 +349,7 @@ def _decorated_generators(p, n, D, length_cap):
     flavor-B free module in the nonnegative-index window; appending an
     index-0 letter keeps a word in the family, which is what makes this
     window exactly closed under all bar-construction structure maps.
+    They come ordered by (degree, word), as ``MonomialBasis`` letters must.
     """
     out = []
     for wd in range(0, D - n + 1):
@@ -358,7 +359,7 @@ def _decorated_generators(p, n, D, length_cap):
             for w in admissible_words_b(p, wd, n, length_cap, 0):
                 if st.excess(w, p) == n and w and w[0][0] == 1:
                     out.append(w)
-    return tuple(sorted(set(out)))
+    return tuple(sorted(set(out), key=lambda w: (st.word_degree(w, p), w)))
 
 
 class BarWindow:
@@ -380,6 +381,7 @@ class BarWindow:
         self.factor_words = words_f
         self._bases = {}  # (s, d) -> bar_basis(s, d); inner levels bound two boundaries
         self._phi = {}  # factor monomial -> _phi_factor image
+        self._last = {}  # (m0, f) -> last-face entry of m0 . phi(f), without its sign
 
     def _phi_factor(self, m):
         """Image of a factor monomial under the algebra map g_w -> g_w - g_{w0}."""
@@ -396,6 +398,23 @@ class BarWindow:
                 vec = self.target.mul(vec, img)
         self._phi[m] = vec
         return vec
+
+    def _last_face(self, m0, f):
+        """m0 . phi(f) as (odd, degree, terms), without the face's sign.
+
+        The last face moves f past the factors before it, whose degrees sum
+        to d - degree (degree = |m0| + |f|).  At odd p that costs the Koszul
+        sign (-1)^(|f| (d - degree)); odd says whether |f| counts there.
+        """
+        key = (m0, f)
+        hit = self._last.get(key)
+        if hit is not None:
+            return hit
+        deg_f = self.factor.monomial_degree(f)
+        terms = tuple(self.target.mul({m0: 1}, self._phi_factor(f)).items())
+        entry = (self.p != 2 and deg_f % 2 == 1, self.target.monomial_degree(m0) + deg_f, terms)
+        self._last[key] = entry
+        return entry
 
     def bar_basis(self, s, d):
         """Basis of the degree-d part of the s-th bar level: (m0, m1..ms), enumerated once."""
@@ -420,34 +439,33 @@ class BarWindow:
         return out
 
     def boundary_matrix(self, s, d):
-        """Alternating-sum boundary from bar level s to s-1 in degree d, as a SparseMap."""
+        """Alternating-sum boundary from bar level s to s-1 in degree d, as a SparseMap.
+
+        A basis element is (m0, f_1, ..., f_s); face i < s merges f_i f_{i+1}
+        and face s multiplies phi(f_s) onto m0.
+        """
         p = self.p
         src = self.bar_basis(s, d)
         tgt = self.bar_basis(s - 1, d)
         tgt_idx = {b: i for i, b in enumerate(tgt)}
-
-        def add(col, key, c):
-            r = tgt_idx[key]
-            col[r] = (col.get(r, 0) + c) % p
-
+        mul_factors = self.factor.mul_monomials
+        last_sign = -1 if s % 2 else 1
         cols = []
         for elem in src:
-            m0, factors = elem[0], list(elem[1:])
             col = {}
             # face 0 is omitted: epsilon of a positive-degree factor is 0
-            for i in range(1, s + 1):
-                sign = -1 if i % 2 else 1
-                if i < s:
-                    r = self.factor.mul_monomials(factors[i - 1], factors[i])
-                    if r is None:
-                        continue
-                    c, merged = r
-                    key = (m0,) + tuple(factors[: i - 1] + [merged] + factors[i + 1 :])
-                    add(col, key, sign * c)
-                else:
-                    prod = self.target.mul({m0: 1}, self._phi_factor(factors[-1]))
-                    for m, c in prod.items():
-                        add(col, (m,) + tuple(factors[:-1]), sign * c)
+            for i in range(1, s):
+                r = mul_factors(elem[i], elem[i + 1])
+                if r is None:
+                    continue
+                row = tgt_idx[elem[:i] + (r[1],) + elem[i + 2 :]]
+                col[row] = (col.get(row, 0) + (-r[0] if i % 2 else r[0])) % p
+            odd, deg, terms = self._last_face(elem[0], elem[-1])
+            sign = -last_sign if odd and (d - deg) % 2 else last_sign
+            rest = elem[1:-1]
+            for m, c in terms:
+                row = tgt_idx[(m,) + rest]
+                col[row] = (col.get(row, 0) + sign * c) % p
             cols.append({r: c for r, c in col.items() if c})
         return tower.SparseMap(len(tgt), cols, p), src, tgt
 

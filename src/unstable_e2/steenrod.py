@@ -8,12 +8,16 @@ Flavor "B" allows every integer index and keeps P^0 as a formal letter.
 
 Admissibility uses the classical orientation: each index is at least p
 times its right neighbour plus the intervening Bockstein.  Rewriting to
-the admissible basis applies the standard Adem relations at the leftmost
-violation; for flavor "B" the same relations are used verbatim for all
-integer indices (binomials via Lucas), under a mandatory hard window on
-index size and word length.  Correctness at p = 2 is anchored by the
-polynomial-action oracle `act_polynomial` rather than by trusting the
-transcription of the relations.
+the admissible basis applies the standard Adem relations.  Flavor "A"
+rewrites a word tail first: the tail's admissible terms u are reduced
+already, so (first letter,) + u can be inadmissible only at its front
+pair, and that word's admissible form is kept under it for reuse.  For
+flavor "B" the same relations are used verbatim for all integer indices
+(binomials via Lucas), under a mandatory hard window on index size and
+word length; it keeps rewriting at the leftmost violation, because which
+words leave the window depends on the order of the steps.  Correctness at
+p = 2 is anchored by the polynomial-action oracle `act_polynomial` rather
+than by trusting the transcription of the relations.
 """
 
 from __future__ import annotations
@@ -224,6 +228,14 @@ class AdemContext:
     the rewrite itself is a pure function of the word.  Each inadmissible
     letter pair's sorted Adem terms are computed once, in ``_pairs``, each
     with a flag that says whether flavor-A normalization must run on it.
+
+    The order of the steps depends on the flavor.  Flavor A rewrites the
+    tail first and then applies one Adem relation at the front of each
+    (head,) + term; the admissible form is unique, so the order changes no
+    result, and the front words it memoizes are shared by every word with
+    the same head and tail terms.  Flavor B rewrites at the leftmost
+    violation: there the order decides which intermediate words exist, so
+    it decides which words raise ``WindowExhausted``.
     """
 
     def __init__(self, p, flavor, window=None):
@@ -249,41 +261,76 @@ class AdemContext:
     def rewrite(self, word):
         """Admissible form of a word, as dict {admissible word: coeff mod p}.
 
-        The dict is the memo's own entry: callers read it and never change it.
+        The dict is the memo's own entry (two words may share one): callers
+        read it and never change it.
         """
         word = tuple(word)
         hit = self._memo.get(word)
         if hit is not None:
             return hit
-        self._check_window(word)
-        i = _first_violation(word, self.p)
-        if i is None:
-            result = {word: 1}
+        if self.flavor == FLAVOR_A and len(word) > 2:  # shorter words have one pair
+            result = self._rewrite_tail_first(word)
         else:
-            pair = word[i] + word[i + 1]
-            terms = self._pairs.get(pair)
-            if terms is None:
-                # in a normalized flavor-A word only a replacement with an
-                # index-0 letter (P^0, or a bare Bockstein to merge) needs work
-                terms = self._pairs[pair] = [
-                    (repl, c, self.flavor == FLAVOR_A and any(s == 0 for _, s in repl))
-                    for repl, c in sorted(_adem_pair(*pair, self.p, self.flavor).items())
-                ]
-            result = {}
-            for repl, c, normalize in terms:
-                new = word[:i] + repl + word[i + 2 :]
-                if normalize:
-                    new = normalize_word_a(new, self.p)
-                    if new is None:
-                        continue
-                for w2, c2 in self.rewrite(new).items():
-                    v = (result.get(w2, 0) + c * c2) % self.p
-                    if v:
-                        result[w2] = v
-                    elif w2 in result:
-                        del result[w2]
+            self._check_window(word)
+            i = _first_violation(word, self.p)
+            result = {word: 1} if i is None else self._apply_pair(word, i)
         self._memo[word] = result
         return result
+
+    def _rewrite_tail_first(self, word):
+        """Flavor A: rewrite word[1:], then each (word[0],) + admissible term.
+
+        Such a word can violate admissibility only at its front pair; its
+        admissible form is memoized under it too.
+        """
+        p, memo = self.p, self._memo
+        head = word[0]
+        tail = self.rewrite(word[1:])
+        result = {}
+        for u, c in tail.items():
+            w = (head,) + u
+            front = memo.get(w)
+            if front is None:
+                (_, a), (e2, b) = head, u[0]
+                front = {w: 1} if a >= p * b + e2 else self._apply_pair(w, 0)
+                memo[w] = front
+            if len(tail) == 1 and c == 1:
+                return front
+            _add_scaled(result, front, c, p)
+        return result
+
+    def _apply_pair(self, word, i):
+        """Replace the pair word[i], word[i + 1] by its Adem terms and rewrite each."""
+        pair = word[i] + word[i + 1]
+        terms = self._pairs.get(pair)
+        if terms is None:
+            # in a normalized flavor-A word only a replacement with an
+            # index-0 letter (P^0, or a bare Bockstein to merge) needs work
+            terms = self._pairs[pair] = [
+                (repl, c, self.flavor == FLAVOR_A and any(s == 0 for _, s in repl))
+                for repl, c in sorted(_adem_pair(*pair, self.p, self.flavor).items())
+            ]
+        p = self.p
+        head, rest = word[:i], word[i + 2 :]
+        result = {}
+        for repl, c, normalize in terms:
+            new = head + repl + rest
+            if normalize:
+                new = normalize_word_a(new, p)
+                if new is None:
+                    continue
+            _add_scaled(result, self.rewrite(new), c, p)
+        return result
+
+
+def _add_scaled(result, terms, c, p):
+    """result += c * terms, mod p, keeping only nonzero coefficients."""
+    for w, c2 in terms.items():
+        v = (result.get(w, 0) + c * c2) % p
+        if v:
+            result[w] = v
+        elif w in result:
+            del result[w]
 
 
 _contexts = {}
@@ -368,12 +415,17 @@ def adem_rewrite(x, window=None):
     if not isinstance(x, OpElement):
         raise TypeError("adem_rewrite expects an OpElement")
     ctx = get_context(x.p, x.flavor, window)
+    if len(x.terms) == 1:
+        # a copy of the memo entry: its terms are already reduced and nonzero
+        ((w, c),) = x.terms.items()
+        r = ctx.rewrite(w)
+        terms = dict(r) if c == 1 else {w2: c * c2 % x.p for w2, c2 in r.items()}
+        return OpElement._homogeneous(x.p, x.flavor, terms)
     out = {}
     for w, c in x.terms.items():
-        for w2, c2 in ctx.rewrite(w).items():
-            out[w2] = (out.get(w2, 0) + c * c2) % x.p
+        _add_scaled(out, ctx.rewrite(w), c, x.p)
     # rewriting keeps the degree, so the terms need no homogeneity check
-    return OpElement._homogeneous(x.p, x.flavor, {w: c for w, c in out.items() if c})
+    return OpElement._homogeneous(x.p, x.flavor, out)
 
 
 def multiply(a, b, window=None):
@@ -388,10 +440,8 @@ def multiply(a, b, window=None):
                 w = normalize_word_a(w, a.p)
                 if w is None:
                     continue
-            for w2, c2 in ctx.rewrite(w).items():
-                v = (out.get(w2, 0) + ca * cb * c2) % a.p
-                out[w2] = v
-    return OpElement(a.p, a.flavor, {w: c for w, c in out.items() if c})
+            _add_scaled(out, ctx.rewrite(w), ca * cb, a.p)
+    return OpElement(a.p, a.flavor, out)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +511,8 @@ def parse_word_text(text, p=None):
     """Parse the bit-exact word syntax; returns (OpElement, p).
 
     The prime is taken from the argument; Sq implies p = 2 and P implies
-    p = 3 when unspecified.  A P word at p = 2 is refused (ValueError).
+    p = 3 when unspecified.  A P word at p = 2 and a Sq word at an odd
+    prime are refused (ValueError).
     """
     text = text.strip()
     flavor = FLAVOR_A
@@ -469,6 +520,8 @@ def parse_word_text(text, p=None):
         flavor = text[0].upper()
         text = text[2:]
     if text.startswith("Sq["):
+        if p not in (None, 2):
+            raise ValueError(f"{text!r}: Sq[...] words need p = 2, not p = {p}; use P[...]")
         body, implied_p = text[3:], 2
     elif text.startswith("P["):
         if p == 2:

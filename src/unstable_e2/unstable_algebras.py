@@ -58,6 +58,8 @@ class MonomialBasis:
         self.p = p
         self.D = D
         self.pg_degree = tuple(degrees)
+        if any(a > b for a, b in zip(self.pg_degree, self.pg_degree[1:])):
+            raise ValueError(f"letter degrees must not decrease: {self.pg_degree}")
         self._basis = self._enumerate_basis()
         self.index = {}
         for d in sorted(self._basis):
@@ -66,7 +68,8 @@ class MonomialBasis:
         self._products = {}  # (m1, m2) -> mul_monomials(m1, m2), filled on first use
 
     def _enumerate_basis(self):
-        # letters are sorted by degree, so the scan can stop early; recursion
+        # letters are sorted by degree (checked at construction), so the scan
+        # can stop at the first letter heavier than the degree left; recursion
         # depth is the number of distinct letters in a monomial, not the
         # alphabet size
         by_degree = {}

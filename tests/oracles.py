@@ -71,6 +71,64 @@ def brute_force_admissible_b(p, word_deg, excess_cap, length_cap, index_floor):
     return sorted(out)
 
 
+def _adem_relation(first, second, p):
+    """The classical Adem relation on an inadmissible pair of letters.
+
+    beta^e1 P^a . beta^e2 P^b with a < p b + e2, as a list of (letters, coeff)
+    with letters (eps, s) that may hold an index 0 (normalized by the caller).
+    """
+    (e1, a), (e2, b) = first, second
+    out = []
+    for t in range(a // p + 1):
+        if p == 2:
+            out.append((((0, a + b - t), (0, t)), math.comb(b - t - 1, a - 2 * t)))
+            continue
+        sign = -1 if (a + t) % 2 else 1
+        if e2 == 0:
+            out.append((((e1, a + b - t), (0, t)), sign * math.comb((p - 1) * (b - t) - 1, a - p * t)))
+            continue
+        if e1 == 0:
+            out.append((((1, a + b - t), (0, t)), sign * math.comb((p - 1) * (b - t), a - p * t)))
+        if a - p * t >= 1:
+            out.append((((e1, a + b - t), (1, t)), -sign * math.comb((p - 1) * (b - t) - 1, a - p * t - 1)))
+    return [(letters, c % p) for letters, c in out if c % p]
+
+
+def _normalize(word):
+    """Drop P^0, merge a bare Bockstein into the next letter; None when beta beta = 0."""
+    out = []
+    for eps, s in word:
+        if (eps, s) == (0, 0):
+            continue
+        if out and out[-1] == (1, 0):
+            if eps:
+                return None
+            out[-1] = (1, s)
+        else:
+            out.append((eps, s))
+    return tuple(out)
+
+
+def leftmost_adem_rewrite(word, p):
+    """Admissible form of a normalized classical word, as {word: coeff mod p}.
+
+    Applies the Adem relation at the leftmost inadmissible pair and recurses,
+    with no memo: the plain order that a memoized rewrite must agree with.
+    """
+    for i in range(len(word) - 1):
+        (_, a), (e2, b) = word[i], word[i + 1]
+        if a < p * b + e2:
+            out = {}
+            for letters, c in _adem_relation(word[i], word[i + 1], p):
+                new = _normalize(word[:i] + letters + word[i + 2 :])
+                if new is None:
+                    continue
+                for w, c2 in leftmost_adem_rewrite(new, p).items():
+                    out[w] = (out.get(w, 0) + c * c2) % p
+            return {w: c for w, c in out.items() if c}
+    return {word: 1}
+
+
 def partition_count_dims(gen_degrees, D):
     """Graded dimensions of a polynomial algebra via generating functions."""
     coeffs = [0] * (D + 1)

@@ -133,6 +133,15 @@ def test_adem_p_word_at_p2_exit_code(capsys):
     assert run(["adem", "P[1,1]", "--p", "3"]) == (0, "2*P[2]\n")
 
 
+def test_adem_sq_word_at_odd_p_exit_code(capsys):
+    # Sq[...] means p = 2; at p = 3 it must be refused, not read as P^1 P^1
+    code, out = run(["adem", "Sq[1,1]", "--p", "3"])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "p = 2" in err
+    assert run(["adem", "P[1,1]", "--p", "3"]) == (0, "2*P[2]\n")
+
+
 def test_compare_malformed_chart_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"p": 2, "kind": "adams", "window": {"s_max": 1}}))

@@ -281,6 +281,30 @@ def test_bar_window_boundary_squares_to_zero():
                 assert not any((M1 @ M2).cols), (s, d)
 
 
+@pytest.mark.parametrize("p, D, s_top", [(2, 5, 4), (3, 4, 4), (3, 6, 4), (3, 8, 3), (5, 9, 3)])
+def test_bar_window_boundary_squares_to_zero_at_every_prime(p, D, s_top):
+    # at odd p the last face moves phi(f_s) past f_1..f_(s-1): without its
+    # Koszul sign the composite is nonzero from degree 2 on.  The two larger
+    # windows stop at level 3 (level 4 of BarWindow(5, 1, 9, 2) has 203,424
+    # basis elements in degree 9)
+    bw = BarWindow(p, 1, D, 2)
+    for d in range(D + 1):
+        bounds = [bw.boundary_matrix(s, d)[0] for s in range(1, s_top + 1)]
+        for lower, upper in zip(bounds, bounds[1:]):
+            assert not any(tower.matmul_mod(lower, upper, p).cols), (d, upper.shape)
+
+
+@pytest.mark.parametrize("n, D", [(1, 4), (2, 7)])
+def test_bar_homology_odd_prime(n, D):
+    # n = 2 needs its letters in degree order: word order puts two degree-7
+    # letters before three of degree 3, and the basis lost monomials
+    r = bar_homology_check(n, D, s_max=3, L=2, p=3)
+    assert r["pass"]
+    assert [r["cells"][(0, d)]["dim"] for d in range(D + 1)] == list(
+        FreeUnstableAlgebra(3, [("i", n)], D).hilbert()
+    )
+
+
 def test_kernel_tables_give_the_same_results_warm_and_cold(monkeypatch):
     # Adem pair terms, monomial products and bar factor images are tabulated
     # on first use: a run that reads the filled tables must match a fresh one
@@ -295,8 +319,16 @@ def test_kernel_tables_give_the_same_results_warm_and_cold(monkeypatch):
     first = run()
     assert first[1]["pass"] and first[2]["pass"]
     assert run() == first
-    bw = BarWindow(2, 1, 5, 2)
-    cold = [bw.boundary_matrix(s, 5)[0].cols for s in range(1, 5)]
-    assert [bw.boundary_matrix(s, 5)[0].cols for s in range(1, 5)] == cold
+    # the last-face table is shared across degrees and levels, and its
+    # entries leave out the degree-dependent sign: one window that builds
+    # every boundary must match a fresh window per boundary
+    for p, D in ((2, 5), (3, 6)):
+        bw = BarWindow(p, 1, D, 2)
+        warm = [[bw.boundary_matrix(s, d)[0].cols for s in range(1, 5)] for d in range(D + 1)]
+        assert bw._last and bw._phi
+        assert [[bw.boundary_matrix(s, d)[0].cols for s in range(1, 5)] for d in range(D + 1)] == warm
+        cold = [[BarWindow(p, 1, D, 2).boundary_matrix(s, d)[0].cols for s in range(1, 5)]
+                for d in range(D + 1)]
+        assert cold == warm
     monkeypatch.setattr(st, "_contexts", {})
     assert run() == first

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from oracles import leftmost_adem_rewrite
 
 from unstable_e2 import steenrod as st
 from unstable_e2.steenrod import (
@@ -212,6 +213,14 @@ def test_p_words_need_an_odd_prime():
             parse_word_text(text, p=2)
 
 
+def test_sq_words_need_p2():
+    for text in ("Sq[1,1]", "A:Sq[2]", "B:Sq[0,-1]"):
+        for p in (3, 5):
+            with pytest.raises(ValueError, match="p = 2"):
+                parse_word_text(text, p=p)
+    assert parse_word_text("Sq[1,1]", p=2)[1] == 2
+
+
 def test_inhomogeneous_element_raises():
     with pytest.raises(ValueError, match="inhomogeneous"):
         OpElement(2, FLAVOR_A, {((0, 1),): 1, ((0, 2),): 1})
@@ -245,3 +254,44 @@ def test_flavor_b_odd_p_idempotence():
         for wd in r.terms:
             assert is_admissible(wd, 3), wd
             assert word_degree(wd, 3) == word_degree(word, 3)
+
+
+def _normalized_words(p, max_len, max_index):
+    """Every normalized flavor-A word: positive letters, then at most a bare Bockstein."""
+    eps = (0,) if p == 2 else (0, 1)
+    letters = [(e, s) for e in eps for s in range(1, max_index + 1)]
+    for n in range(1, max_len + 1):
+        yield from itertools.product(letters, repeat=n)
+        if p != 2:
+            for w in itertools.product(letters, repeat=n - 1):
+                yield w + ((1, 0),)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_tail_first_rewrite_matches_leftmost_oracle(p):
+    # flavor A rewrites tail first; a memo-free leftmost-violation rewrite
+    # with its own transcription of the relations must give the same forms
+    ctx = st.AdemContext(p, FLAVOR_A)
+    count = 0
+    for word in _normalized_words(p, 4, 8):
+        assert ctx.rewrite(word) == leftmost_adem_rewrite(word, p), word
+        count += 1
+    assert count == (4680 if p == 2 else 74273)
+
+
+def test_flavor_b_keeps_leftmost_order():
+    # leftmost order passes through Sq^7 Sq^1 Sq^3, outside K = 6; rewriting
+    # the tail first would reach 0 inside the window
+    with pytest.raises(WindowExhausted, match="index 7"):
+        adem_rewrite(OpElement(2, FLAVOR_B, {((0, 3), (0, 5), (0, 3)): 1}), BWindow(K=6, L=3))
+
+
+def test_one_word_rewrite_scales_the_memo_entry():
+    ctx = st.get_context(3, FLAVOR_A)
+    word = ((0, 1), (1, 1))
+    entry = ctx.rewrite(word)
+    assert entry == {((0, 2), (1, 0)): 1, ((1, 2),): 1}
+    for c in (1, 2, 4):
+        x = adem_rewrite(OpElement(3, FLAVOR_A, {word: c}))
+        assert x.terms == {w: c * v % 3 for w, v in entry.items()}
+        assert x.terms is not entry and all(x.terms.values())

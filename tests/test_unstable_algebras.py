@@ -10,6 +10,7 @@ from unstable_e2.unstable_algebras import (
     DegreeCapExceeded,
     FreeUnstableAlgebra,
     FTAlgebra,
+    MonomialBasis,
     extend_algebra_map,
     monad_unit_matrix,
 )
@@ -32,6 +33,14 @@ def test_hilbert_degree_two_and_basis_example():
 def test_hilbert_no_generators():
     A = FreeUnstableAlgebra(2, [], 5)
     assert A.hilbert() == (1, 0, 0, 0, 0, 0)
+
+
+def test_monomial_basis_letters_must_ascend_in_degree():
+    # the enumeration stops at the first letter heavier than the degree left,
+    # so letters out of degree order would lose monomials: refused
+    with pytest.raises(ValueError, match="must not decrease"):
+        MonomialBasis(3, (2, 7, 3), 7)
+    assert MonomialBasis(3, (2, 3, 7), 7).hilbert() == (1, 0, 1, 1, 1, 1, 1, 2)
 
 
 def test_unit_basis():
