@@ -13,7 +13,12 @@ Cochain groups of the derivation complex against a suspension-type target
 need only the generator data of each level, which is what makes s_max 2-3
 feasible: level s is materialized through its basis and through the full
 face maps of the level below, never through anything deeper.  The
-coboundaries are SparseMaps too, read off the face columns.
+coboundaries are SparseMaps too, read off the face columns.  Cochains live
+on the nondegenerate generators only (the normalized complex, which has the
+same cohomology by the Dold-Kan normalization theorem): every degeneracy
+sends a basis monomial to one basis monomial with coefficient 1, so the
+degenerate generators are read off the monomials and dropped, and most
+generators of the deeper levels are degenerate.
 """
 
 from __future__ import annotations
@@ -265,7 +270,9 @@ class CotripleResolution:
     the full monomial basis of level s.  face_full[s][i] is the SparseMap of
     the i-th face from level s to level s-1 on monomial bases (columns are
     V[s+1], rows V[s]); degen_full[s][j] likewise for degeneracies, which
-    are built on first use, since no chart reads them.
+    are built on first use, since no chart reads them.  degenerate[s][j] is
+    Deg_j(V[s]), the indices of V[s] hit by the j-th degeneracy into level
+    s, and nondegenerate[s] lists the rest: the generators cochains live on.
     """
 
     def __init__(self, space: SpaceModel, s_max, D, budget=500_000):
@@ -295,10 +302,39 @@ class CotripleResolution:
         self._vidx = [
             {key: i for i, (_, key) in enumerate(vs)} for vs in self.V
         ]
+        self.degenerate = self._degenerate_sets()
+        self.nondegenerate = [
+            [vi for vi in range(len(vs)) if not any(vi in dj for dj in deg)]
+            for vs, deg in zip(self.V, self.degenerate)
+        ]
         self.face_full = []
         self._build_faces()
 
     # -- construction ---------------------------------------------------------
+
+    def _degenerate_sets(self):
+        """Deg_j(V[s]) for 0 <= j < s, as sets of indices into V[s].
+
+        They are read off the keys; no degeneracy map is built.  Deg_0(V[s])
+        is the image of the insertion: one polygen, the empty word, exponent
+        1.  Deg_j(V[s]), j >= 1, is the image of the degeneracy that extends
+        Deg_{j-1}(V[s-1]) multiplicatively: each polygen w(g) goes to w(s g),
+        so it is the monomials whose polygens all have their generator in
+        Deg_{j-1}(V[s-1]).
+        """
+        deg = [[]]
+        for s in range(1, len(self.V)):
+            polygens, gen_idx = self.levels[s - 1].polygens, self._vidx[s - 1]
+            sets = [set() for _ in range(s)]
+            for vi, (_, key) in enumerate(self.V[s]):
+                if len(key) == 1 and key[0][1] == 1 and polygens[key[0][0]][0] == ():
+                    sets[0].add(vi)
+                gens = {gen_idx[polygens[i][1]] for i, _ in key}
+                for j in range(1, s):
+                    if gens <= deg[s - 1][j - 1]:
+                        sets[j].add(vi)
+            deg.append(sets)
+        return deg
 
     def _images_to_map(self, images, level_to, level_from):
         """Dict {source monomial: target vector} as a SparseMap on the V bases."""
@@ -413,23 +449,25 @@ class CotripleResolution:
 
     # -- the derivation cochain complex -----------------------------------------
 
-    def der_cochain_complex(self, M: GradedVS, top_s, normalized=False, m_act=None):
-        """Hom(generators of each level, M) with cofaces from the face maps.
+    def der_cochain_complex(self, M: GradedVS, top_s, m_act=None):
+        """Hom(nondegenerate generators of each level, M), cofaces from the faces.
 
-        Each coboundary is a SparseMap built column by column.  m_act(word)
-        may supply the operation action on M as a dict-of-dicts matrix
-        {m_name: {m_name2: coeff}}; None means the trivial action.
+        This is the normalized complex: the cochains that vanish on every
+        degenerate generator.  By the Dold-Kan normalization theorem it has
+        the cohomology of the full complex, and since each degeneracy sends a
+        basis monomial to one basis monomial with coefficient 1, it is the full
+        complex with the degenerate rows and columns dropped.  Each coboundary
+        is a SparseMap built column by column.  m_act(word) may supply the
+        operation action on M as a dict-of-dicts matrix {m_name: {m_name2:
+        coeff}}; None means the trivial action.
         """
         p = self.p
         if top_s > self.s_max + 1:
             raise ChartError(f"resolution holds {self.s_max + 1} levels, need {top_s}")
-        bases = []
-        for s in range(0, top_s + 1):
-            basis = []
-            for vi, (d, key) in enumerate(self.V[s]):
-                for mn in M.basis.get(d, ()):
-                    basis.append((vi, mn))
-            bases.append(basis)
+        bases = [
+            [(vi, mn) for vi in self.nondegenerate[s] for mn in M.basis.get(self.V[s][vi][0], ())]
+            for s in range(0, top_s + 1)
+        ]
         dims = [len(b) for b in bases]
         maps = []
         for s in range(0, top_s):
@@ -442,24 +480,26 @@ class CotripleResolution:
 
             # delta^0: a generator of level s+1 that is one polygen w(g) of
             # level s pairs with g through the action of w; decomposable
-            # generators pair with nothing (square-zero targets kill them)
-            level = self.levels[s]
-            for vi, (d, key) in enumerate(self.V[s + 1]):
-                if len(key) != 1 or key[0][1] != 1:
-                    continue
-                word, genkey = level.polygens[key[0][0]]
-                src_vi = self._vidx[s][genkey]
-                if word == ():
-                    for mn in M.basis.get(d, ()):
-                        add(rows[(vi, mn)], cols[(src_vi, mn)], 1)
-                elif m_act is not None:
+            # generators pair with nothing (square-zero targets kill them).
+            # On a nondegenerate w(g), w is nonempty (the empty word is the
+            # insertion, a degeneracy) and g is nondegenerate (w(s g) is
+            # degenerate), so only a nontrivial action contributes.
+            if m_act is not None:
+                level = self.levels[s]
+                for vi in self.nondegenerate[s + 1]:
+                    key = self.V[s + 1][vi][1]
+                    if len(key) != 1 or key[0][1] != 1:
+                        continue
+                    word, genkey = level.polygens[key[0][0]]
+                    src_vi = self._vidx[s][genkey]
                     act = m_act(word)
                     for mn_src in M.basis.get(self.V[s][src_vi][0], ()):
                         for mn_t, cc in act.get(mn_src, {}).items():
                             r = rows.get((vi, mn_t))
                             if r is not None:
                                 add(r, cols[(src_vi, mn_src)], cc)
-            # delta^i, i >= 1: duals of the full face maps one level down
+            # delta^i, i >= 1: duals of the full face maps one level down,
+            # read on the indexed (nondegenerate) columns only
             for i in range(1, s + 2):
                 F = self.face_full[s][i - 1]
                 sign = -1 if i % 2 else 1
@@ -471,52 +511,7 @@ class CotripleResolution:
             maps.append(tower.SparseMap(
                 dims[s + 1], [{r: x for r, x in col.items() if x} for col in out], p
             ))
-        if normalized:
-            return self._normalized_complex(bases, dims, maps, top_s)
         return CochainComplex(p, dims, maps)
-
-    def _normalized_complex(self, bases, dims, maps, top_s):
-        """Restrict to the intersection of codegeneracy kernels."""
-        import numpy as np
-
-        p = self.p
-        sub_bases = []
-        for s in range(0, top_s + 1):
-            if s == 0 or not bases[s]:
-                sub_bases.append(np.eye(dims[s], dtype=np.int64))
-                continue
-            stack = []
-            rows = {b: i for i, b in enumerate(bases[s - 1])}
-            cols = {b: i for i, b in enumerate(bases[s])}
-            for j in range(0, s):
-                # codegeneracy on cochains: precompose the degeneracy
-                # level s-1 -> level s, evaluated on generators
-                cod = np.zeros((dims[s - 1], dims[s]), dtype=np.int64)
-                for (vi, mn), r in rows.items():
-                    if j == 0:
-                        targets = {self._insertion_index(s - 1, self.V[s - 1][vi][1]): 1}
-                    else:
-                        targets = self.degen_full[s - 2][j - 1].cols[vi]
-                    for ti, c in targets.items():
-                        cidx = cols.get((ti, mn))
-                        if cidx is not None:
-                            cod[r, cidx] = (cod[r, cidx] + c) % p
-                stack.append(cod)
-            K = tower.kernel_basis(np.concatenate(stack, axis=0), p)
-            sub_bases.append(np.array(K, dtype=np.int64).reshape(-1, dims[s]).T)
-        new_dims = [sb.shape[1] for sb in sub_bases]
-        new_maps = []
-        for s in range(0, top_s):
-            img = (maps[s] @ tower.SparseMap.from_dense(sub_bases[s], p)).toarray()
-            expressed = []
-            for col in img.T:
-                sol = tower.solve(sub_bases[s + 1], col, p)
-                if sol is None:
-                    raise ValueError("differential does not preserve the normalized subcomplex")
-                expressed.append(sol)
-            shape = (len(expressed), new_dims[s + 1])
-            new_maps.append(np.array(expressed, dtype=np.int64).reshape(shape).T)
-        return CochainComplex(p, new_dims, new_maps)
 
     def _insertion_index(self, s, key):
         inner = ((self.levels[s].pg_index[((), key)], 1),)

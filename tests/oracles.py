@@ -3,13 +3,17 @@
 Everything here recomputes from first principles, staying off the code
 paths it checks: raw sequence enumeration instead of structured DFS,
 generating-function coefficient extraction instead of monomial bases, a
-standalone 16-element field instead of the chain, and the unstable Lambda
-algebra instead of the cotriple resolution.
+standalone 16-element field instead of the chain, the unstable Lambda
+algebra instead of the cotriple resolution, and the common kernel of the
+codegeneracies, by dense elimination, instead of the degenerate generators
+read off the monomials.
 """
 
 import functools
 import itertools
 import math
+
+import numpy as np
 
 
 def brute_force_admissible(p, word_deg, excess_cap):
@@ -276,3 +280,123 @@ def lambda_chart(n, target_dims, s_max, t_max):
             if dim:
                 out[(s, t)] = dim
     return out
+
+
+# ---------------------------------------------------------------------------
+# the normalized cochain complex as a kernel of codegeneracies
+# ---------------------------------------------------------------------------
+#
+# The normalized cochains of a cosimplicial vector space are the common
+# kernel of its codegeneracies, and they carry the cohomology of the full
+# complex (the Dold-Kan normalization theorem; J. P. May, Simplicial Objects
+# in Algebraic Topology, 1967).  The functions below build the full
+# derivation cochain complex of a cotriple resolution against a target with
+# trivial action, take that kernel by dense elimination mod p, and rank the
+# restricted coboundaries.  They read the resolution's full faces, its
+# degeneracy maps and its insertion, never its degenerate sets, and they do
+# their own linear algebra.
+
+def _rref_mod_p(A, p):
+    """Reduced row echelon form of an integer matrix over F_p, and its pivot columns."""
+    A = np.array(A, dtype=np.int64) % p
+    pivots = []
+    for c in range(A.shape[1]):
+        r = len(pivots)
+        if r == A.shape[0]:
+            break
+        nz = np.nonzero(A[r:, c])[0]
+        if not len(nz):
+            continue
+        A[[r, r + nz[0]]] = A[[r + nz[0], r]]
+        A[r] = A[r] * pow(int(A[r, c]), -1, p) % p
+        others = np.nonzero(A[:, c])[0]
+        others = others[others != r]
+        A[others] = (A[others] - np.outer(A[others, c], A[r])) % p
+        pivots.append(c)
+    return A[: len(pivots)], pivots
+
+
+def _kernel_mod_p(A, p):
+    """Columns spanning the right kernel of A over F_p."""
+    R, pivots = _rref_mod_p(A, p)
+    free = [c for c in range(A.shape[1]) if c not in pivots]
+    K = np.zeros((A.shape[1], len(free)), dtype=np.int64)
+    for k, fc in enumerate(free):
+        K[fc, k] = 1
+        for i, pc in enumerate(pivots):
+            K[pc, k] = -R[i, fc] % p
+    return K
+
+
+def _full_der_cochain_complex(res, M, top_s):
+    """Bases [(generator index, target name)] and dense coboundaries of the full complex.
+
+    Cochain group s is Hom(V[s], M) on every generator of level s.  The
+    coface delta^0 pairs each generator g of level s with its insertion [g]
+    one level up (the target acts trivially, so polygens with a nonempty
+    word pair with nothing); delta^i, i >= 1, is the dual of face i - 1.
+    """
+    p = res.p
+    bases = [
+        [(vi, mn) for vi, (d, _) in enumerate(res.V[s]) for mn in M.basis.get(d, ())]
+        for s in range(top_s + 1)
+    ]
+    maps = []
+    for s in range(top_s):
+        rows = {b: i for i, b in enumerate(bases[s + 1])}
+        cols = {b: i for i, b in enumerate(bases[s])}
+        d = np.zeros((len(rows), len(cols)), dtype=np.int64)
+        for (vi, mn), c in cols.items():
+            d[rows[(res._insertion_index(s, res.V[s][vi][1]), mn)], c] += 1
+        for i in range(1, s + 2):
+            sign = -1 if i % 2 else 1
+            for (vi, mn), r in rows.items():
+                for src_vi, coeff in res.face_full[s][i - 1].cols[vi].items():
+                    c = cols.get((src_vi, mn))
+                    if c is not None:
+                        d[r, c] += sign * coeff
+        maps.append(d % p)
+    return bases, maps
+
+
+def kernel_normalized_dims(res, M, top_s):
+    """Cochain and cohomology dims of the codegeneracy-kernel subcomplex.
+
+    Returns (dims for s = 0..top_s, cohomology dims for s = 0..top_s - 1).
+    Codegeneracy j on cochain group s precomposes with the degeneracy j
+    from level s - 1: the insertion for j = 0, degen_full[s - 2][j - 1]
+    otherwise.  Raises AssertionError when the coboundary leaves the
+    subcomplex or does not square to zero on it.
+    """
+    p = res.p
+    bases, maps = _full_der_cochain_complex(res, M, top_s)
+    kernels = []
+    for s, basis in enumerate(bases):
+        if s == 0:
+            kernels.append(np.eye(len(basis), dtype=np.int64))
+            continue
+        cols = {b: i for i, b in enumerate(basis)}
+        stack = []
+        for j in range(s):
+            cod = np.zeros((len(bases[s - 1]), len(basis)), dtype=np.int64)
+            for r, (vi, mn) in enumerate(bases[s - 1]):
+                if j == 0:
+                    targets = {res._insertion_index(s - 1, res.V[s - 1][vi][1]): 1}
+                else:
+                    targets = res.degen_full[s - 2][j - 1].cols[vi]
+                for ti, c in targets.items():
+                    if (ti, mn) in cols:
+                        cod[r, cols[(ti, mn)]] += c
+            stack.append(cod)
+        kernels.append(_kernel_mod_p(np.concatenate(stack), p))
+    ranks = []
+    for s, d in enumerate(maps):
+        image = d @ kernels[s] % p
+        rank = len(_rref_mod_p(image.T, p)[1])
+        both = np.concatenate([kernels[s + 1], image], axis=1)
+        assert len(_rref_mod_p(both.T, p)[1]) == kernels[s + 1].shape[1], s
+        if s + 1 < len(maps):
+            assert not (maps[s + 1] @ image % p).any(), s
+        ranks.append(rank)
+    dims = [K.shape[1] for K in kernels]
+    return dims, [dims[s] - ranks[s] - (ranks[s - 1] if s else 0) for s in range(top_s)]

@@ -19,6 +19,8 @@ from unstable_e2.derivations import BarWindow
 from unstable_e2.tower import SparseMap
 from unstable_e2.unstable_modules import GradedVS
 
+from oracles import kernel_normalized_dims
+
 
 def test_sphere_space():
     S2 = builtin_space("S2", 2, 6)
@@ -209,15 +211,33 @@ def test_free_source_collapse_small():
             assert d == 0
 
 
-def test_normalized_matches_unnormalized():
-    S2 = builtin_space("S2", 2, 5)
-    S1 = builtin_space("S1", 2, 5)
-    res = cotriple_resolution(S2, 3, 5)
-    for t in (1, 2, 3, 4):
+@pytest.mark.parametrize("p,X,D,s_max,ts", [(2, "S2", 6, 3, (1, 2, 3, 4)), (3, "S3", 12, 3, (10, 11))])
+def test_restricted_complex_matches_kernel_of_codegeneracies(p, X, D, s_max, ts):
+    # the complex on nondegenerate generators against the common kernel of
+    # the codegeneracies of the full complex, at every cochain degree
+    res = cotriple_resolution(builtin_space(X, p, D), s_max, D)
+    S1 = builtin_space("S1", p, D)
+    for t in ts:
         M = suspension_target(S1, t)
-        plain = res.der_cochain_complex(M, 3).cohomology_dims(2)
-        norm = res.der_cochain_complex(M, 3, normalized=True).cohomology_dims(2)
-        assert plain == norm, t
+        cc = res.der_cochain_complex(M, s_max + 1)
+        dims, coh = kernel_normalized_dims(res, M, s_max + 1)
+        assert (cc.dims, list(cc.cohomology_dims(s_max))) == (dims, coh), t
+
+
+@pytest.mark.parametrize("p,X,s_max,D", [(2, "S2", 3, 8), (2, "K2", 3, 8), (3, "S3", 3, 12)])
+def test_degenerate_sets_are_the_degeneracy_images(p, X, s_max, D):
+    # Deg_0 is the insertion's image and Deg_j, j >= 1, that of
+    # degen_full[s - 2][j - 1]; every degeneracy column is one entry equal to 1
+    res = cotriple_resolution(builtin_space(X, p, D), s_max, D)
+    for s in range(1, s_max + 2):
+        images = [{res._insertion_index(s - 1, key) for _, key in res.V[s - 1]}]
+        for j in range(1, s):
+            cols = res.degen_full[s - 2][j - 1].cols
+            assert all(list(col.values()) == [1] for col in cols), (s, j)
+            images.append({r for col in cols for r in col})
+        assert res.degenerate[s] == images, s
+        assert res.nondegenerate[s] == sorted(set(range(len(res.V[s]))).difference(*images))
+    assert res.nondegenerate[0] == list(range(len(res.V[0])))
 
 
 def test_chart_stable_under_deeper_truncation():

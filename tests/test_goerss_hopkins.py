@@ -51,17 +51,6 @@ def test_gh_refuses_nontrivial_target():
         gh_chart(S2, K1, 1, 3, D=8, level=2)
 
 
-def test_gh_certificate():
-    S2 = builtin_space("S2", 2, 8)
-    pt = builtin_space("point", 2, 8)
-    g, cert = gh_chart(S2, pt, 1, 3, D=8, level=2, with_certificate=True)
-    assert all(c["inverse_pair"] and c["cochain_s0"] for c in cert["t"].values())
-    a = adams_chart(S2, pt, 1, 3, D=8)
-    rep = compare_charts(a, g, cert)
-    assert rep["pass"]
-    assert all(v["inverse_pair"] for v in rep["s0_certificates"].values())
-
-
 def test_compare_detects_single_cell_difference():
     a = Chart(2, "adams", 1, 3, 8, {(0, 0): 0, (0, 2): 1})
     b = Chart(2, "gh", 1, 3, 8, {(0, 0): 0, (0, 2): 1, (1, 3): 1})

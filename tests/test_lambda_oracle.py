@@ -31,6 +31,9 @@ def test_lambda_stable_range_gives_the_hopf_classes():
         ("S1", "point", {0: 1}, 3, 6),
         ("S3", "point", {0: 1}, 4, 10),
         ("S2", "S1", {0: 1, 1: 1}, 3, 8),
+        # most generators of the deeper levels are degenerate here
+        ("S2", "S1", {0: 1, 1: 1}, 4, 10),
+        ("S3", "point", {0: 1}, 5, 12),
     ],
 )
 def test_adams_chart_matches_lambda(X, Y, target_dims, s_max, t_max):
