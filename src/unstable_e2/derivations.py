@@ -1,19 +1,20 @@
-"""Derivation spaces, cochain complexes, and Andre-Quillen cohomology.
+"""Cochain complexes, the descent complex, and the windowed bar construction.
 
-Derivations out of a free unstable algebra into a square-zero module are
-free on the module generators, so every cochain group here is a plain Hom
-of graded vector spaces; the structure maps carry all the content.  Two
-computations of the same cohomology live side by side: the levelwise
-two-term complex induced by x -> x - P^0 x (whose kernel and cokernel are
-frobenius-semilinear data over the field chain), and honest cochain
-complexes of simplicial resolutions.  The two-term route renders the
-descent isomorphism checkable: kernels match classical derivation spaces
-with an explicit inverse pair of maps, and every finite-level cokernel
-class acquires an Artin-Schreier death witness at a deeper chain level.
-The 1 - frobenius block, its kernel and cokernel and its witnesses are
-computed once per (p, level) in ``tower``, which also checks the inverse
-pair on the block; this module tiles them across the coordinates of each
-degree.
+Derivations out of a free unstable algebra into a square-zero module with
+trivial action are free on the module generators (``der_free_basis``), so
+every cochain group is a plain Hom of graded vector spaces; the structure
+maps carry all the content.  ``CochainComplex`` holds such a complex and its
+cohomology; the cotriple resolution's complex is assembled in ``adams``.
+The levelwise two-term complex induced by x -> x - P^0 x computes the same
+derived derivations after base change to a chain level, and its kernel and
+cokernel are frobenius-semilinear data over the field chain.  That renders
+the descent isomorphism checkable: kernels match classical derivation
+spaces with an explicit inverse pair of maps, and every finite-level
+cokernel class acquires an Artin-Schreier death witness at a deeper chain
+level.  The 1 - frobenius block, its kernel and cokernel and its witnesses
+are computed once per (p, level) in ``tower``, which also checks the
+inverse pair on the block; this module tiles them across the coordinates
+of each degree.
 
 Every differential here is a ``tower.SparseMap``, ranked once.
 """
@@ -29,16 +30,14 @@ from .unstable_modules import GradedVS, admissible_words_b
 class CochainComplex:
     """Finite cochain complex of F_p vector spaces; d.d = 0 checked at build.
 
-    Differentials are SparseMaps; a dense matrix is converted on entry.
+    maps[s] is the differential C^s -> C^{s+1}, a SparseMap of shape
+    (dims[s + 1], dims[s]); d.d is composed sparsely.
     """
 
     def __init__(self, p, dims, maps):
         self.p = p
         self.dims = list(dims)
-        self.maps = [
-            M if isinstance(M, tower.SparseMap) else tower.SparseMap.from_dense(M, p)
-            for M in maps
-        ]
+        self.maps = list(maps)
         assert len(self.maps) == len(self.dims) - 1
         for s, M in enumerate(self.maps):
             assert M.shape == (self.dims[s + 1], self.dims[s]), (s, M.shape)
@@ -60,37 +59,8 @@ class CochainComplex:
 
 
 # ---------------------------------------------------------------------------
-# square-zero extensions and derivation spaces
+# the two-term descent complex
 # ---------------------------------------------------------------------------
-
-class SquareZero:
-    """B + M with M.M = 0: pairs (b, m) with (b,m)(b',m') = (bb', b m' + b' m).
-
-    b-components are dict-vectors over the base algebra's basis (the unit is
-    the key ()); m-components are dict-vectors over the module basis.
-    """
-
-    def __init__(self, base, module_vs: GradedVS, action=None):
-        self.base = base
-        self.p = base.p
-        self.module_vs = module_vs
-        # action: (base name, module name) -> dict module name -> coeff
-        self.action = action or {}
-
-    def mul(self, x, y):
-        (b1, m1), (b2, m2) = x, y
-        bb = self.base.mul(b1, b2)
-        mm = {}
-        for part, other in ((b1, m2), (b2, m1)):
-            for bn, c1 in part.items():
-                for mn, c2 in other.items():
-                    if bn == ():
-                        mm[mn] = (mm.get(mn, 0) + c1 * c2) % self.p
-                        continue
-                    for mn2, c3 in self.action.get((bn, mn), {}).items():
-                        mm[mn2] = (mm.get(mn2, 0) + c1 * c2 * c3) % self.p
-        return bb, {k: v for k, v in mm.items() if v}
-
 
 def der_free_basis(W: GradedVS, M: GradedVS):
     """Basis of derivations out of the free algebra on W into M: matching-degree pairs."""
@@ -100,105 +70,6 @@ def der_free_basis(W: GradedVS, M: GradedVS):
             out.append((d, w, m))
     return tuple(out)
 
-
-class DerSpace:
-    """Derivations from a free unstable algebra into a trivial-action module."""
-
-    def __init__(self, A: FreeUnstableAlgebra, M: GradedVS, check_trivial_action=None):
-        if check_trivial_action is not None and not check_trivial_action:
-            raise ValueError("derivation target must carry the trivial operation action")
-        self.basis = der_free_basis(GradedVS(A.p, _gens_by_degree(A)), M)
-
-    def dim(self):
-        return len(self.basis)
-
-
-def _gens_by_degree(A: FreeUnstableAlgebra):
-    by_deg = {}
-    for name, d in A.gens:
-        by_deg.setdefault(d, []).append(name)
-    return {d: tuple(sorted(v)) for d, v in by_deg.items()}
-
-
-def induced_on_der(f, M: GradedVS, augmentation=None, square_zero: SquareZero | None = None):
-    """Matrix of precomposition with f on derivation spaces.
-
-    f: AlgebraMap between free algebras (value_on_monomial available);
-    augmentation, when given, is {"base": algebra, "gens": {target gen:
-    base vector}} and feeds the Leibniz cross terms; the default null
-    augmentation kills every decomposable contribution.  Rows are indexed
-    by the source derivation basis, columns by the target's: the entry is
-    the ms-coefficient of the target derivation evaluated on f(generator).
-    """
-    import numpy as np
-
-    src_space = DerSpace(f.source, M)
-    tgt_space = DerSpace(f.target, M)
-    p = f.source.p
-    out = np.zeros((len(src_space.basis), len(tgt_space.basis)), dtype=np.int64)
-    fvals = {
-        ws: f.value_on_monomial(_gen_monomial(f.source, ws))
-        for ws in {ws for _, ws, _ in src_space.basis}
-    }
-    for j, (dt, wt, mt) in enumerate(tgt_space.basis):
-        for i, (ds, ws, ms) in enumerate(src_space.basis):
-            val = _derivation_on_vector(
-                f.target, fvals[ws], wt, mt, augmentation, square_zero, p
-            )
-            c = val.get(ms, 0)
-            if c:
-                out[i, j] = c % p
-    return out, src_space, tgt_space
-
-
-def _gen_monomial(A: FreeUnstableAlgebra, name):
-    return ((A.pg_index[((), name)], 1),)
-
-
-def _derivation_on_vector(A, vec, wname, mname, augmentation, square_zero, p):
-    """Evaluate the (wname -> mname) dual derivation on an algebra vector.
-
-    Extends by the Leibniz rule: on a monomial y1^e1...yr^er the value is
-    sum_j e_j phi(m / y_j) . g(y_j), where g vanishes on every polygen with
-    a nonempty word (trivial action) and phi is the augmentation.
-    """
-    out = {}
-    target_idx = A.pg_index[((), wname)]
-    for m, c in vec.items():
-        for k, (i, e) in enumerate(m):
-            if i != target_idx:
-                continue
-            rest = m[:k] + ((i, e - 1),) * (e > 1) + m[k + 1 :]
-            if rest and augmentation is None:
-                continue  # null augmentation kills decomposable cross terms
-            if not rest:
-                out[mname] = (out.get(mname, 0) + e * c) % p
-            else:
-                phi = _augment_monomial(A, rest, augmentation)
-                for bn, cb in phi.items():
-                    if bn == ():
-                        out[mname] = (out.get(mname, 0) + e * c * cb) % p
-                    elif square_zero is not None:
-                        for mn2, c3 in square_zero.action.get((bn, mname), {}).items():
-                            out[mn2] = (out.get(mn2, 0) + e * c * cb * c3) % p
-    return {k: v for k, v in out.items() if v}
-
-
-def _augment_monomial(A, m, augmentation):
-    base = augmentation["base"]
-    vec = None
-    for i, e in m:
-        w, g = A.polygens[i]
-        img = augmentation["gens"].get(g, {})
-        img = base.act_word(w, img) if w else dict(img)
-        for _ in range(e):
-            vec = dict(img) if vec is None else base.mul(vec, img)
-    return {(): 1} if vec is None else vec
-
-
-# ---------------------------------------------------------------------------
-# the two-term descent complex
-# ---------------------------------------------------------------------------
 
 def descent_two_term(V0: GradedVS, M0: GradedVS, level, p=2):
     """Kernel/cokernel F_p data of the frobenius-twisted endomorphism on Hom(V, M).
@@ -286,56 +157,6 @@ def descent_verify(V0: GradedVS, M0: GradedVS, p=2, start_level=1, max_level=tow
                         report["pass_witnesses"] = False
     report["pass"] = report["pass_dims"] and report["pass_inverse_pair"] and report["pass_witnesses"]
     return report
-
-
-# ---------------------------------------------------------------------------
-# cohomology of simplicial resolutions
-# ---------------------------------------------------------------------------
-
-def two_term_bar_der_complex(V0: GradedVS, M0: GradedVS, level, s_max, p=2):
-    """Derivations of the two-term simplicial resolution, Dold-Kan assembled.
-
-    The resolution has level s free on s+1 copies of V (one target copy,
-    s twisted copies); derivations are determined on module generators by
-    operation-equivariance, so the cochain groups are sums of copies of the
-    realized Hom space, with the twisted endomorphism entering through the
-    last face.  Its cohomology must reproduce the two-term kernel/cokernel
-    data degreewise; levels beyond 1 vanish structurally.
-    """
-    import numpy as np
-
-    n = sum(V0.dim(d) * M0.dim(d) for d in set(V0.degrees()) | set(M0.degrees()))
-    block = tower.get_tower(p).field(level).one_minus_frobenius
-    tau = np.kron(np.eye(n, dtype=np.int64), block)
-    H = tau.shape[0]
-    eye = np.eye(H, dtype=np.int64)
-    dims = [(s + 1) * H for s in range(s_max + 2)]
-    maps = []
-    for s in range(1, s_max + 2):
-        # cofaces C^{s-1} -> C^s dual to the Dold-Kan faces of the resolution
-        D = np.zeros((dims[s], dims[s - 1]), dtype=np.int64)
-        for i in range(0, s + 1):
-            sign = -1 if i % 2 else 1
-            B = np.zeros((dims[s], dims[s - 1]), dtype=np.int64)
-            if i == 0:
-                B[0:H, 0:H] = eye
-                for j in range(1, s):
-                    B[(j + 1) * H : (j + 2) * H, j * H : (j + 1) * H] = eye
-            elif i < s:
-                B[0:H, 0:H] = eye
-                for j in range(1, s):
-                    tgt = j if j <= i else j + 1
-                    B[tgt * H : (tgt + 1) * H, j * H : (j + 1) * H] = eye
-                    if j == i:
-                        B[(j + 1) * H : (j + 2) * H, j * H : (j + 1) * H] = eye
-            else:
-                B[0:H, 0:H] = eye
-                for j in range(1, s):
-                    B[j * H : (j + 1) * H, j * H : (j + 1) * H] = eye
-                B[s * H : (s + 1) * H, 0:H] = tau
-            D = (D + sign * B) % p
-        maps.append(D)
-    return CochainComplex(p, dims, maps)
 
 
 # ---------------------------------------------------------------------------

@@ -115,11 +115,12 @@ def d1_saturation_report(X: SpaceModel, Y: SpaceModel, s_max, t_max, D,
                          schedule_max=3, start_level=1, budget=500_000, resolution=None):
     """Death witnesses for every positive two-term cokernel class, per level and t.
 
-    For each resolution level s and each t, the cokernel of the two-term
-    complex at the starting chain level is nonzero; each representative must
-    become a boundary at some level within the schedule, witnessed by an
-    Artin-Schreier solution.  An exhausted schedule is inconclusive, not a
-    pass.
+    For each resolution level s and each t whose cochain group is nonzero
+    (on the nondegenerate generators, as in the chart's complex), the
+    cokernel of the two-term complex at the starting chain level is nonzero;
+    each representative must become a boundary at some level within the
+    schedule, witnessed by an Artin-Schreier solution.  An exhausted
+    schedule is inconclusive, not a pass.
     """
     res = _chart_resolution(X, Y, s_max, t_max, D, budget, resolution)
     report = {"entries": [], "pass": True, "inconclusive": False}
@@ -134,9 +135,7 @@ def d1_saturation_report(X: SpaceModel, Y: SpaceModel, s_max, t_max, D,
     for t in range(1, t_max + 1):
         M = suspension_target(Y, t)
         for s in range(0, s_max + 1):
-            n = sum(
-                len(M.basis.get(d, ())) for d, _ in res.V[s]
-            )
+            n = sum(len(M.basis.get(res.V[s][vi][0], ())) for vi in res.nondegenerate[s])
             if n == 0:
                 continue
             # one representative family per coordinate; witnesses coincide

@@ -20,7 +20,8 @@ per prime, on Python-int bitsets at p = 2.  The only dense matrices are
 the field-level blocks and embeddings, at most 24 x 24, kept as tuples of
 row tuples; rref, kernels, cokernels and solves on them are plain Python and
 accept any nested int sequence, numpy arrays included.  Nothing here needs
-numpy except SparseMap.toarray, which imports it when called.
+numpy: SparseMap.__array_function__ imports it only when numpy itself calls
+the hook, so that count_nonzero on a map counts its stored entries.
 
 Everything here is immutable after construction and safe to share.
 """
@@ -143,24 +144,13 @@ class SparseMap:
     holding only nonzero coefficients reduced mod p.  `size` counts the
     stored entries and `nbytes` the memory the columns hold; numpy's
     count_nonzero is answered without densifying, and no other numpy
-    function accepts the map (toarray() gives the dense matrix).
+    function accepts the map.
     """
 
     def __init__(self, nrows, cols, p):
         self.shape = (nrows, len(cols))
         self.cols = cols
         self.p = p
-
-    @classmethod
-    def from_dense(cls, M, p):
-        """The map of an integer matrix (any values, reduced mod p)."""
-        rows, ncols = _dense(M, p)
-        cols = [{} for _ in range(ncols)]
-        for r, row in enumerate(rows):
-            for j, c in enumerate(row):
-                if c:
-                    cols[j][r] = c
-        return cls(len(rows), cols, p)
 
     @property
     def size(self):
@@ -190,15 +180,6 @@ class SparseMap:
             col == {j: 1} for j, col in enumerate(self.cols)
         )
 
-    def toarray(self):
-        import numpy as np
-
-        M = np.zeros(self.shape, dtype=np.int64)
-        for j, col in enumerate(self.cols):
-            for r, c in col.items():
-                M[r, j] = c
-        return M
-
 
 def matmul_mod(A, B, p):
     """The composite A . B of two SparseMaps over F_p, one column of B at a time."""
@@ -213,13 +194,11 @@ def matmul_mod(A, B, p):
 
 
 def rank(M, p):
-    """Rank over F_p of a SparseMap or of an integer matrix (converted on entry).
+    """Rank over F_p of a SparseMap.
 
     Column elimination with the pivot on each column's lowest row: bitsets
     at p = 2 (gf2_rank), {row: coeff} columns at odd p.
     """
-    if not isinstance(M, SparseMap):
-        M = SparseMap.from_dense(M, p)
     if p == 2:
         return gf2_rank(M)
     pivots = {}  # lowest row -> reduced column, scaled to 1 there

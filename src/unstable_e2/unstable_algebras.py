@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 
 from . import steenrod as st
-from .unstable_modules import FTUnstableModule, GradedVS, _gen_pairs, admissible_words_a
+from .unstable_modules import FTUnstableModule, _gen_pairs, admissible_words_a
 
 
 class DegreeCapExceeded(Exception):
@@ -480,7 +480,7 @@ class FTAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# algebra maps and the monad structure
+# algebra maps
 # ---------------------------------------------------------------------------
 
 def extend_algebra_map(source: FreeUnstableAlgebra, target, gen_images):
@@ -512,82 +512,3 @@ def extend_algebra_map(source: FreeUnstableAlgebra, target, gen_images):
             vec = part if vec is None else target.mul(vec, part)
         out[m] = vec if vec is not None else {}
     return out
-
-
-class AlgebraMap:
-    """Map of unstable algebras given on the source's polynomial generators."""
-
-    def __init__(self, source: FreeUnstableAlgebra, target, pg_images):
-        self.source = source
-        self.target = target
-        self.pg_images = pg_images  # list of target vectors, one per source polygen
-
-    @classmethod
-    def from_generator_images(cls, source, target, gen_images):
-        pgs = [target.act_word(w, gen_images[g]) for w, g in source.polygens]
-        return cls(source, target, pgs)
-
-    def value_on_monomial(self, m):
-        vec = {(): 1} if hasattr(self.target, "pg_index") else {}
-        first = True
-        for i, e in m:
-            part = self.pg_images[i]
-            cur = part
-            for _ in range(e - 1):
-                cur = self.target.mul(cur, part)
-            vec = cur if first else self.target.mul(vec, cur)
-            first = False
-        if first:
-            raise ValueError("unit monomial has no reduced image")
-        return vec
-
-    def matrix(self, d, target_basis):
-        """Matrix on degree-d bases (rows = target basis elements)."""
-        import numpy as np
-
-        rows = {b: i for i, b in enumerate(target_basis)}
-        src = self.source.basis(d)
-        M = np.zeros((len(target_basis), len(src)), dtype=np.int64)
-        for j, m in enumerate(src):
-            for b, c in self.value_on_monomial(m).items():
-                M[rows[b], j] = c % self.source.p
-        return M
-
-    def validate(self, letters=None):
-        """Check operation-compatibility on each polygen for the given letters.
-
-        Returns a list of violations (letter, polygen index) with both sides.
-        """
-        p = self.source.p
-        letters = letters or ([(0, s) for s in range(1, 5)] + ([(1, 0)] if p != 2 else []))
-        bad = []
-        for i, (w, g) in enumerate(self.source.polygens):
-            for eps, s in letters:
-                d_img = self.source.pg_degree[i] + st.letter_degree((eps, s), p)
-                if d_img > min(self.source.D, getattr(self.target, "D", self.source.D)):
-                    continue
-                lhs_vec = self.source.op_on_polygen(eps, s, i)
-                lhs = {}
-                for m, c in lhs_vec.items():
-                    for b, c2 in (self.value_on_monomial(m) if m else {}).items():
-                        lhs[b] = (lhs.get(b, 0) + c * c2) % p
-                rhs = self.target.act_word(((eps, s),), self.pg_images[i])
-                lhs = {k: v for k, v in lhs.items() if v}
-                rhs = {k: v for k, v in rhs.items() if v}
-                if lhs != rhs:
-                    bad.append(((eps, s), i, lhs, rhs))
-        return bad
-
-
-def monad_unit_matrix(W: GradedVS, A: FreeUnstableAlgebra, d):
-    """Matrix of the generator insertion W -> G(W) in degree d."""
-    import numpy as np
-
-    src = W.basis.get(d, ())
-    tgt = A.basis(d)
-    rows = {m: i for i, m in enumerate(tgt)}
-    M = np.zeros((len(tgt), len(src)), dtype=np.int64)
-    for j, name in enumerate(src):
-        mono = ((A.pg_index[((), name)], 1),)
-        M[rows[mono], j] = 1
-    return M

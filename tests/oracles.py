@@ -4,9 +4,11 @@ Everything here recomputes from first principles, staying off the code
 paths it checks: raw sequence enumeration instead of structured DFS,
 generating-function coefficient extraction instead of monomial bases, a
 standalone 16-element field instead of the chain, the unstable Lambda
-algebra instead of the cotriple resolution, and the common kernel of the
+algebra instead of the cotriple resolution, the common kernel of the
 codegeneracies, by dense elimination, instead of the degenerate generators
-read off the monomials.
+read off the monomials, and the two-term resolution's cochains, assembled
+and ranked densely, instead of the two-term descent complex.  The dense
+adapters (``dense``, ``sparse``) let tests write maps as numpy literals.
 """
 
 import functools
@@ -14,6 +16,24 @@ import itertools
 import math
 
 import numpy as np
+
+from unstable_e2 import tower
+
+
+def dense(S):
+    """The int64 matrix of a tower.SparseMap."""
+    M = np.zeros(S.shape, dtype=np.int64)
+    for j, col in enumerate(S.cols):
+        for r, c in col.items():
+            M[r, j] = c
+    return M
+
+
+def sparse(M, p):
+    """The tower.SparseMap of an integer matrix (any values, reduced mod p)."""
+    M = np.asarray(M, dtype=np.int64) % p
+    cols = [{int(r): int(M[r, j]) for r in np.flatnonzero(M[:, j])} for j in range(M.shape[1])]
+    return tower.SparseMap(M.shape[0], cols, p)
 
 
 def brute_force_admissible(p, word_deg, excess_cap):
@@ -400,3 +420,88 @@ def kernel_normalized_dims(res, M, top_s):
         ranks.append(rank)
     dims = [K.shape[1] for K in kernels]
     return dims, [dims[s] - ranks[s] - (ranks[s - 1] if s else 0) for s in range(top_s)]
+
+
+# ---------------------------------------------------------------------------
+# the two-term resolution, Dold-Kan assembled
+# ---------------------------------------------------------------------------
+
+def two_term_bar_der_cohomology(V0, M0, level, s_max, p=2):
+    """H^0..H^s_max of the derivations of the two-term simplicial resolution.
+
+    The resolution has level s free on s + 1 copies of V (one target copy,
+    s twisted copies); derivations are determined on module generators by
+    operation-equivariance, so the cochain groups are sums of copies of the
+    realized Hom space, with the twisted endomorphism (the chain level's
+    1 - frobenius block, tiled over the Hom coordinates) entering through
+    the last face.  The cofaces are assembled densely and ranked by
+    _rref_mod_p; every composite of two is asserted to vanish.
+    """
+    n = sum(V0.dim(d) * M0.dim(d) for d in set(V0.degrees()) | set(M0.degrees()))
+    block = np.array(tower.get_tower(p).field(level).one_minus_frobenius, dtype=np.int64)
+    tau = np.kron(np.eye(n, dtype=np.int64), block)
+    H = tau.shape[0]
+    eye = np.eye(H, dtype=np.int64)
+    dims = [(s + 1) * H for s in range(s_max + 2)]
+    maps = []
+    for s in range(1, s_max + 2):
+        # cofaces C^{s-1} -> C^s dual to the Dold-Kan faces of the resolution
+        D = np.zeros((dims[s], dims[s - 1]), dtype=np.int64)
+        for i in range(0, s + 1):
+            sign = -1 if i % 2 else 1
+            B = np.zeros((dims[s], dims[s - 1]), dtype=np.int64)
+            B[0:H, 0:H] = eye
+            if i == 0:
+                for j in range(1, s):
+                    B[(j + 1) * H : (j + 2) * H, j * H : (j + 1) * H] = eye
+            elif i < s:
+                for j in range(1, s):
+                    tgt = j if j <= i else j + 1
+                    B[tgt * H : (tgt + 1) * H, j * H : (j + 1) * H] = eye
+                    if j == i:
+                        B[(j + 1) * H : (j + 2) * H, j * H : (j + 1) * H] = eye
+            else:
+                for j in range(1, s):
+                    B[j * H : (j + 1) * H, j * H : (j + 1) * H] = eye
+                B[s * H : (s + 1) * H, 0:H] = tau
+            D = (D + sign * B) % p
+        maps.append(D)
+    for s in range(len(maps) - 1):
+        assert not (maps[s + 1] @ maps[s] % p).any(), s
+    ranks = [len(_rref_mod_p(D, p)[1]) for D in maps]
+    return tuple(dims[s] - ranks[s] - (ranks[s - 1] if s else 0) for s in range(s_max + 1))
+
+
+# ---------------------------------------------------------------------------
+# operation-compatibility of an algebra map
+# ---------------------------------------------------------------------------
+
+def algebra_map_violations(source, target, images, letters=None):
+    """Polynomial generators on which an algebra map fails to commute with operations.
+
+    images is an extend_algebra_map result, {source basis monomial: target
+    vector}.  For each polynomial generator y of the source and each letter
+    theta (Sq^1..Sq^4 or P^1..P^4, plus the Bockstein at odd p) whose image
+    degree stays within both truncations, f(theta y) is read off the images
+    of the monomials of theta y and compared with theta f(y) in the target.
+    Returns one (letter, polygen index, f(theta y), theta f(y)) per failure.
+    """
+    p = source.p
+    letters = letters or ([(0, s) for s in range(1, 5)] + ([(1, 0)] if p != 2 else []))
+    top = min(source.D, getattr(target, "D", source.D))
+    bad = []
+    for i in range(len(source.polygens)):
+        for eps, s in letters:
+            if source.pg_degree[i] + (s if p == 2 else 2 * (p - 1) * s + eps) > top:
+                continue
+            letter = (eps, s)
+            lhs = {}
+            for m, c in source.op_on_polygen(*letter, i).items():
+                for b, c2 in (images[m] if m else {}).items():
+                    lhs[b] = (lhs.get(b, 0) + c * c2) % p
+            rhs = target.act_word((letter,), images[((i, 1),)])
+            lhs = {k: v for k, v in lhs.items() if v}
+            rhs = {k: v for k, v in rhs.items() if v}
+            if lhs != rhs:
+                bad.append((letter, i, lhs, rhs))
+    return bad

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from unstable_e2 import goerss_hopkins
-from unstable_e2.adams import Chart, ChartError, adams_chart, builtin_space, cotriple_resolution
+from unstable_e2.adams import (
+    Chart,
+    ChartError,
+    adams_chart,
+    builtin_space,
+    cotriple_resolution,
+    suspension_target,
+)
 from unstable_e2.goerss_hopkins import compare_charts, d1_saturation_report, gh_chart
 from unstable_e2.tower import get_tower
 
@@ -76,6 +83,22 @@ def test_saturation_witnesses_within_schedule():
     assert rep["entries"]
     assert all(e["death_level"] == 2 for e in rep["entries"])
     assert all(e["witness"] is not None for e in rep["entries"])
+
+
+def test_saturation_entries_are_the_nonzero_cochain_groups():
+    # one entry per nonzero cochain group of the chart's complex, sized as it
+    # is; the degenerate generators of V[s] are not cochains
+    S2 = builtin_space("S2", 2, 10)
+    S1 = builtin_space("S1", 2, 10)
+    res = cotriple_resolution(S2, 2, 10)
+    rep = d1_saturation_report(S2, S1, 2, 6, D=10, schedule_max=3, resolution=res)
+    groups = {}
+    for t in range(1, 7):
+        dims = res.der_cochain_complex(suspension_target(S1, t), 2).dims
+        groups.update({(s, t): n for s, n in enumerate(dims) if n})
+    assert all(e["coords"] for e in rep["entries"])
+    assert {(e["s"], e["t"]): e["coords"] for e in rep["entries"]} == groups
+    assert len(rep["entries"]) == len(groups) == 11 and sum(groups.values()) == 56
 
 
 def test_saturation_inconclusive_when_schedule_short():

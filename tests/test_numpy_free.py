@@ -8,6 +8,7 @@ the exit codes, the outputs against the same commands run here, and the
 library results against known values.
 """
 
+import ast
 import contextlib
 import io
 import json
@@ -109,3 +110,24 @@ def test_commands_and_library_calls_run_without_numpy(tmp_path, monkeypatch):
     assert got["descent"] == [[True, [2]], [True, [3]]]
     assert got["bar"] == [True, 1, 0, 1, 1, 1, 2]
     assert got["hilbert"] == [1, 0, 1, 1, 1, 2, 2, 2]
+
+
+def test_numpy_is_imported_only_by_the_count_nonzero_hook():
+    # an ast scan of the package: the one numpy import sits in the hook that
+    # answers np.count_nonzero on a SparseMap, which runs only under numpy
+    found = []
+
+    def visit(node, scope, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,), name)
+                continue
+            modules = ([a.name for a in child.names] if isinstance(child, ast.Import)
+                       else [child.module or ""] if isinstance(child, ast.ImportFrom) else [])
+            if any(m.split(".")[0] == "numpy" for m in modules):
+                found.append((name, ".".join(scope)))
+            visit(child, scope, name)
+
+    for path in sorted((SRC / "unstable_e2").glob("*.py")):
+        visit(ast.parse(path.read_text()), (), path.name)
+    assert found == [("tower.py", "SparseMap.__array_function__")]
