@@ -642,47 +642,28 @@ def _algebra_map_consistent(X: SpaceModel, Y: SpaceModel, gen_images):
         gm = X.gen_monomials.get(nm)
         if gm is None:
             return False
-        vec = {"1": 1}
+        vec = None
         for g, e in gm:
             gv = gen_images[g]
             for _ in range(e):
-                vec = _mul_with_unit(Y.algebra, vec, dict(gv, **{}))
-        vec.pop("1", None)
-        val[nm] = vec
+                vec = gv if vec is None else Y.algebra.mul(vec, gv)
+        val[nm] = vec if vec is not None else {}
     # operations
     for letter, cols in X.algebra.module.action.items():
         for nm, col in cols.items():
             lhs = {}
             for n2, c in col.items():
-                for n3, c2 in val[n2].items():
-                    lhs[n3] = (lhs.get(n3, 0) + c * c2) % p
-            rhs = Y.algebra.act_word((letter,), val[nm])
-            if {k: v for k, v in lhs.items() if v} != {k: v for k, v in rhs.items() if v}:
+                tower.add_scaled(lhs, val[n2], c, p)
+            if lhs != Y.algebra.act_word((letter,), val[nm]):
                 return False
     # products on table pairs
     for (a, b), col in X.algebra.products.items():
         lhs = {}
         for n2, c in col.items():
-            for n3, c2 in val[n2].items():
-                lhs[n3] = (lhs.get(n3, 0) + c * c2) % p
-        rhs = Y.algebra.mul(val[a], val[b])
-        if {k: v for k, v in lhs.items() if v} != {k: v for k, v in rhs.items() if v}:
+            tower.add_scaled(lhs, val[n2], c, p)
+        if lhs != Y.algebra.mul(val[a], val[b]):
             return False
     return True
-
-
-def _mul_with_unit(alg, v1, v2):
-    out = {}
-    for a, c1 in v1.items():
-        for b, c2 in v2.items():
-            if a == "1":
-                out[b] = (out.get(b, 0) + c1 * c2) % alg.p
-            elif b == "1":
-                out[a] = (out.get(a, 0) + c1 * c2) % alg.p
-            else:
-                for n, c in alg.mul_names(a, b).items():
-                    out[n] = (out.get(n, 0) + c1 * c2 * c) % alg.p
-    return {k: v for k, v in out.items() if v}
 
 
 # ---------------------------------------------------------------------------

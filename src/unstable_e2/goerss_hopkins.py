@@ -112,26 +112,26 @@ def compare_charts(a: Chart, b: Chart):
 
 
 def d1_saturation_report(X: SpaceModel, Y: SpaceModel, s_max, t_max, D,
-                         schedule_max=3, start_level=1, budget=500_000, resolution=None):
+                         schedule_max=3, budget=500_000, resolution=None):
     """Death witnesses for every positive two-term cokernel class, per level and t.
 
     For each resolution level s and each t whose cochain group is nonzero
     (on the nondegenerate generators, as in the chart's complex), the
-    cokernel of the two-term complex at the starting chain level is nonzero;
+    cokernel of the two-term complex at chain level 1 is nonzero;
     each representative must become a boundary at some level within the
     schedule, witnessed by an Artin-Schreier solution.  An exhausted
     schedule is inconclusive, not a pass.
     """
     res = _chart_resolution(X, Y, s_max, t_max, D, budget, resolution)
     report = {"entries": [], "pass": True, "inconclusive": False}
-    if schedule_max <= start_level:
+    if schedule_max <= 1:
         report["inconclusive"] = True
         report["pass"] = False
         report["reason"] = (
-            f"schedule max {schedule_max} cannot witness deaths from level {start_level}"
+            f"schedule max {schedule_max} cannot witness deaths from level 1"
         )
         return report
-    witnesses = tower.cokernel_witnesses(X.p, start_level)
+    witnesses = tower.cokernel_witnesses(X.p, 1)
     for t in range(1, t_max + 1):
         M = suspension_target(Y, t)
         for s in range(0, s_max + 1):

@@ -25,6 +25,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+from .tower import add_scaled
+
 FLAVOR_A = "A"
 FLAVOR_B = "B"
 
@@ -296,7 +298,7 @@ class AdemContext:
                 memo[w] = front
             if len(tail) == 1 and c == 1:
                 return front
-            _add_scaled(result, front, c, p)
+            add_scaled(result, front, c, p)
         return result
 
     def _apply_pair(self, word, i):
@@ -319,18 +321,8 @@ class AdemContext:
                 new = normalize_word_a(new, p)
                 if new is None:
                     continue
-            _add_scaled(result, self.rewrite(new), c, p)
+            add_scaled(result, self.rewrite(new), c, p)
         return result
-
-
-def _add_scaled(result, terms, c, p):
-    """result += c * terms, mod p, keeping only nonzero coefficients."""
-    for w, c2 in terms.items():
-        v = (result.get(w, 0) + c * c2) % p
-        if v:
-            result[w] = v
-        elif w in result:
-            del result[w]
 
 
 _contexts = {}
@@ -387,15 +379,13 @@ class OpElement:
     def __add__(self, other):
         assert self.p == other.p and self.flavor == other.flavor
         t = dict(self.terms)
-        for w, c in other.terms.items():
-            t[w] = (t.get(w, 0) + c) % self.p
+        add_scaled(t, other.terms, 1, self.p)
         return OpElement(self.p, self.flavor, t)
 
     def __sub__(self, other):
         assert self.p == other.p and self.flavor == other.flavor
         t = dict(self.terms)
-        for w, c in other.terms.items():
-            t[w] = (t.get(w, 0) - c) % self.p
+        add_scaled(t, other.terms, -1, self.p)
         return OpElement(self.p, self.flavor, t)
 
     def __eq__(self, other):
@@ -423,7 +413,7 @@ def adem_rewrite(x, window=None):
         return OpElement._homogeneous(x.p, x.flavor, terms)
     out = {}
     for w, c in x.terms.items():
-        _add_scaled(out, ctx.rewrite(w), c, x.p)
+        add_scaled(out, ctx.rewrite(w), c, x.p)
     # rewriting keeps the degree, so the terms need no homogeneity check
     return OpElement._homogeneous(x.p, x.flavor, out)
 
@@ -440,7 +430,7 @@ def multiply(a, b, window=None):
                 w = normalize_word_a(w, a.p)
                 if w is None:
                     continue
-            _add_scaled(out, ctx.rewrite(w), ca * cb, a.p)
+            add_scaled(out, ctx.rewrite(w), ca * cb, a.p)
     return OpElement(a.p, a.flavor, out)
 
 

@@ -16,12 +16,15 @@ block.  Callers tile the block across their coordinates.
 
 Every structure map and differential is a SparseMap ({row: coeff}
 columns), composed by matmul_mod and ranked by rank: one column elimination
-per prime, on Python-int bitsets at p = 2.  The only dense matrices are
-the field-level blocks and embeddings, at most 24 x 24, kept as tuples of
-row tuples; rref, kernels, cokernels and solves on them are plain Python and
-accept any nested int sequence, numpy arrays included.  Nothing here needs
-numpy: SparseMap.__array_function__ imports it only when numpy itself calls
-the hook, so that count_nonzero on a map counts its stored entries.
+per prime, on Python-int bitsets at p = 2.  add_scaled (acc += c * vec mod
+p, keeping only nonzero residues) is the one update rule for sparse vectors
+({key: coeff} dicts): SparseMap columns, Adem rewrites, and module and
+algebra elements.  The only dense matrices are the field-level blocks and
+embeddings, at most 24 x 24, kept as tuples of row tuples; rref, kernels,
+cokernels and solves on them are plain Python and accept any nested int
+sequence, numpy arrays included.  Nothing here needs numpy:
+SparseMap.__array_function__ imports it only when numpy itself calls the
+hook, so that count_nonzero on a map counts its stored entries.
 
 Everything here is immutable after construction and safe to share.
 """
@@ -181,15 +184,28 @@ class SparseMap:
         )
 
 
+def add_scaled(acc, vec, c, p):
+    """acc += c * vec over F_p, in place, for sparse vectors {key: coeff}.
+
+    acc keeps only nonzero residues mod p: a key whose sum cancels is
+    deleted, and a zero entry of vec is never inserted.
+    """
+    for k, x in vec.items():
+        v = (acc.get(k, 0) + c * x) % p
+        if v:
+            acc[k] = v
+        elif k in acc:
+            del acc[k]
+
+
 def matmul_mod(A, B, p):
     """The composite A . B of two SparseMaps over F_p, one column of B at a time."""
     out = []
     for col in B.cols:
         acc = {}
         for k, c in col.items():
-            for r, c2 in A.cols[k].items():
-                acc[r] = (acc.get(r, 0) + c * c2) % p
-        out.append({r: c for r, c in acc.items() if c})
+            add_scaled(acc, A.cols[k], c, p)
+        out.append(acc)
     return SparseMap(A.shape[0], out, p)
 
 
@@ -211,13 +227,7 @@ def rank(M, p):
                 inv = pow(v[r], p - 2, p)
                 pivots[r] = {k: c * inv % p for k, c in v.items()}
                 break
-            c = v[r]
-            for k, pc in piv.items():
-                x = (v.get(k, 0) - c * pc) % p
-                if x:
-                    v[k] = x
-                else:
-                    del v[k]
+            add_scaled(v, piv, -v[r], p)
     return len(pivots)
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 
 from . import steenrod as st
+from .tower import add_scaled
 from .unstable_modules import FTUnstableModule, _gen_pairs, admissible_words_a
 
 
@@ -219,12 +220,7 @@ class FreeUnstableAlgebra(MonomialBasis):
         """Admissible-or-not word applied to a generator."""
         out = {}
         for w2, c2 in self._ctx.rewrite(word).items():
-            for m, c in self._classify_word(w2, gen).items():
-                v = (out.get(m, 0) + c * c2) % self.p
-                if v:
-                    out[m] = v
-                elif m in out:
-                    del out[m]
+            add_scaled(out, self._classify_word(w2, gen), c2, self.p)
         return out
 
     def op_on_polygen(self, eps, s, i):
@@ -279,12 +275,7 @@ class FreeUnstableAlgebra(MonomialBasis):
                 rest = self._power_op_part(i, e - 1, a - s * step)
                 if not rest:
                     continue
-                for m, c in self.mul(u, rest).items():
-                    v = (out.get(m, 0) + c) % self.p
-                    if v:
-                        out[m] = v
-                    elif m in out:
-                        del out[m]
+                add_scaled(out, self.mul(u, rest), 1, self.p)
         self._sq_pow_memo[key] = out
         return dict(out)
 
@@ -302,12 +293,7 @@ class FreeUnstableAlgebra(MonomialBasis):
             v = self._power_op_mono(s - a // step, rest)
             if not v:
                 continue
-            for m, c in self.mul(u, v).items():
-                w = (out.get(m, 0) + c) % self.p
-                if w:
-                    out[m] = w
-                elif m in out:
-                    del out[m]
+            add_scaled(out, self.mul(u, v), 1, self.p)
         return out
 
     def _beta_mono(self, mono):
@@ -321,17 +307,13 @@ class FreeUnstableAlgebra(MonomialBasis):
         by = self.op_on_polygen(1, 0, i)
         if by and e % self.p:
             head_rest = {((i, e - 1),): 1} if e > 1 else {(): 1}
-            part = self.mul(self.mul(by, head_rest), {rest: 1})
-            for m, c in part.items():
-                out[m] = (out.get(m, 0) + e * c) % self.p
+            add_scaled(out, self.mul(self.mul(by, head_rest), {rest: 1}), e, self.p)
         # pass beta over y^e with the sign (-1)^{e|y|}
         brest = self._beta_mono(rest)
         if brest:
             sign = -1 if (self.p != 2 and (d_i * e) % 2) else 1
-            part = self.mul({((i, e),): 1}, brest)
-            for m, c in part.items():
-                out[m] = (out.get(m, 0) + sign * c) % self.p
-        return {k: v for k, v in out.items() if v}
+            add_scaled(out, self.mul({((i, e),): 1}, brest), sign, self.p)
+        return out
 
     def act_letter(self, eps, s, vec):
         out = {}
@@ -340,15 +322,9 @@ class FreeUnstableAlgebra(MonomialBasis):
             if eps:
                 img2 = {}
                 for m, c2 in img.items():
-                    for m2, c3 in self._beta_mono(m).items():
-                        img2[m2] = (img2.get(m2, 0) + c2 * c3) % self.p
+                    add_scaled(img2, self._beta_mono(m), c2, self.p)
                 img = img2
-            for m, c2 in img.items():
-                v = (out.get(m, 0) + c * c2) % self.p
-                if v:
-                    out[m] = v
-                elif m in out:
-                    del out[m]
+            add_scaled(out, img, c, self.p)
         return out
 
     def act_word(self, word, vec):
@@ -360,13 +336,7 @@ class FreeUnstableAlgebra(MonomialBasis):
         """Action of an OpElement (flavor A) on a dict-vector."""
         out = {}
         for w, oc in op.terms.items():
-            img = self.act_word(w, vec)
-            for m, c in img.items():
-                v = (out.get(m, 0) + oc * c) % self.p
-                if v:
-                    out[m] = v
-                elif m in out:
-                    del out[m]
+            add_scaled(out, self.act_word(w, vec), oc, self.p)
         return out
 
     def gen_vector(self, name):
@@ -412,23 +382,13 @@ class FTAlgebra:
         out = {}
         for a, c1 in v1.items():
             for b, c2 in v2.items():
-                for n, c in self.mul_names(a, b).items():
-                    v = (out.get(n, 0) + c1 * c2 * c) % self.p
-                    if v:
-                        out[n] = v
-                    elif n in out:
-                        del out[n]
+                add_scaled(out, self.mul_names(a, b), c1 * c2, self.p)
         return out
 
     def act_word(self, word, vec):
         out = {}
         for n, c in vec.items():
-            for n2, c2 in self.module.act_word(word, n).items():
-                v = (out.get(n2, 0) + c * c2) % self.p
-                if v:
-                    out[n2] = v
-                elif n2 in out:
-                    del out[n2]
+            add_scaled(out, self.module.act_word(word, n), c, self.p)
         return out
 
     def basis(self, d):
@@ -436,47 +396,6 @@ class FTAlgebra:
 
     def graded_vs(self):
         return self.module.vs
-
-    # -- description file: the module format plus product lines -------------
-
-    def to_text(self):
-        lines = [self.module.to_text().rstrip("\n")]
-        for a, b in sorted(self.products):
-            col = self.products[(a, b)]
-            if not col:
-                lines.append(f"prod {a} {b} = 0")
-                continue
-            terms = " + ".join(
-                (f"{col[n]}*{n}" if col[n] != 1 else n) for n in sorted(col)
-            )
-            lines.append(f"prod {a} {b} = {terms}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text):
-        module_lines = []
-        products = {}
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line.startswith("prod "):
-                module_lines.append(raw)
-                continue
-            parts = line.split()
-            a, b, eq = parts[1], parts[2], parts[3]
-            assert eq == "="
-            rhs = " ".join(parts[4:])
-            col = {}
-            if rhs != "0":
-                for term in rhs.split("+"):
-                    term = term.strip()
-                    if "*" in term:
-                        c, n = term.split("*")
-                        col[n.strip()] = int(c)
-                    else:
-                        col[term] = 1
-            products[(a, b)] = col
-        module = FTUnstableModule.from_text("\n".join(module_lines))
-        return cls(module, products)
 
 
 # ---------------------------------------------------------------------------

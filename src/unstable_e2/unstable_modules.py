@@ -334,7 +334,7 @@ def exactness_report(V, window, p=2):
     return report
 
 
-def _stabilized_coker_dim(V, window, d, p, L, j_max=None):
+def _stabilized_coker_dim(V, window, d, p, L):
     """Eventual image of the window cokernel in ever-deeper length windows.
 
     Classes that merely chase the window edge die after finitely many
@@ -343,12 +343,11 @@ def _stabilized_coker_dim(V, window, d, p, L, j_max=None):
     non-increasing in j, and two consecutive equal values are the
     saturation witness.  Returns (rank, saturated).
     """
-    j_max = L + 3 if j_max is None else j_max
     tgt1 = free_b_basis_window(V, d, replace(window, L=L + 1), p)
     if not tgt1:
         return 0, True
     prev = None
-    for j in range(1, j_max + 1):
+    for j in range(1, L + 4):
         M2, _, tgt2 = one_minus_p0_window(V, window, d, p, length_cap=L + j)
         idx2 = {b: i for i, b in enumerate(tgt2)}
         both = tower.SparseMap(len(tgt2), [{idx2[b]: 1} for b in tgt1] + M2.cols, p)
@@ -395,9 +394,8 @@ class FTUnstableModule:
         for letter in reversed(word):
             nxt = {}
             for n, c in cur.items():
-                for n2, c2 in self.act_letter(letter, n).items():
-                    nxt[n2] = (nxt.get(n2, 0) + c * c2) % self.p
-            cur = {k: v for k, v in nxt.items() if v}
+                tower.add_scaled(nxt, self.act_letter(letter, n), c, self.p)
+            cur = nxt
         return cur
 
     def validate(self):
@@ -425,63 +423,7 @@ class FTUnstableModule:
                         w = st.normalize_word_a(key, p)
                         if w is None:
                             continue
-                        for n2, c2 in self.act_word(w, name).items():
-                            rhs[n2] = (rhs.get(n2, 0) + c * c2) % p
-                    rhs = {k: v for k, v in rhs.items() if v}
+                        tower.add_scaled(rhs, self.act_word(w, name), c, p)
                     if lhs != rhs:
                         problems.append(("adem", (e1, a, e2, b), name, lhs, rhs))
         return problems
-
-    # -- description file ---------------------------------------------------
-
-    def to_text(self):
-        lines = [f"field p={self.p}", f"truncation {self.D}"]
-        for d, n in self.vs.items():
-            lines.append(f"basis {d} {n}")
-        for letter in sorted(self.action):
-            eps, i = letter
-            tag = ("b" if eps else "") + str(i)
-            for name in sorted(self.action[letter]):
-                col = self.action[letter][name]
-                if not col:
-                    continue
-                terms = " + ".join(
-                    (f"{col[n2]}*{n2}" if col[n2] != 1 else n2) for n2 in sorted(col)
-                )
-                lines.append(f"act {tag} {name} = {terms}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text):
-        p = D = None
-        basis = {}
-        action = {}
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if parts[0] == "field":
-                p = int(parts[1].split("=")[1])
-            elif parts[0] == "truncation":
-                D = int(parts[1])
-            elif parts[0] == "basis":
-                d = int(parts[1])
-                basis.setdefault(d, []).append(parts[2])
-            elif parts[0] == "act":
-                tag, name, eq = parts[1], parts[2], parts[3]
-                assert eq == "="
-                eps = 1 if tag.startswith("b") else 0
-                i = int(tag[1:] if eps else tag)
-                col = {}
-                for term in " ".join(parts[4:]).split("+"):
-                    term = term.strip()
-                    if "*" in term:
-                        c, n2 = term.split("*")
-                        col[n2.strip()] = int(c)
-                    else:
-                        col[term] = 1
-                action.setdefault((eps, i), {})[name] = col
-            else:
-                raise ValueError(f"bad line in module description: {raw!r}")
-        return cls(p, D, {d: tuple(v) for d, v in basis.items()}, action)

@@ -226,6 +226,11 @@ def test_inhomogeneous_element_raises():
         OpElement(2, FLAVOR_A, {((0, 1),): 1, ((0, 2),): 1})
     with pytest.raises(ValueError, match="inhomogeneous"):
         OpElement(3, FLAVOR_A, {((0, 1),): 1, ((1, 1),): 2})
+    # sums and differences make the same check
+    with pytest.raises(ValueError, match="inhomogeneous"):
+        W([1]) + W([2])
+    with pytest.raises(ValueError, match="inhomogeneous"):
+        OpElement.from_word([(1, 1)], 3) - OpElement.from_word([1], 3)
     # a word whose coefficient is 0 mod p is dropped before the check
     assert OpElement(2, FLAVOR_A, {((0, 1),): 1, ((0, 2),): 2}).terms == {((0, 1),): 1}
 

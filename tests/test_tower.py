@@ -233,6 +233,19 @@ def test_sparse_map_round_trip_and_product():
         assert np.array_equal(dense(tower.matmul_mod(sa, sb, p)), (A @ B) % p)
 
 
+def test_add_scaled_keeps_only_nonzero_residues():
+    p = 5
+    acc = {"a": 1, "b": 2}
+    tower.add_scaled(acc, {"a": 4, "c": 3}, 1, p)  # a cancels: its key goes
+    assert acc == {"b": 2, "c": 3}
+    tower.add_scaled(acc, {"b": 1, "d": 2}, 10, p)  # c = 10 is 0 mod p
+    assert acc == {"b": 2, "c": 3}
+    tower.add_scaled(acc, {"b": 1, "c": 1, "g": 2}, -1, p)  # negative c
+    assert acc == {"b": 1, "c": 2, "g": 3}
+    tower.add_scaled(acc, {"b": 3, "e": 0, "f": 5}, 3, p)  # b cancels; 0 and 5 are zero
+    assert acc == {"c": 2, "g": 3}
+
+
 def test_level_two_class_dies_at_level_four_not_three():
     # the trace obstruction: a level-2 class with nonzero trace survives the
     # odd-degree step to level 3 and only dies at level 4

@@ -7,7 +7,6 @@ from unstable_e2.tower import rank
 from unstable_e2.unstable_algebras import (
     DegreeCapExceeded,
     FreeUnstableAlgebra,
-    FTAlgebra,
     MonomialBasis,
     extend_algebra_map,
 )
@@ -214,16 +213,6 @@ def test_algebra_map_validate_reports_violation():
     # a degree-raising generator image: f(Sq2 i2) = f(i2^2) = b^2, not Sq2 b
     g = extend_algebra_map(A, B, {"i2": B.gen_vector("b")})
     assert ((0, 2), A.pg_index[((), "i2")]) in [bad[:2] for bad in algebra_map_violations(A, B, g)]
-
-
-def test_ft_algebra_description_roundtrip():
-    from unstable_e2.adams import builtin_space
-
-    K1 = builtin_space("K1", 2, 4)
-    text = K1.algebra.to_text()
-    again = FTAlgebra.from_text(text)
-    assert again.to_text() == text
-    assert again.module.validate() == []
 
 
 def test_monad_unit_natural_in_w():
