@@ -16,9 +16,12 @@ face maps of the level below, never through anything deeper.  The
 coboundaries are SparseMaps too, read off the face columns.  Cochains live
 on the nondegenerate generators only (the normalized complex, which has the
 same cohomology by the Dold-Kan normalization theorem): every degeneracy
-sends a basis monomial to one basis monomial with coefficient 1, so the
+sends a basis monomial to one basis monomial with coefficient +-1, so the
 degenerate generators are read off the monomials and dropped, and most
-generators of the deeper levels are degenerate.
+generators of the deeper levels are degenerate.  Faces go through the
+algebra on nondegenerate monomials only; a degenerate column is a face column
+one level down, relabelled by the simplicial identities (each simplex is a
+degeneracy of exactly one nondegenerate simplex: the Eilenberg-Zilber lemma).
 """
 
 from __future__ import annotations
@@ -270,9 +273,14 @@ class CotripleResolution:
     the full monomial basis of level s.  face_full[s][i] is the SparseMap of
     the i-th face from level s to level s-1 on monomial bases (columns are
     V[s+1], rows V[s]); degen_full[s][j] likewise for degeneracies, which
-    are built on first use, since no chart reads them.  degenerate[s][j] is
-    Deg_j(V[s]), the indices of V[s] hit by the j-th degeneracy into level
-    s, and nondegenerate[s] lists the rest: the generators cochains live on.
+    are built on first use, since no chart reads them.  G[t][j] is the j-th
+    degeneracy into level t + 1 on the generators V[t], a signed index map
+    into V[t + 1] read off the keys.  degenerate[s][j] is Deg_j(V[s]), the
+    image of G[s - 1][j], and nondegenerate[s] lists the rest: the
+    generators cochains live on.  Each face is extended through the algebra
+    on the nondegenerate monomials only, and relabelled through G on the
+    others, so face_full holds complete maps; degen_full is extended
+    independently of G, and verify_simplicial_identities checks the two.
     """
 
     def __init__(self, space: SpaceModel, s_max, D, budget=500_000):
@@ -302,7 +310,8 @@ class CotripleResolution:
         self._vidx = [
             {key: i for i, (_, key) in enumerate(vs)} for vs in self.V
         ]
-        self.degenerate = self._degenerate_sets()
+        self.G = self._degeneracies_on_generators()
+        self.degenerate = [[]] + [[{r for r, _ in G_j} for G_j in G_t] for G_t in self.G]
         self.nondegenerate = [
             [vi for vi in range(len(vs)) if not any(vi in dj for dj in deg)]
             for vs, deg in zip(self.V, self.degenerate)
@@ -312,29 +321,38 @@ class CotripleResolution:
 
     # -- construction ---------------------------------------------------------
 
-    def _degenerate_sets(self):
-        """Deg_j(V[s]) for 0 <= j < s, as sets of indices into V[s].
+    def _degeneracies_on_generators(self):
+        """G[t][j], 0 <= j <= t: the j-th degeneracy into level t + 1 on V[t].
 
-        They are read off the keys; no degeneracy map is built.  Deg_0(V[s])
-        is the image of the insertion: one polygen, the empty word, exponent
-        1.  Deg_j(V[s]), j >= 1, is the image of the degeneracy that extends
-        Deg_{j-1}(V[s-1]) multiplicatively: each polygen w(g) goes to w(s g),
-        so it is the monomials whose polygens all have their generator in
-        Deg_{j-1}(V[s-1]).
+        Each is a list over V[t] of (index into V[t + 1], sign mod p): a
+        degeneracy sends a generator to one generator, up to sign, so it is
+        read off the keys.  G[t][0] is the insertion, g -> [g].  G[t][j],
+        j >= 1, sends a monomial of level t - 1 to the product of the
+        w(G[t - 1][j - 1](g)) over its polygens w(g), re-sorted; at odd p the
+        sign collects those of the G[t - 1][j - 1](g) and the Koszul sign of
+        the re-sort.
         """
-        deg = [[]]
-        for s in range(1, len(self.V)):
-            polygens, gen_idx = self.levels[s - 1].polygens, self._vidx[s - 1]
-            sets = [set() for _ in range(s)]
-            for vi, (_, key) in enumerate(self.V[s]):
-                if len(key) == 1 and key[0][1] == 1 and polygens[key[0][0]][0] == ():
-                    sets[0].add(vi)
-                gens = {gen_idx[polygens[i][1]] for i, _ in key}
-                for j in range(1, s):
-                    if gens <= deg[s - 1][j - 1]:
-                        sets[j].add(vi)
-            deg.append(sets)
-        return deg
+        G = [
+            [[(self._insertion_index(t, key), 1) for _, key in self.V[t]]]
+            for t in range(0, self.s_max + 1)
+        ]
+        for t in range(1, self.s_max + 1):
+            src, dst, gen_idx = self.levels[t - 1], self.levels[t], self._vidx[t - 1]
+            for prev in G[t - 1]:
+                # polygen w(g) -> (index of w(g'), c), where prev sends g to c g'
+                pg = [(dst.pg_index[(w, self.V[t][r][1])], c)
+                      for w, g in src.polygens for r, c in (prev[gen_idx[g]],)]
+                col = []
+                for _, key in self.V[t]:
+                    factors, sign = [(pg[i][0], e) for i, e in key], 1
+                    if self.p != 2:
+                        odd = [f for f, _ in factors if dst.pg_degree[f] % 2]
+                        sign = (-1) ** sum(a > b for k, a in enumerate(odd) for b in odd[k + 1:])
+                        for i, e in key:
+                            sign *= pg[i][1] ** e
+                    col.append((self._vidx[t + 1][tuple(sorted(factors))], sign % self.p))
+                G[t].append(col)
+        return G
 
     def _images_to_map(self, images, level_to, level_from):
         """Dict {source monomial: target vector} as a SparseMap on the V bases."""
@@ -352,22 +370,49 @@ class CotripleResolution:
         return {((pg_index[((), basis[i][1])], 1),): c for i, c in col.items()}
 
     def _build_faces(self):
+        """face_full[s][i], 0 <= i <= s <= s_max, one level at a time.
+
+        Only the nondegenerate monomials of level s go through the algebra.
+        A degenerate one, m = c G[s][j](x) with c = +-1, has its column
+        relabelled from level s - 1 by the simplicial identities (face i of
+        level s is d_{i+1} on the generators of level s + 1): c x for i in
+        {j - 1, j}, c G[s - 1][j - 1] of face i at x for i < j - 1, and
+        c G[s - 1][j] of face i - 1 at x for i > j.
+        """
+        p = self.p
         for s in range(0, self.s_max + 1):
+            lifts, seen = [], set()  # lifts[j]: (m, x, c) with m = c G[s][j](x), first j
+            for G_j in self.G[s]:
+                lifts.append([(m, x, c) for x, (m, c) in enumerate(G_j) if m not in seen])
+                seen.update(m for m, _ in G_j)
+            nondeg = [self.V[s + 1][vi][1] for vi in self.nondegenerate[s + 1]]
+            gens = {self.levels[s].polygens[k][1] for m in nondeg for k, _ in m}
+            rows = self._vidx[s]
             maps = []
-            source = self.levels[s]
             for i in range(0, s + 1):
                 if i == 0:
                     target = self.space.algebra if s == 0 else self.levels[s - 1]
-                    gen_images = {key: {key: 1} for _, key in self.V[s]}
+                    gen_images = {key: {key: 1} for key in gens}
                 else:
                     prev = self.face_full[s - 1][i - 1]
                     target = self.levels[s - 1]
-                    gen_images = {
-                        key: self._gen_vec(prev.cols[j], s - 1)
-                        for j, (_, key) in enumerate(self.V[s])
-                    }
-                images = extend_algebra_map(source, target, gen_images)
-                maps.append(self._images_to_map(images, s, s + 1))
+                    gen_images = {key: self._gen_vec(prev.cols[rows[key]], s - 1) for key in gens}
+                images = extend_algebra_map(self.levels[s], target, gen_images, nondeg)
+                cols = [None] * len(self.V[s + 1])
+                for vi, m in zip(self.nondegenerate[s + 1], nondeg):
+                    cols[vi] = {rows[key]: c % p for key, c in images[m].items() if c % p}
+                for j, lifts_j in enumerate(lifts):
+                    if i in (j - 1, j):
+                        for m, x, c in lifts_j:
+                            cols[m] = {x: c}
+                        continue
+                    if i < j - 1:
+                        F, g = self.face_full[s - 1][i].cols, self.G[s - 1][j - 1]
+                    else:
+                        F, g = self.face_full[s - 1][i - 1].cols, self.G[s - 1][j]
+                    for m, x, c in lifts_j:
+                        cols[m] = {g[r][0]: c * g[r][1] * v % p for r, v in F[x].items()}
+                maps.append(tower.SparseMap(len(self.V[s]), cols, p))
             self.face_full.append(maps)
 
     @cached_property
@@ -455,11 +500,12 @@ class CotripleResolution:
         This is the normalized complex: the cochains that vanish on every
         degenerate generator.  By the Dold-Kan normalization theorem it has
         the cohomology of the full complex, and since each degeneracy sends a
-        basis monomial to one basis monomial with coefficient 1, it is the full
-        complex with the degenerate rows and columns dropped.  Each coboundary
-        is a SparseMap built column by column.  m_act(word) may supply the
-        operation action on M as a dict-of-dicts matrix {m_name: {m_name2:
-        coeff}}; None means the trivial action.
+        basis monomial to one basis monomial with coefficient +-1 (a sign
+        spans the same line), it is the full complex with the degenerate rows
+        and columns dropped.  Each coboundary is a SparseMap built column by
+        column.  m_act(word) may supply the operation action on M as a
+        dict-of-dicts matrix {m_name: {m_name2: coeff}}; None means the
+        trivial action.
         """
         p = self.p
         if top_s > self.s_max + 1:

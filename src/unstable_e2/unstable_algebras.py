@@ -402,29 +402,31 @@ class FTAlgebra:
 # algebra maps
 # ---------------------------------------------------------------------------
 
-def extend_algebra_map(source: FreeUnstableAlgebra, target, gen_images):
+def extend_algebra_map(source: FreeUnstableAlgebra, target, gen_images, monomials=None):
     """Multiplicative, operation-compatible extension of generator images.
 
     target implements mul/act_word over dict-vectors; gen_images maps each
     module generator name of the source to a target vector.  Returns a dict
-    {source basis monomial: target vector} covering every reduced degree.
+    {source basis monomial: target vector} on the given source basis
+    monomials, or on every reduced one when monomials is None.  A polygen's
+    image w(f(g)) is computed only when a requested monomial contains it.
     """
-    pg_images = []
-    for w, g in source.polygens:
-        pg_images.append(target.act_word(w, gen_images[g]))
     pow_memo = {}
 
     def pg_power(i, e):
         key = (i, e)
         if key not in pow_memo:
             if e == 1:
-                pow_memo[key] = pg_images[i]
+                w, g = source.polygens[i]
+                pow_memo[key] = target.act_word(w, gen_images[g])
             else:
-                pow_memo[key] = target.mul(pg_power(i, e - 1), pg_images[i])
+                pow_memo[key] = target.mul(pg_power(i, e - 1), pg_power(i, 1))
         return pow_memo[key]
 
+    if monomials is None:
+        monomials = (m for _, m in source.reduced_basis_items())
     out = {}
-    for d, m in source.reduced_basis_items():
+    for m in monomials:
         vec = None
         for i, e in m:
             part = pg_power(i, e)

@@ -7,8 +7,9 @@ standalone 16-element field instead of the chain, the unstable Lambda
 algebra instead of the cotriple resolution, the common kernel of the
 codegeneracies, by dense elimination, instead of the degenerate generators
 read off the monomials, and the two-term resolution's cochains, assembled
-and ranked densely, instead of the two-term descent complex.  The dense
-adapters (``dense``, ``sparse``) let tests write maps as numpy literals.
+and ranked densely, instead of the two-term descent complex, and the
+resolution's faces extended through the algebra on every monomial instead
+of relabelled on the degenerate ones.  The dense adapters (``dense``, ``sparse``) let tests write maps as numpy literals.
 """
 
 import functools
@@ -18,6 +19,7 @@ import math
 import numpy as np
 
 from unstable_e2 import tower
+from unstable_e2.unstable_algebras import extend_algebra_map
 
 
 def dense(S):
@@ -300,6 +302,37 @@ def lambda_chart(n, target_dims, s_max, t_max):
             if dim:
                 out[(s, t)] = dim
     return out
+
+
+# ---------------------------------------------------------------------------
+# the faces of a cotriple resolution, extended on every monomial
+# ---------------------------------------------------------------------------
+
+def full_faces(res):
+    """The faces of a cotriple resolution, every column extended through the algebra.
+
+    Face 0 of level s evaluates the generators of level s in level s - 1
+    (in the base algebra at s = 0); face i >= 1 extends face i - 1 of level
+    s - 1, as built here, multiplicatively.  No degeneracy is used.
+    Returns SparseMaps indexed like res.face_full.
+    """
+    faces = []
+    for s in range(res.s_max + 1):
+        maps = []
+        for i in range(s + 1):
+            if i == 0:
+                target = res.space.algebra if s == 0 else res.levels[s - 1]
+                gen_images = {key: {key: 1} for _, key in res.V[s]}
+            else:
+                target = res.levels[s - 1]
+                gen_images = {
+                    key: res._gen_vec(faces[s - 1][i - 1].cols[j], s - 1)
+                    for j, (_, key) in enumerate(res.V[s])
+                }
+            images = extend_algebra_map(res.levels[s], target, gen_images)
+            maps.append(res._images_to_map(images, s, s + 1))
+        faces.append(maps)
+    return faces
 
 
 # ---------------------------------------------------------------------------

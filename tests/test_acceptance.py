@@ -11,7 +11,6 @@ import subprocess
 import sys
 
 import numpy as np
-import pytest
 
 from unstable_e2 import steenrod as st
 from unstable_e2.adams import (
@@ -22,7 +21,6 @@ from unstable_e2.adams import (
 )
 from unstable_e2.derivations import bar_homology_check, descent_verify
 from unstable_e2.goerss_hopkins import compare_charts, d1_saturation_report, gh_chart
-from unstable_e2.tower import rank
 from unstable_e2.unstable_algebras import FreeUnstableAlgebra
 from unstable_e2.unstable_modules import (
     GradedVS,

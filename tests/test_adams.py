@@ -6,7 +6,6 @@ from unstable_e2.adams import (
     BudgetExceeded,
     Chart,
     ChartError,
-    SpaceModel,
     adams_chart,
     builtin_space,
     chart_emit,
@@ -17,9 +16,8 @@ from unstable_e2.adams import (
 )
 from unstable_e2.derivations import BarWindow
 from unstable_e2.tower import SparseMap
-from unstable_e2.unstable_modules import GradedVS
 
-from oracles import dense, kernel_normalized_dims
+from oracles import dense, full_faces, kernel_normalized_dims
 
 
 def test_sphere_space():
@@ -226,20 +224,43 @@ def test_restricted_complex_matches_kernel_of_codegeneracies(p, X, D, s_max, ts)
         assert (cc.dims, list(cc.cohomology_dims(s_max))) == (dims, coh), t
 
 
-@pytest.mark.parametrize("p,X,s_max,D", [(2, "S2", 3, 8), (2, "K2", 3, 8), (3, "S3", 3, 12)])
+@pytest.mark.parametrize(
+    "p,X,s_max,D", [(2, "S2", 3, 8), (2, "K2", 3, 8), (3, "S3", 3, 12), (3, "K1", 2, 6)]
+)
 def test_degenerate_sets_are_the_degeneracy_images(p, X, s_max, D):
-    # Deg_0 is the insertion's image and Deg_j, j >= 1, that of
-    # degen_full[s - 2][j - 1]; every degeneracy column is one entry equal to 1
+    # G[t][0] is the insertion and G[t][j], j >= 1, is degen_full[t - 1][j - 1]
+    # with its sign: every degeneracy column is one entry, +-1 (at odd p a
+    # re-sort of odd-degree polygens gives -1, as on K1).  Deg_0 is the
+    # insertion's image and Deg_j, j >= 1, that of degen_full[s - 2][j - 1]
     res = cotriple_resolution(builtin_space(X, p, D), s_max, D)
+    for t in range(0, s_max + 1):
+        assert res.G[t][0] == [(res._insertion_index(t, key), 1) for _, key in res.V[t]]
+        for j in range(1, t + 1):
+            assert [{r: c} for r, c in res.G[t][j]] == res.degen_full[t - 1][j - 1].cols, (t, j)
     for s in range(1, s_max + 2):
         images = [{res._insertion_index(s - 1, key) for _, key in res.V[s - 1]}]
         for j in range(1, s):
-            cols = res.degen_full[s - 2][j - 1].cols
-            assert all(list(col.values()) == [1] for col in cols), (s, j)
-            images.append({r for col in cols for r in col})
+            images.append({r for col in res.degen_full[s - 2][j - 1].cols for r in col})
         assert res.degenerate[s] == images, s
         assert res.nondegenerate[s] == sorted(set(range(len(res.V[s]))).difference(*images))
     assert res.nondegenerate[0] == list(range(len(res.V[0])))
+
+
+@pytest.mark.parametrize(
+    "p,X,s_max,D", [(2, "S2", 3, 8), (2, "K2", 3, 8), (3, "S3", 3, 12), (3, "K1", 3, 6)]
+)
+def test_faces_match_full_extension(p, X, s_max, D):
+    # degenerate columns are relabelled through the simplicial identities;
+    # the reference extends every column through the algebra.  At p = 3, K1
+    # has degeneracy columns of coefficient -1
+    res = cotriple_resolution(builtin_space(X, p, D), s_max, D)
+    assert res.verify_simplicial_identities() == []
+    full = full_faces(res)
+    for s, maps in enumerate(full):
+        for i, F in enumerate(maps):
+            assert res.face_full[s][i].shape == F.shape, (s, i)
+            for m, col in enumerate(F.cols):
+                assert res.face_full[s][i].cols[m] == col, (s, i, res.V[s + 1][m])
 
 
 def test_chart_stable_under_deeper_truncation():

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from unstable_e2 import steenrod as st
-from unstable_e2.tower import rank
 from unstable_e2.unstable_algebras import (
     DegreeCapExceeded,
     FreeUnstableAlgebra,

@@ -1,6 +1,5 @@
 import random
 
-import numpy as np
 import pytest
 
 from unstable_e2 import steenrod as st
