@@ -6,8 +6,10 @@ s-1.  Face maps evaluate one formal layer (the outermost face evaluates
 formal generators as elements, inner faces push the evaluation inward);
 degeneracies insert formal layers.  Face and degeneracy maps are stored as
 ``tower.SparseMap``s on monomial bases (one {row index: coeff} dict per
-source basis element, nonzero coefficients mod p only), and the simplicial
-identities are verified on demand by composing those columns.
+source basis element, nonzero coefficients mod p only).  The degeneracies
+are read off the monomial keys, never extended through the algebra; the
+tests (``tests/oracles.py``) extend faces and degeneracies through the
+algebra on every monomial and check the simplicial identities on those.
 
 Cochain groups of the derivation complex against a suspension-type target
 need only the generator data of each level, which is what makes s_max 2-3
@@ -272,15 +274,15 @@ class CotripleResolution:
     V[s] lists the generators of level s as (degree, key) pairs; V[s+1] is
     the full monomial basis of level s.  face_full[s][i] is the SparseMap of
     the i-th face from level s to level s-1 on monomial bases (columns are
-    V[s+1], rows V[s]); degen_full[s][j] likewise for degeneracies, which
-    are built on first use, since no chart reads them.  G[t][j] is the j-th
-    degeneracy into level t + 1 on the generators V[t], a signed index map
-    into V[t + 1] read off the keys.  degenerate[s][j] is Deg_j(V[s]), the
-    image of G[s - 1][j], and nondegenerate[s] lists the rest: the
-    generators cochains live on.  Each face is extended through the algebra
-    on the nondegenerate monomials only, and relabelled through G on the
-    others, so face_full holds complete maps; degen_full is extended
-    independently of G, and verify_simplicial_identities checks the two.
+    V[s+1], rows V[s]).  G[t][j] is the j-th degeneracy into level t + 1
+    on the generators V[t], a signed index map into V[t + 1] read off the
+    keys; it is the one degeneracy construction, and degen_full[s][j] is
+    G[s + 1][j + 1] as a SparseMap, built on first use since no chart reads
+    it.  degenerate[s][j] is Deg_j(V[s]), the image of G[s - 1][j], and
+    nondegenerate[s] lists the rest: the generators cochains live on.  Each
+    face is extended through the algebra on the nondegenerate monomials
+    only, and relabelled through G on the others, so face_full holds
+    complete maps.
     """
 
     def __init__(self, space: SpaceModel, s_max, D, budget=500_000):
@@ -354,16 +356,6 @@ class CotripleResolution:
                 G[t].append(col)
         return G
 
-    def _images_to_map(self, images, level_to, level_from):
-        """Dict {source monomial: target vector} as a SparseMap on the V bases."""
-        rows = self._vidx[level_to]
-        p = self.p
-        cols = [
-            {rows[key]: c % p for key, c in images[m].items() if c % p}
-            for _, m in self.V[level_from]
-        ]
-        return tower.SparseMap(len(self.V[level_to]), cols, p)
-
     def _gen_vec(self, col, level_to):
         """Column over V[level_to] as a generator-combination vector in that level."""
         pg_index, basis = self.levels[level_to].pg_index, self.V[level_to]
@@ -417,80 +409,17 @@ class CotripleResolution:
 
     @cached_property
     def degen_full(self):
-        degen = []
-        for s in range(0, self.s_max):
-            maps = []
-            for j in range(0, s + 1):
-                cols = degen[s - 1][j - 1].cols if j else [
-                    {self._insertion_index(s, key): 1} for _, key in self.V[s]
-                ]
-                gen_images = {
-                    key: self._gen_vec(col, s + 1) for (_, key), col in zip(self.V[s], cols)
-                }
-                images = extend_algebra_map(self.levels[s], self.levels[s + 1], gen_images)
-                maps.append(self._images_to_map(images, s + 2, s + 1))
-            degen.append(maps)
-        return degen
+        """degen_full[s][j], 0 <= j <= s < s_max: G[s + 1][j + 1] as a SparseMap.
 
-    # -- checks -----------------------------------------------------------------
-
-    def verify_simplicial_identities(self):
-        """All identities d_i d_j = d_{j-1} d_i (i<j) etc., as sparse map equalities."""
-        face, degen = self.face_full, self.degen_full
-        bad = []
-        for s in range(1, self.s_max + 1):
-            for j in range(0, s + 1):
-                for i in range(0, j):
-                    if face[s - 1][i] @ face[s][j] != face[s - 1][j - 1] @ face[s][i]:
-                        bad.append(("dd", s, i, j))
-        for s in range(0, self.s_max - 1):
-            for j in range(0, s + 1):
-                for i in range(0, j + 1):
-                    if degen[s + 1][j + 1] @ degen[s][i] != degen[s + 1][i] @ degen[s][j]:
-                        bad.append(("ss", s, i, j))
-        for s in range(0, self.s_max):
-            for j in range(0, s + 1):
-                for i in range(0, s + 2):
-                    comp = face[s + 1][i] @ degen[s][j]
-                    if i == j or i == j + 1:
-                        if not comp.is_identity():
-                            bad.append(("ds-id", s, i, j))
-                    elif i < j:
-                        if comp != degen[s - 1][j - 1] @ face[s][i]:
-                            bad.append(("ds", s, i, j))
-                    elif comp != degen[s - 1][j] @ face[s][i - 1]:
-                        bad.append(("sd", s, i, j))
-        return bad
-
-    def extra_degeneracy(self):
-        """Contracting homotopy when the base cohomology is itself free.
-
-        Returns SparseMaps h[s]: level s-1 -> level s on monomial bases (with
-        h[0]: the base algebra -> level 0), satisfying d_last h = id and
-        d_i h = h d_i for i < last; only defined for free base cohomology.
+        The j-th degeneracy from level s to level s + 1 on monomial bases
+        (columns V[s + 1], rows V[s + 2]); each column is one entry, +-1.
         """
-        space = self.space
-        if not space.gen_monomials:
-            raise ValueError("extra degeneracy needs a free base cohomology")
-        # h0: base -> level 0, generator g -> [g], extended multiplicatively
-        lvl0 = self.levels[0]
-        images = {}
-        for d, nm in self.V[0]:
-            vec = {(): 1}
-            for g, e in space.gen_monomials[nm]:
-                gv = {((lvl0.pg_index[((), g)], 1),): 1}
-                for _ in range(e):
-                    vec = lvl0.mul(vec, gv)
-            images[nm] = vec
-        h = [self._images_to_map(images, 1, 0)]
-        for s in range(0, self.s_max):
-            gen_images = {
-                key: self._gen_vec(h[s].cols[j], s + 1)
-                for j, (_, key) in enumerate(self.V[s])
-            }
-            images = extend_algebra_map(self.levels[s], self.levels[s + 1], gen_images)
-            h.append(self._images_to_map(images, s + 2, s + 1))
-        return h
+        G, p = self.G, self.p
+        return [
+            [tower.SparseMap(len(self.V[s + 2]), [{r: c} for r, c in G[s + 1][j + 1]], p)
+             for j in range(0, s + 1)]
+            for s in range(0, self.s_max)
+        ]
 
     # -- the derivation cochain complex -----------------------------------------
 

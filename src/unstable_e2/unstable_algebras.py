@@ -174,9 +174,11 @@ class FreeUnstableAlgebra(MonomialBasis):
                 raise ValueError("generators must sit in degrees >= 1")
         self.gen_degree = dict(self.gens)
         # polynomial generators, ordered by (degree, generator, word)
-        pgs = []
+        pgs, words = [], {}  # words: generator degree -> its polygen words
         for name, n in self.gens:
-            for w in _polygen_words(p, n, D - n):
+            if n not in words:
+                words[n] = _polygen_words(p, n, D - n)
+            for w in words[n]:
                 pgs.append((st.word_degree(w, p) + n, name, w))
         pgs.sort()
         self.polygens = tuple((w, name) for _, name, w in pgs)

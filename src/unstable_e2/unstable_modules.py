@@ -366,7 +366,9 @@ class FTUnstableModule:
     """Finite-type unstable module over the classical algebra, degrees <= D.
 
     Action tables map a single-letter operation and a basis name to a linear
-    combination of basis names; words act by composing letters.
+    combination of basis names; words act by composing letters.  At odd p
+    the tables hold the Bockstein (1, 0) and the P^i (0, i); a letter
+    beta P^i (1, i), i >= 1, acts as beta after P^i.
     """
 
     def __init__(self, p, D, basis, action):
@@ -386,6 +388,8 @@ class FTUnstableModule:
             raise ValueError("no Bockstein at p = 2")
         if eps == 0 and i == 0:
             return {name: 1}
+        if eps and i:
+            return self.act_word(((1, 0), (0, i)), name)
         col = self.action.get((eps, i), {}).get(name, {})
         return dict(col)
 

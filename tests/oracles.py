@@ -9,7 +9,10 @@ codegeneracies, by dense elimination, instead of the degenerate generators
 read off the monomials, and the two-term resolution's cochains, assembled
 and ranked densely, instead of the two-term descent complex, and the
 resolution's faces extended through the algebra on every monomial instead
-of relabelled on the degenerate ones.  The dense adapters (``dense``, ``sparse``) let tests write maps as numpy literals.
+of relabelled on the degenerate ones, and its degeneracies extended through
+the algebra instead of read off the monomial keys (the simplicial
+identities and the extra degeneracy are checked on these).  The dense
+adapters (``dense``, ``sparse``) let tests write maps as numpy literals.
 """
 
 import functools
@@ -305,8 +308,18 @@ def lambda_chart(n, target_dims, s_max, t_max):
 
 
 # ---------------------------------------------------------------------------
-# the faces of a cotriple resolution, extended on every monomial
+# the faces and degeneracies of a cotriple resolution, extended on every monomial
 # ---------------------------------------------------------------------------
+
+def _images_to_map(res, images, level_to, level_from):
+    """Dict {source monomial: target vector} as a SparseMap on the V bases of res."""
+    rows, p = res._vidx[level_to], res.p
+    cols = [
+        {rows[key]: c % p for key, c in images[m].items() if c % p}
+        for _, m in res.V[level_from]
+    ]
+    return tower.SparseMap(len(res.V[level_to]), cols, p)
+
 
 def full_faces(res):
     """The faces of a cotriple resolution, every column extended through the algebra.
@@ -330,9 +343,98 @@ def full_faces(res):
                     for j, (_, key) in enumerate(res.V[s])
                 }
             images = extend_algebra_map(res.levels[s], target, gen_images)
-            maps.append(res._images_to_map(images, s, s + 1))
+            maps.append(_images_to_map(res, images, s, s + 1))
         faces.append(maps)
     return faces
+
+
+def full_degeneracies(res):
+    """The degeneracies of a cotriple resolution, extended through the algebra.
+
+    degen[s][j] maps level s + 1 to level s + 2 on monomial bases: it
+    extends, multiplicatively, the insertion g -> [g] on the generators of
+    level s for j = 0, and degen[s - 1][j - 1], as built here, for j >= 1.
+    res.G is not used.  Returns SparseMaps indexed like res.degen_full.
+    """
+    degen = []
+    for s in range(res.s_max):
+        maps = []
+        for j in range(s + 1):
+            cols = degen[s - 1][j - 1].cols if j else [
+                {res._insertion_index(s, key): 1} for _, key in res.V[s]
+            ]
+            gen_images = {
+                key: res._gen_vec(col, s + 1) for (_, key), col in zip(res.V[s], cols)
+            }
+            images = extend_algebra_map(res.levels[s], res.levels[s + 1], gen_images)
+            maps.append(_images_to_map(res, images, s + 2, s + 1))
+        degen.append(maps)
+    return degen
+
+
+def simplicial_identity_violations(res):
+    """Every failed identity d_i d_j = d_{j-1} d_i (i < j) etc., as sparse map equalities.
+
+    Reads res.face_full and full_degeneracies(res), composes with ``@`` and
+    compares with ``==`` or ``is_identity()``.  Returns one (kind, s, i, j)
+    per failure: "dd", "ss", "ds-id", "ds" or "sd".
+    """
+    face, degen = res.face_full, full_degeneracies(res)
+    bad = []
+    for s in range(1, res.s_max + 1):
+        for j in range(0, s + 1):
+            for i in range(0, j):
+                if face[s - 1][i] @ face[s][j] != face[s - 1][j - 1] @ face[s][i]:
+                    bad.append(("dd", s, i, j))
+    for s in range(0, res.s_max - 1):
+        for j in range(0, s + 1):
+            for i in range(0, j + 1):
+                if degen[s + 1][j + 1] @ degen[s][i] != degen[s + 1][i] @ degen[s][j]:
+                    bad.append(("ss", s, i, j))
+    for s in range(0, res.s_max):
+        for j in range(0, s + 1):
+            for i in range(0, s + 2):
+                comp = face[s + 1][i] @ degen[s][j]
+                if i == j or i == j + 1:
+                    if not comp.is_identity():
+                        bad.append(("ds-id", s, i, j))
+                elif i < j:
+                    if comp != degen[s - 1][j - 1] @ face[s][i]:
+                        bad.append(("ds", s, i, j))
+                elif comp != degen[s - 1][j] @ face[s][i - 1]:
+                    bad.append(("sd", s, i, j))
+    return bad
+
+
+def extra_degeneracy(res):
+    """Contracting homotopy of a resolution whose base cohomology is itself free.
+
+    Returns SparseMaps h[s]: level s-1 -> level s on monomial bases (with
+    h[0]: the base algebra -> level 0), which should satisfy d_last h = id
+    and d_i h = h d_i for i < last; only defined for free base cohomology.
+    """
+    space = res.space
+    if not space.gen_monomials:
+        raise ValueError("extra degeneracy needs a free base cohomology")
+    # h0: base -> level 0, generator g -> [g], extended multiplicatively
+    lvl0 = res.levels[0]
+    images = {}
+    for d, nm in res.V[0]:
+        vec = {(): 1}
+        for g, e in space.gen_monomials[nm]:
+            gv = {((lvl0.pg_index[((), g)], 1),): 1}
+            for _ in range(e):
+                vec = lvl0.mul(vec, gv)
+        images[nm] = vec
+    h = [_images_to_map(res, images, 1, 0)]
+    for s in range(0, res.s_max):
+        gen_images = {
+            key: res._gen_vec(h[s].cols[j], s + 1)
+            for j, (_, key) in enumerate(res.V[s])
+        }
+        images = extend_algebra_map(res.levels[s], res.levels[s + 1], gen_images)
+        h.append(_images_to_map(res, images, s + 2, s + 1))
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +447,9 @@ def full_faces(res):
 # in Algebraic Topology, 1967).  The functions below build the full
 # derivation cochain complex of a cotriple resolution against a target with
 # trivial action, take that kernel by dense elimination mod p, and rank the
-# restricted coboundaries.  They read the resolution's full faces, its
-# degeneracy maps and its insertion, never its degenerate sets, and they do
-# their own linear algebra.
+# restricted coboundaries.  They read the resolution's full faces, the
+# degeneracies of full_degeneracies and the insertion, never the degenerate
+# sets or res.G, and they do their own linear algebra.
 
 def _rref_mod_p(A, p):
     """Reduced row echelon form of an integer matrix over F_p, and its pivot columns."""
@@ -417,12 +519,13 @@ def kernel_normalized_dims(res, M, top_s):
 
     Returns (dims for s = 0..top_s, cohomology dims for s = 0..top_s - 1).
     Codegeneracy j on cochain group s precomposes with the degeneracy j
-    from level s - 1: the insertion for j = 0, degen_full[s - 2][j - 1]
+    from level s - 1: the insertion for j = 0, full_degeneracies(res)[s - 2][j - 1]
     otherwise.  Raises AssertionError when the coboundary leaves the
     subcomplex or does not square to zero on it.
     """
     p = res.p
     bases, maps = _full_der_cochain_complex(res, M, top_s)
+    degen = full_degeneracies(res)
     kernels = []
     for s, basis in enumerate(bases):
         if s == 0:
@@ -436,7 +539,7 @@ def kernel_normalized_dims(res, M, top_s):
                 if j == 0:
                     targets = {res._insertion_index(s - 1, res.V[s - 1][vi][1]): 1}
                 else:
-                    targets = res.degen_full[s - 2][j - 1].cols[vi]
+                    targets = degen[s - 2][j - 1].cols[vi]
                 for ti, c in targets.items():
                     if (ti, mn) in cols:
                         cod[r, cols[(ti, mn)]] += c
