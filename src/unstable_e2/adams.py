@@ -278,11 +278,11 @@ class CotripleResolution:
     on the generators V[t], a signed index map into V[t + 1] read off the
     keys; it is the one degeneracy construction, and degen_full[s][j] is
     G[s + 1][j + 1] as a SparseMap, built on first use since no chart reads
-    it.  degenerate[s][j] is Deg_j(V[s]), the image of G[s - 1][j], and
-    nondegenerate[s] lists the rest: the generators cochains live on.  Each
-    face is extended through the algebra on the nondegenerate monomials
-    only, and relabelled through G on the others, so face_full holds
-    complete maps.
+    it.  nondegenerate[s] lists the indices into V[s] that no G[s - 1][j]
+    hits (all of V[0]): the generators cochains live on, collected in the
+    face pass.  Each face is extended through the algebra on the
+    nondegenerate monomials only, and relabelled through G on the others,
+    so face_full holds complete maps.
     """
 
     def __init__(self, space: SpaceModel, s_max, D, budget=500_000):
@@ -301,7 +301,7 @@ class CotripleResolution:
             gens = [(key, d) for d, key in self.V[s]]
             level = FreeUnstableAlgebra(self.p, gens, D)
             self.levels.append(level)
-            vnext = sorted((d, m) for d, m in level.reduced_basis_items())
+            vnext = list(level.reduced_basis_items())
             total += len(vnext)
             if total > budget:
                 raise BudgetExceeded(
@@ -313,11 +313,7 @@ class CotripleResolution:
             {key: i for i, (_, key) in enumerate(vs)} for vs in self.V
         ]
         self.G = self._degeneracies_on_generators()
-        self.degenerate = [[]] + [[{r for r, _ in G_j} for G_j in G_t] for G_t in self.G]
-        self.nondegenerate = [
-            [vi for vi in range(len(vs)) if not any(vi in dj for dj in deg)]
-            for vs, deg in zip(self.V, self.degenerate)
-        ]
+        self.nondegenerate = [list(range(len(self.V[0])))]
         self.face_full = []
         self._build_faces()
 
@@ -364,8 +360,10 @@ class CotripleResolution:
     def _build_faces(self):
         """face_full[s][i], 0 <= i <= s <= s_max, one level at a time.
 
-        Only the nondegenerate monomials of level s go through the algebra.
-        A degenerate one, m = c G[s][j](x) with c = +-1, has its column
+        The pass for level s collects the image of G[s] and appends its
+        complement in V[s + 1] as nondegenerate[s + 1].  Only those
+        nondegenerate monomials of level s go through the algebra.  A
+        degenerate one, m = c G[s][j](x) with c = +-1, has its column
         relabelled from level s - 1 by the simplicial identities (face i of
         level s is d_{i+1} on the generators of level s + 1): c x for i in
         {j - 1, j}, c G[s - 1][j - 1] of face i at x for i < j - 1, and
@@ -377,6 +375,7 @@ class CotripleResolution:
             for G_j in self.G[s]:
                 lifts.append([(m, x, c) for x, (m, c) in enumerate(G_j) if m not in seen])
                 seen.update(m for m, _ in G_j)
+            self.nondegenerate.append([vi for vi in range(len(self.V[s + 1])) if vi not in seen])
             nondeg = [self.V[s + 1][vi][1] for vi in self.nondegenerate[s + 1]]
             gens = {self.levels[s].polygens[k][1] for m in nondeg for k, _ in m}
             rows = self._vidx[s]

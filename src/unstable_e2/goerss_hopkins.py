@@ -9,9 +9,11 @@ What this module adds is:
 
 * the verified base-form kernel: at chain levels 1, level and level + 1 the
   kernel of 1 - frobenius on one coordinate is checked to be the base-field
-  slot, so the classical complex is the restricted one at all three levels
-  and the chart's entries are ``adams_chart``'s on the same resolution,
-  relabelled with the highest verified level;
+  slot by the inverse-pair check ``tower.base_slot_inverse_pair`` (the one
+  ``derivations.descent_verify`` runs), so the classical complex is the
+  restricted one at all three levels and the chart's entries are
+  ``adams_chart``'s on the same resolution, relabelled with the highest
+  verified level;
 * the death witnesses: every positive-degree two-term cokernel class is an
   obstruction that must die deeper in the chain, and its Artin-Schreier
   solution is recorded, never assumed.
@@ -40,27 +42,11 @@ from .adams import (
     suspension_has_trivial_action,
     suspension_target,
 )
-from .tower import semilinear_kernel_cokernel
 
 
 # ---------------------------------------------------------------------------
 # the chart
 # ---------------------------------------------------------------------------
-
-def _verified_base_block(p, level):
-    """Check that the kernel of 1 - frobenius on one coordinate is the base slot.
-
-    Coordinatewise 1 - frobenius on (F_{p^{k!}})^n is block-diagonal, so this
-    one m x m block fixes the kernel of every cochain group at the level: the
-    base-field slot of each coordinate.  Raises AssertionError otherwise.
-    """
-    bker, _ = semilinear_kernel_cokernel(p, level)
-    base = [1] + [0] * (tower.get_tower(p).field(level).degree - 1)
-    if [[c % p for c in row] for row in bker] != [base]:
-        raise AssertionError(
-            f"kernel of 1 - frobenius at chain level {level} is not the base-field slot"
-        )
-
 
 def gh_chart(X: SpaceModel, Y: SpaceModel, s_max, t_max, D, level=2, budget=500_000,
              resolution=None):
@@ -69,9 +55,11 @@ def gh_chart(X: SpaceModel, Y: SpaceModel, s_max, t_max, D, level=2, budget=500_
     Per construction level, the cochain group is the kernel of the two-term
     frobenius-semilinear complex against the suspension target.  That kernel
     is verified once per level (1, level, level + 1) on a single coordinate
-    block; it is the base-field slot, so the restricted complex is the
-    classical one at every one of the three levels, and the entries are
-    ``adams_chart``'s.  The chart records the highest verified level.
+    block by ``tower.base_slot_inverse_pair``, the check ``descent_verify``
+    runs: the kernel and the base-field slot are inverse, so the restricted
+    complex is the classical one at every one of the three levels, and the
+    entries are ``adams_chart``'s.  The chart records the highest verified
+    level; a failed check raises AssertionError naming the level.
     """
     if not suspension_has_trivial_action(Y):
         raise ChartError(
@@ -81,7 +69,10 @@ def gh_chart(X: SpaceModel, Y: SpaceModel, s_max, t_max, D, level=2, budget=500_
     if level + 1 > tower.MAX_LEVEL:
         raise tower.TowerExhausted(f"level {level}+1 beyond the chain")
     for k in (1, level, level + 1):
-        _verified_base_block(X.p, k)
+        if not tower.base_slot_inverse_pair(X.p, k):
+            raise AssertionError(
+                f"kernel of 1 - frobenius at chain level {k} is not the base-field slot"
+            )
     return replace(adams_chart(X, Y, s_max, t_max, D, budget, resolution),
                    kind="gh", tower_level=level + 1)
 

@@ -22,7 +22,7 @@ p, keeping only nonzero residues) is the one update rule for sparse vectors
 algebra elements.  The only dense matrices are the field-level blocks and
 embeddings, at most 24 x 24, kept as tuples of row tuples; rref, kernels,
 cokernels and solves on them are plain Python and accept any nested int
-sequence, numpy arrays included.  Nothing here needs numpy:
+sequence.  Nothing here needs numpy:
 SparseMap.__array_function__ imports it only when numpy itself calls the
 hook, so that count_nonzero on a map counts its stored entries.
 
@@ -32,6 +32,7 @@ Everything here is immutable after construction and safe to share.
 from __future__ import annotations
 
 import functools
+import itertools
 import sys
 from importlib import resources
 
@@ -51,12 +52,8 @@ class TowerExhausted(Exception):
 def _dense(M, p):
     """The rows of an integer matrix as lists reduced mod p, and its column count.
 
-    M is any nested int sequence; a numpy array is read through tolist(), and
-    its shape gives the column count of a matrix with no rows.
+    M is any nested int sequence; a matrix with no rows has no columns.
     """
-    shape = getattr(M, "shape", None)
-    if shape is not None:
-        return [[int(c) % p for c in row] for row in M.tolist()], shape[1]
     rows = [[int(c) % p for c in row] for row in M]
     return rows, len(rows[0]) if rows else 0
 
@@ -506,18 +503,9 @@ class FieldTower:
         fl = self.field(level)
         if self.p ** fl.degree > 1 << 20:
             raise ValueError("level too large to enumerate")
-        idx = [0] * fl.degree
-        while True:
-            yield TowerElem(self, level, tuple(idx))
-            i = 0
-            while i < fl.degree:
-                idx[i] += 1
-                if idx[i] < self.p:
-                    break
-                idx[i] = 0
-                i += 1
-            if i == fl.degree:
-                return
+        # reversed, so that coordinate 0 turns fastest
+        for idx in itertools.product(range(self.p), repeat=fl.degree):
+            yield TowerElem(self, level, idx[::-1])
 
     # -- embeddings ---------------------------------------------------------
 
@@ -539,10 +527,9 @@ class FieldTower:
         assert len(K) == dlo
         # scan that subfield (p^dlo elements, deterministic order) for a root of lo.poly
         root = None
-        counters = [0] * dlo
-        while True:
+        for counters in itertools.product(range(self.p), repeat=dlo):
             vec = [0] * dhi
-            for i, c in enumerate(counters):
+            for i, c in enumerate(reversed(counters)):
                 if c:
                     vec = [(v + c * x) % self.p for v, x in zip(vec, K[i])]
             cand = TowerElem(self, k + 1, vec)
@@ -554,15 +541,6 @@ class FieldTower:
                 pw = pw * cand
             if acc.is_zero():
                 root = cand
-                break
-            i = 0
-            while i < dlo:
-                counters[i] += 1
-                if counters[i] < self.p:
-                    break
-                counters[i] = 0
-                i += 1
-            if i == dlo:
                 break
         assert root is not None, "defining polynomial has no root in the upper field"
         cols = []

@@ -51,8 +51,10 @@ class MonomialBasis:
 
     Monomials are tuples ((letter_index, exponent), ...) sorted by index;
     at odd primes odd-degree letters square to zero and contribute Koszul
-    signs under multiplication.  The product of each pair of monomials is
-    computed once and kept in a table on the instance.
+    signs under multiplication.  Each degree's basis is sorted, so
+    reduced_basis_items() runs in (degree, monomial) order, the order the
+    resolution's generator lists V use.  The product of each pair of
+    monomials is computed once and kept in a table on the instance.
     """
 
     def __init__(self, p, degrees, D):
@@ -62,10 +64,6 @@ class MonomialBasis:
         if any(a > b for a, b in zip(self.pg_degree, self.pg_degree[1:])):
             raise ValueError(f"letter degrees must not decrease: {self.pg_degree}")
         self._basis = self._enumerate_basis()
-        self.index = {}
-        for d in sorted(self._basis):
-            for i, m in enumerate(self._basis[d]):
-                self.index[m] = (d, i)
         self._products = {}  # (m1, m2) -> mul_monomials(m1, m2), filled on first use
 
     def _enumerate_basis(self):
@@ -168,7 +166,7 @@ class FreeUnstableAlgebra(MonomialBasis):
     """Degree-truncated free unstable algebra on named generators (degrees >= 1)."""
 
     def __init__(self, p, gens, D):
-        self.gens = tuple(sorted((n, int(d)) for n, d in _gen_pairs(gens)))
+        self.gens = tuple((n, int(d)) for n, d in _gen_pairs(gens))
         for n, d in self.gens:
             if d < 1:
                 raise ValueError("generators must sit in degrees >= 1")

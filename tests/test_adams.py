@@ -259,7 +259,7 @@ def test_degenerate_sets_are_the_degeneracy_images(p, X, s_max, D):
     # the degeneracies extended through the algebra, with its sign: every
     # degeneracy column is one entry, +-1 (at odd p a re-sort of odd-degree
     # polygens gives -1, as on K1).  Deg_0 is the insertion's image and
-    # Deg_j, j >= 1, that of degen[s - 2][j - 1]
+    # Deg_j, j >= 1, that of degen[s - 2][j - 1]; nondegenerate[s] is the rest
     res = cotriple_resolution(builtin_space(X, p, D), s_max, D)
     degen = full_degeneracies(res)
     for t in range(0, s_max + 1):
@@ -271,9 +271,19 @@ def test_degenerate_sets_are_the_degeneracy_images(p, X, s_max, D):
         images = [{res._insertion_index(s - 1, key) for _, key in res.V[s - 1]}]
         for j in range(1, s):
             images.append({r for col in degen[s - 2][j - 1].cols for r in col})
-        assert res.degenerate[s] == images, s
         assert res.nondegenerate[s] == sorted(set(range(len(res.V[s]))).difference(*images))
     assert res.nondegenerate[0] == list(range(len(res.V[0])))
+
+
+@pytest.mark.parametrize("p,X,s_max,D", [(2, "S3", 3, 10), (3, "K1", 2, 8)])
+def test_levels_are_enumerated_in_basis_order(p, X, s_max, D):
+    # V[s + 1] is taken as the level's basis as enumerated, so that order
+    # must be the sorted (degree, monomial) order the indices refer to
+    res = cotriple_resolution(builtin_space(X, p, D), s_max, D)
+    for s, level in enumerate(res.levels):
+        assert res.V[s + 1] == list(level.reduced_basis_items()) == sorted(res.V[s + 1]), s
+        assert res._vidx[s + 1] == {key: i for i, (_, key) in enumerate(res.V[s + 1])}, s
+        assert list(level.gens) == sorted(level.gens), s
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from unstable_e2 import goerss_hopkins
+from unstable_e2 import tower
 from unstable_e2.adams import (
     Chart,
     ChartError,
@@ -35,7 +35,7 @@ def test_gh_fails_loudly_on_non_base_form_kernel(monkeypatch):
         ker[0, m - 1] = 1
         return ker, np.zeros((0, m), dtype=np.int64)
 
-    monkeypatch.setattr(goerss_hopkins, "semilinear_kernel_cokernel", shifted_kernel)
+    monkeypatch.setattr(tower, "semilinear_kernel_cokernel", shifted_kernel)
     S2 = builtin_space("S2", 2, 6)
     S1 = builtin_space("S1", 2, 6)
     with pytest.raises(AssertionError, match="chain level 2"):
