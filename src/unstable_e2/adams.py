@@ -2,14 +2,15 @@
 
 The resolution iterates the free unstable algebra monad on the reduced
 cohomology of a space: level s is free on the full monomial basis of level
-s-1.  Face maps evaluate one formal layer (the outermost face evaluates
-formal generators as elements, inner faces push the evaluation inward);
-degeneracies insert formal layers.  Face and degeneracy maps are stored as
-``tower.SparseMap``s on monomial bases (one {row index: coeff} dict per
-source basis element, nonzero coefficients mod p only).  The degeneracies
-are read off the monomial keys, never extended through the algebra; the
-tests (``tests/oracles.py``) extend faces and degeneracies through the
-algebra on every monomial and check the simplicial identities on those.
+s-1 (the top level keeps only its nondegenerate monomials).  Face maps
+evaluate one formal layer (the outermost face evaluates formal generators
+as elements, inner faces push the evaluation inward); degeneracies insert
+formal layers.  Face and degeneracy maps are stored as ``tower.SparseMap``s
+on monomial bases (one {row index: coeff} dict per source basis element,
+nonzero coefficients mod p only).  The degeneracies are read off the
+monomial keys, never extended through the algebra; the tests
+(``tests/oracles.py``) extend faces and degeneracies through the algebra on
+every monomial and check the simplicial identities on those.
 
 Cochain groups of the derivation complex against a suspension-type target
 need only the generator data of each level, which is what makes s_max 2-3
@@ -34,17 +35,13 @@ from functools import cached_property
 
 from . import steenrod as st
 from . import tower
-from .derivations import CochainComplex
+from .derivations import BudgetExceeded, CochainComplex
 from .unstable_algebras import (
     FTAlgebra,
     FreeUnstableAlgebra,
     extend_algebra_map,
 )
 from .unstable_modules import FTUnstableModule, GradedVS
-
-
-class BudgetExceeded(Exception):
-    """A resolution level outgrew the configured memory budget."""
 
 
 class ChartError(Exception):
@@ -272,17 +269,18 @@ class CotripleResolution:
     """Levels 0..s_max of the free-algebra monad iterated on reduced cohomology.
 
     V[s] lists the generators of level s as (degree, key) pairs; V[s+1] is
-    the full monomial basis of level s.  face_full[s][i] is the SparseMap of
-    the i-th face from level s to level s-1 on monomial bases (columns are
-    V[s+1], rows V[s]).  G[t][j] is the j-th degeneracy into level t + 1
-    on the generators V[t], a signed index map into V[t + 1] read off the
-    keys; it is the one degeneracy construction, and degen_full[s][j] is
-    G[s + 1][j + 1] as a SparseMap, built on first use since no chart reads
-    it.  nondegenerate[s] lists the indices into V[s] that no G[s - 1][j]
-    hits (all of V[0]): the generators cochains live on, collected in the
-    face pass.  Each face is extended through the algebra on the
-    nondegenerate monomials only, and relabelled through G on the others,
-    so face_full holds complete maps.
+    the full monomial basis of level s < s_max, and of the top level only
+    its nondegenerate part, which is all a chart reads.  face_full[s][i] is
+    the SparseMap of the i-th face from level s to level s-1 on monomial
+    bases (columns are V[s+1], rows V[s]).  G[t][j], t < s_max, is the j-th
+    degeneracy into level t + 1 on the generators V[t], a signed index map
+    into V[t + 1] read off the keys; it is the one degeneracy construction,
+    and degen_full[s][j] is G[s + 1][j + 1] as a SparseMap, built on first
+    use since no chart reads it.  nondegenerate[s] lists the indices into
+    V[s] that no G[s - 1][j] hits (all of V[0] and V[s_max + 1]): the
+    generators cochains live on, collected in the face pass.  Each face is
+    extended through the algebra on the nondegenerate monomials only, and
+    relabelled through G on the others, so face_full holds complete maps.
     """
 
     def __init__(self, space: SpaceModel, s_max, D, budget=500_000):
@@ -293,33 +291,32 @@ class CotripleResolution:
         if D > space.D:
             raise ChartError(f"space tables stop at degree {space.D}, need {D}")
         self.levels = []
-        self.V = []
-        v0 = [(d, nm) for d, nm in space.algebra.graded_vs().items() if d <= D]
-        self.V.append(sorted(v0))
-        total = len(v0)
+        self.V = [sorted((d, nm) for d, nm in space.algebra.graded_vs().items() if d <= D)]
+        self._vidx = [{key: i for i, (_, key) in enumerate(self.V[0])}]
+        self.G = []
+        total = len(self.V[0])
         for s in range(0, s_max + 1):
-            gens = [(key, d) for d, key in self.V[s]]
-            level = FreeUnstableAlgebra(self.p, gens, D)
+            level = FreeUnstableAlgebra(self.p, [(key, d) for d, key in self.V[s]], D)
             self.levels.append(level)
-            vnext = list(level.reduced_basis_items())
-            total += len(vnext)
+            total += sum(level.hilbert()[1:])
             if total > budget:
                 raise BudgetExceeded(
                     f"resolution level {s + 1} pushes basis count past {budget} "
                     f"(degree cap {D})"
                 )
-            self.V.append(vnext)
-        self._vidx = [
-            {key: i for i, (_, key) in enumerate(vs)} for vs in self.V
-        ]
-        self.G = self._degeneracies_on_generators()
+            top = s == s_max
+            basis = self._nondegenerate_top(level) if top else level.reduced_basis_items()
+            self.V.append(list(basis))
+            if not top:  # the top level is indexed by position only
+                self._vidx.append({key: i for i, (_, key) in enumerate(self.V[s + 1])})
+                self.G.append(self._degeneracies(s))
         self.nondegenerate = [list(range(len(self.V[0])))]
         self.face_full = []
         self._build_faces()
 
     # -- construction ---------------------------------------------------------
 
-    def _degeneracies_on_generators(self):
+    def _degeneracies(self, t):
         """G[t][j], 0 <= j <= t: the j-th degeneracy into level t + 1 on V[t].
 
         Each is a list over V[t] of (index into V[t + 1], sign mod p): a
@@ -330,27 +327,45 @@ class CotripleResolution:
         sign collects those of the G[t - 1][j - 1](g) and the Koszul sign of
         the re-sort.
         """
-        G = [
-            [[(self._insertion_index(t, key), 1) for _, key in self.V[t]]]
-            for t in range(0, self.s_max + 1)
-        ]
-        for t in range(1, self.s_max + 1):
-            src, dst, gen_idx = self.levels[t - 1], self.levels[t], self._vidx[t - 1]
-            for prev in G[t - 1]:
-                # polygen w(g) -> (index of w(g'), c), where prev sends g to c g'
-                pg = [(dst.pg_index[(w, self.V[t][r][1])], c)
-                      for w, g in src.polygens for r, c in (prev[gen_idx[g]],)]
-                col = []
-                for _, key in self.V[t]:
-                    factors, sign = [(pg[i][0], e) for i, e in key], 1
-                    if self.p != 2:
-                        odd = [f for f, _ in factors if dst.pg_degree[f] % 2]
-                        sign = (-1) ** sum(a > b for k, a in enumerate(odd) for b in odd[k + 1:])
-                        for i, e in key:
-                            sign *= pg[i][1] ** e
-                    col.append((self._vidx[t + 1][tuple(sorted(factors))], sign % self.p))
-                G[t].append(col)
-        return G
+        G_t = [[(self._insertion_index(t, key), 1) for _, key in self.V[t]]]
+        if t == 0:
+            return G_t
+        src, dst, gen_idx = self.levels[t - 1], self.levels[t], self._vidx[t - 1]
+        for prev in self.G[t - 1]:
+            # polygen w(g) -> (index of w(g'), c), where prev sends g to c g'
+            pg = [(dst.pg_index[(w, self.V[t][r][1])], c)
+                  for w, g in src.polygens for r, c in (prev[gen_idx[g]],)]
+            col = []
+            for _, key in self.V[t]:
+                factors, sign = [(pg[i][0], e) for i, e in key], 1
+                if self.p != 2:
+                    odd = [f for f, _ in factors if dst.pg_degree[f] % 2]
+                    sign = (-1) ** sum(a > b for k, a in enumerate(odd) for b in odd[k + 1:])
+                    for i, e in key:
+                        sign *= pg[i][1] ** e
+                col.append((self._vidx[t + 1][tuple(sorted(factors))], sign % self.p))
+            G_t.append(col)
+        return G_t
+
+    def _nondegenerate_top(self, level):
+        """The (degree, monomial) pairs of the top level that no degeneracy hits.
+
+        Read off the letters, with no G[s_max]: the insertion G[s_max][0] hits
+        the single polygens of the empty word and exponent 1, and G[s_max][j],
+        j >= 1, the monomials whose polygens w(g) all have g in G[s_max - 1][j - 1]'s image.
+        """
+        s = self.s_max
+        hit = [0] * len(self.V[s])  # bit b: in the image of G[s - 1][b]
+        for b, G_b in enumerate(self.G[s - 1] if s else ()):
+            for r, _ in G_b:
+                hit[r] |= 1 << b
+        masks = [hit[self._vidx[s][g]] for _, g in level.polygens]
+        for d, m in level.reduced_basis_items():
+            common = (1 << s) - 1
+            for i, _ in m:
+                common &= masks[i]
+            if not common and (len(m) > 1 or m[0][1] > 1 or level.polygens[m[0][0]][0]):
+                yield d, m
 
     def _gen_vec(self, col, level_to):
         """Column over V[level_to] as a generator-combination vector in that level."""
@@ -360,9 +375,9 @@ class CotripleResolution:
     def _build_faces(self):
         """face_full[s][i], 0 <= i <= s <= s_max, one level at a time.
 
-        The pass for level s collects the image of G[s] and appends its
-        complement in V[s + 1] as nondegenerate[s + 1].  Only those
-        nondegenerate monomials of level s go through the algebra.  A
+        The pass for level s < s_max collects the image of G[s] and appends
+        its complement in V[s + 1] as nondegenerate[s + 1] (all of V[s + 1]
+        at the top).  Only those monomials of level s go through the algebra.  A
         degenerate one, m = c G[s][j](x) with c = +-1, has its column
         relabelled from level s - 1 by the simplicial identities (face i of
         level s is d_{i+1} on the generators of level s + 1): c x for i in
@@ -372,7 +387,7 @@ class CotripleResolution:
         p = self.p
         for s in range(0, self.s_max + 1):
             lifts, seen = [], set()  # lifts[j]: (m, x, c) with m = c G[s][j](x), first j
-            for G_j in self.G[s]:
+            for G_j in self.G[s] if s < self.s_max else ():
                 lifts.append([(m, x, c) for x, (m, c) in enumerate(G_j) if m not in seen])
                 seen.update(m for m, _ in G_j)
             self.nondegenerate.append([vi for vi in range(len(self.V[s + 1])) if vi not in seen])
@@ -408,7 +423,7 @@ class CotripleResolution:
 
     @cached_property
     def degen_full(self):
-        """degen_full[s][j], 0 <= j <= s < s_max: G[s + 1][j + 1] as a SparseMap.
+        """degen_full[s][j], 0 <= j <= s < s_max - 1: G[s + 1][j + 1] as a SparseMap.
 
         The j-th degeneracy from level s to level s + 1 on monomial bases
         (columns V[s + 1], rows V[s + 2]); each column is one entry, +-1.
@@ -417,7 +432,7 @@ class CotripleResolution:
         return [
             [tower.SparseMap(len(self.V[s + 2]), [{r: c} for r, c in G[s + 1][j + 1]], p)
              for j in range(0, s + 1)]
-            for s in range(0, self.s_max)
+            for s in range(0, self.s_max - 1)
         ]
 
     # -- the derivation cochain complex -----------------------------------------

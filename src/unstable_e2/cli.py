@@ -220,7 +220,8 @@ def cmd_compare(args, cfg):
 
 
 def cmd_bar_check(args, cfg):
-    rep = bar_homology_check(args.n, args.d_max, s_max=args.smax_bar, L=args.bar_L, p=cfg.p)
+    rep = bar_homology_check(args.n, args.d_max, s_max=args.smax_bar, L=args.bar_L, p=cfg.p,
+                             budget=cfg.budget)
     lines = []
     for (s, d), c in sorted(rep["cells"].items()):
         lines.append(

@@ -27,6 +27,10 @@ from .unstable_algebras import FreeUnstableAlgebra, MonomialBasis
 from .unstable_modules import GradedVS, admissible_words_b
 
 
+class BudgetExceeded(Exception):
+    """A resolution or a bar window outgrew the configured basis-size budget."""
+
+
 class CochainComplex:
     """Finite cochain complex of F_p vector spaces; d.d = 0 checked at build.
 
@@ -237,6 +241,21 @@ class BarWindow:
         self._last[key] = entry
         return entry
 
+    def basis_size(self, s_top):
+        """The size of bar_basis(s, d) summed over s <= s_top and d <= D, unenumerated.
+
+        |bar_basis(s, d)| is the degree-d coefficient of T (F - 1)^s, with T and
+        F the Hilbert series of the target and factor bases.
+        """
+        reduced = (0,) + self.factor.hilbert()[1:]
+        series = self.target.hilbert()
+        total = sum(series)
+        for _ in range(s_top):
+            series = [sum(series[k] * reduced[d - k] for k in range(d + 1))
+                      for d in range(len(series))]
+            total += sum(series)
+        return total
+
     def bar_basis(self, s, d):
         """Basis of the degree-d part of the s-th bar level: (m0, m1..ms), enumerated once."""
         if (s, d) in self._bases:
@@ -291,12 +310,13 @@ class BarWindow:
         return tower.SparseMap(len(tgt), cols, p), src, tgt
 
 
-def bar_homology_check(n, D, s_max=3, L=3, p=2):
+def bar_homology_check(n, D, s_max=3, L=3, p=2, budget=500_000):
     """Homology of the windowed bar construction, with a saturation flag.
 
     Verifies: homology in degrees <= D is concentrated in simplicial degree
     0, where its dimensions equal the free unstable algebra on one degree-n
-    generator; saturation compares the window L against L+1.
+    generator; saturation compares the window L against L+1.  Raises
+    BudgetExceeded up front when both windows' bar bases together pass budget.
     """
     def run(length_cap):
         bw = BarWindow(p, n, D, length_cap)
@@ -311,6 +331,9 @@ def bar_homology_check(n, D, s_max=3, L=3, p=2):
         return dims
 
     expected = FreeUnstableAlgebra(p, [("i", n)], D).hilbert()  # rejects n < 1
+    size = sum(BarWindow(p, n, D, cap).basis_size(s_max + 1) for cap in (L, L + 1))
+    if size > budget:
+        raise BudgetExceeded(f"bar windows hold {size} basis elements, past {budget}")
     hom = run(L)
     hom_next = run(L + 1)
     report = {"p": p, "n": n, "D": D, "L": L, "homology": hom, "pass": True, "cells": {}}

@@ -209,16 +209,17 @@ def matmul_mod(A, B, p):
 def rank(M, p):
     """Rank over F_p of a SparseMap.
 
-    Column elimination with the pivot on each column's lowest row: bitsets
-    at p = 2 (gf2_rank), {row: coeff} columns at odd p.
+    Column elimination with the pivot on each column's highest row: bitsets
+    at p = 2 (gf2_rank), {row: coeff} columns at odd p.  The highest row
+    keeps fill-in down on the resolution's cochain maps.
     """
     if p == 2:
         return gf2_rank(M)
-    pivots = {}  # lowest row -> reduced column, scaled to 1 there
+    pivots = {}  # highest row -> reduced column, scaled to 1 there
     for col in M.cols:
         v = dict(col)
         while v:
-            r = min(v)
+            r = max(v)
             piv = pivots.get(r)
             if piv is None:
                 inv = pow(v[r], p - 2, p)
@@ -229,14 +230,14 @@ def rank(M, p):
 
 
 def gf2_rank(M):
-    """Rank over GF(2) of a SparseMap: each column a Python int, pivoting on its lowest set bit."""
-    pivots = {}  # lowest set bit -> reduced column
+    """Rank over GF(2) of a SparseMap: each column a Python int, pivoting on its highest set bit."""
+    pivots = {}  # bit length (highest set bit + 1) -> reduced column
     for col in M.cols:
         v = sum(1 << r for r in col)
         while v:
-            piv = pivots.get(v & -v)
+            piv = pivots.get(v.bit_length())
             if piv is None:
-                pivots[v & -v] = v
+                pivots[v.bit_length()] = v
                 break
             v ^= piv
     return len(pivots)

@@ -310,6 +310,13 @@ def lambda_chart(n, target_dims, s_max, t_max):
 # ---------------------------------------------------------------------------
 # the faces and degeneracies of a cotriple resolution, extended on every monomial
 # ---------------------------------------------------------------------------
+#
+# A resolution keeps only the nondegenerate monomials of its top level,
+# V[s_max + 1], so a map into that level is incomplete there.  The maps below
+# stop one level short of it: the faces run through level s_max (the top
+# faces on the columns V[s_max + 1] holds), the degeneracies and the extra
+# degeneracy into level s_max.  A check that needs level s complete builds a
+# resolution one level deeper.
 
 def _images_to_map(res, images, level_to, level_from):
     """Dict {source monomial: target vector} as a SparseMap on the V bases of res."""
@@ -342,7 +349,8 @@ def full_faces(res):
                     key: res._gen_vec(faces[s - 1][i - 1].cols[j], s - 1)
                     for j, (_, key) in enumerate(res.V[s])
                 }
-            images = extend_algebra_map(res.levels[s], target, gen_images)
+            images = extend_algebra_map(res.levels[s], target, gen_images,
+                                        [m for _, m in res.V[s + 1]])
             maps.append(_images_to_map(res, images, s, s + 1))
         faces.append(maps)
     return faces
@@ -351,13 +359,13 @@ def full_faces(res):
 def full_degeneracies(res):
     """The degeneracies of a cotriple resolution, extended through the algebra.
 
-    degen[s][j] maps level s + 1 to level s + 2 on monomial bases: it
+    degen[s][j], s < s_max - 1, maps level s + 1 to level s + 2 on monomial bases: it
     extends, multiplicatively, the insertion g -> [g] on the generators of
     level s for j = 0, and degen[s - 1][j - 1], as built here, for j >= 1.
     res.G is not used.  Returns SparseMaps indexed like res.degen_full.
     """
     degen = []
-    for s in range(res.s_max):
+    for s in range(res.s_max - 1):
         maps = []
         for j in range(s + 1):
             cols = degen[s - 1][j - 1].cols if j else [
@@ -386,12 +394,12 @@ def simplicial_identity_violations(res):
             for i in range(0, j):
                 if face[s - 1][i] @ face[s][j] != face[s - 1][j - 1] @ face[s][i]:
                     bad.append(("dd", s, i, j))
-    for s in range(0, res.s_max - 1):
+    for s in range(0, res.s_max - 2):
         for j in range(0, s + 1):
             for i in range(0, j + 1):
                 if degen[s + 1][j + 1] @ degen[s][i] != degen[s + 1][i] @ degen[s][j]:
                     bad.append(("ss", s, i, j))
-    for s in range(0, res.s_max):
+    for s in range(0, res.s_max - 1):
         for j in range(0, s + 1):
             for i in range(0, s + 2):
                 comp = face[s + 1][i] @ degen[s][j]
@@ -409,8 +417,8 @@ def simplicial_identity_violations(res):
 def extra_degeneracy(res):
     """Contracting homotopy of a resolution whose base cohomology is itself free.
 
-    Returns SparseMaps h[s]: level s-1 -> level s on monomial bases (with
-    h[0]: the base algebra -> level 0), which should satisfy d_last h = id
+    Returns SparseMaps h[s], s < s_max: level s-1 -> level s on monomial
+    bases (with h[0]: the base algebra -> level 0), which should satisfy d_last h = id
     and d_i h = h d_i for i < last; only defined for free base cohomology.
     """
     space = res.space
@@ -427,7 +435,7 @@ def extra_degeneracy(res):
                 vec = lvl0.mul(vec, gv)
         images[nm] = vec
     h = [_images_to_map(res, images, 1, 0)]
-    for s in range(0, res.s_max):
+    for s in range(0, res.s_max - 1):
         gen_images = {
             key: res._gen_vec(h[s].cols[j], s + 1)
             for j, (_, key) in enumerate(res.V[s])
@@ -518,6 +526,7 @@ def kernel_normalized_dims(res, M, top_s):
     """Cochain and cohomology dims of the codegeneracy-kernel subcomplex.
 
     Returns (dims for s = 0..top_s, cohomology dims for s = 0..top_s - 1).
+    top_s <= res.s_max: the full cochain groups need every level complete.
     Codegeneracy j on cochain group s precomposes with the degeneracy j
     from level s - 1: the insertion for j = 0, full_degeneracies(res)[s - 2][j - 1]
     otherwise.  Raises AssertionError when the coboundary leaves the

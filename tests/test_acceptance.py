@@ -172,7 +172,8 @@ def test_criterion_6_resolution_well_formedness():
     ok = True
     for name in ("S2", "K2"):
         space = builtin_space(name, 2, 8)
-        res = cotriple_resolution(space, 3, 8)
+        # levels 0..3, complete in a resolution one level deeper
+        res = cotriple_resolution(space, 4, 8)
         ok = ok and simplicial_identity_violations(res) == []
         # every cochain complex asserts d.d = 0 at construction; build some
         from unstable_e2.adams import suspension_target

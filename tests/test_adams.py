@@ -101,8 +101,9 @@ def test_k_space_field_must_match_p():
 
 
 def test_simplicial_identities_smax3():
+    # levels 0..3 in full: the top level keeps only its nondegenerate monomials
     S2 = builtin_space("S2", 2, 6)
-    res = cotriple_resolution(S2, 3, 6)
+    res = cotriple_resolution(S2, 4, 6)
     assert "degen_full" not in vars(res)  # degeneracies are built on first use
     assert simplicial_identity_violations(res) == []
     assert [len(maps) for maps in res.degen_full] == [1, 2, 3]
@@ -110,7 +111,7 @@ def test_simplicial_identities_smax3():
 
 def test_simplicial_check_catches_a_corrupted_face():
     S2 = builtin_space("S2", 2, 6)
-    res = cotriple_resolution(S2, 2, 6)
+    res = cotriple_resolution(S2, 3, 6)
     col = next(c for c in res.face_full[1][0].cols if c)
     r = next(iter(col))
     col[r] = (col[r] + 1) % res.p
@@ -124,7 +125,7 @@ def test_simplicial_check_catches_a_corrupted_face():
 # S2's composites never cancel at p = 2; K1's do, which exercises the mod-p sum
 @pytest.mark.parametrize("name,D", [("S2", 6), ("K1", 5)])
 def test_sparse_composites_match_dense_products(monkeypatch, name, D):
-    res = cotriple_resolution(builtin_space(name, 2, D), 2, D)
+    res = cotriple_resolution(builtin_space(name, 2, D), 3, D)
     seen = []
     compose = SparseMap.__matmul__
 
@@ -142,7 +143,7 @@ def test_sparse_composites_match_dense_products(monkeypatch, name, D):
 
 def test_structure_maps_stay_sparse():
     S2 = builtin_space("S2", 2, 6)
-    res = cotriple_resolution(S2, 2, 6)
+    res = cotriple_resolution(S2, 3, 6)
     maps = [M for mats in res.face_full + res.degen_full for M in mats]
     assert maps
     # the cochain differentials and the bar boundaries are sparse too
@@ -155,18 +156,19 @@ def test_structure_maps_stay_sparse():
 
 
 def test_extra_degeneracy_contracts_free_base():
+    # levels 0..2 of a resolution one level deeper, which holds them in full
     K1 = builtin_space("K1", 2, 5)
-    res = cotriple_resolution(K1, 2, 5)
+    res = cotriple_resolution(K1, 3, 5)
     h = extra_degeneracy(res)
     p = 2
     # last face collapses the inserted layer: d_last . h = id
-    for s in range(0, res.s_max + 1):
+    for s in range(0, res.s_max):
         last = dense(res.face_full[s][s])
         comp = (last @ dense(h[s])) % p
         n = comp.shape[1]
         assert np.array_equal(comp, np.eye(n, dtype=np.int64)), s
     # earlier faces commute with the homotopy: d_i . h_{s} = h_{s-1} . d_i
-    for s in range(1, res.s_max + 1):
+    for s in range(1, res.s_max):
         for i in range(0, s):
             lhs = (dense(res.face_full[s][i]) @ dense(h[s])) % p
             rhs = (dense(h[s - 1]) @ dense(res.face_full[s - 1][i])) % p
@@ -241,8 +243,9 @@ def test_free_source_collapse_small():
 @pytest.mark.parametrize("p,X,D,s_max,ts", [(2, "S2", 6, 3, (1, 2, 3, 4)), (3, "S3", 12, 3, (10, 11))])
 def test_restricted_complex_matches_kernel_of_codegeneracies(p, X, D, s_max, ts):
     # the complex on nondegenerate generators against the common kernel of
-    # the codegeneracies of the full complex, at every cochain degree
-    res = cotriple_resolution(builtin_space(X, p, D), s_max, D)
+    # the codegeneracies of the full complex, at every cochain degree; the
+    # full complex needs level s_max + 1 complete, so the resolution is one deeper
+    res = cotriple_resolution(builtin_space(X, p, D), s_max + 1, D)
     S1 = builtin_space("S1", p, D)
     for t in ts:
         M = suspension_target(S1, t)
@@ -259,8 +262,9 @@ def test_degenerate_sets_are_the_degeneracy_images(p, X, s_max, D):
     # the degeneracies extended through the algebra, with its sign: every
     # degeneracy column is one entry, +-1 (at odd p a re-sort of odd-degree
     # polygens gives -1, as on K1).  Deg_0 is the insertion's image and
-    # Deg_j, j >= 1, that of degen[s - 2][j - 1]; nondegenerate[s] is the rest
-    res = cotriple_resolution(builtin_space(X, p, D), s_max, D)
+    # Deg_j, j >= 1, that of degen[s - 2][j - 1]; nondegenerate[s] is the rest.
+    # Checked through level s_max + 1 of a resolution one level deeper
+    res = cotriple_resolution(builtin_space(X, p, D), s_max + 1, D)
     degen = full_degeneracies(res)
     for t in range(0, s_max + 1):
         assert res.G[t][0] == [(res._insertion_index(t, key), 1) for _, key in res.V[t]]
@@ -278,9 +282,10 @@ def test_degenerate_sets_are_the_degeneracy_images(p, X, s_max, D):
 @pytest.mark.parametrize("p,X,s_max,D", [(2, "S3", 3, 10), (3, "K1", 2, 8)])
 def test_levels_are_enumerated_in_basis_order(p, X, s_max, D):
     # V[s + 1] is taken as the level's basis as enumerated, so that order
-    # must be the sorted (degree, monomial) order the indices refer to
-    res = cotriple_resolution(builtin_space(X, p, D), s_max, D)
-    for s, level in enumerate(res.levels):
+    # must be the sorted (degree, monomial) order the indices refer to; the
+    # top level keeps a sublist, so levels 0..s_max are read one level deeper
+    res = cotriple_resolution(builtin_space(X, p, D), s_max + 1, D)
+    for s, level in enumerate(res.levels[:-1]):
         assert res.V[s + 1] == list(level.reduced_basis_items()) == sorted(res.V[s + 1]), s
         assert res._vidx[s + 1] == {key: i for i, (_, key) in enumerate(res.V[s + 1])}, s
         assert list(level.gens) == sorted(level.gens), s
@@ -294,8 +299,9 @@ def test_faces_match_full_extension(p, X, s_max, D):
     # degenerate columns are relabelled through the simplicial identities;
     # the reference extends every column through the algebra.  At p = 3, K1
     # has degeneracy columns of coefficient -1, and at D = 8 its face 0
-    # evaluates beta P^1 on the base tables
-    res = cotriple_resolution(builtin_space(X, p, D), s_max, D)
+    # evaluates beta P^1 on the base tables.  Levels 0..s_max are complete in
+    # a resolution one level deeper
+    res = cotriple_resolution(builtin_space(X, p, D), s_max + 1, D)
     assert simplicial_identity_violations(res) == []
     full = full_faces(res)
     for s, maps in enumerate(full):
@@ -303,6 +309,37 @@ def test_faces_match_full_extension(p, X, s_max, D):
             assert res.face_full[s][i].shape == F.shape, (s, i)
             for m, col in enumerate(F.cols):
                 assert res.face_full[s][i].cols[m] == col, (s, i, res.V[s + 1][m])
+
+
+@pytest.mark.parametrize(
+    "p,X,s_max,D",
+    [(2, "S2", 3, 8), (2, "K2", 3, 8), (2, "S1*S1", 2, 6), (3, "S3", 3, 12), (3, "K1", 2, 8)],
+)
+def test_top_level_keeps_its_nondegenerate_monomials(p, X, s_max, D):
+    # the top level is filtered from the letters of its monomials, with no
+    # G[s_max]; one level deeper the same level is filtered by the images of
+    # G[s_max].  K1 at p = 3 has degeneracies of coefficient -1
+    space = builtin_space(X, p, D)
+    res, deeper = cotriple_resolution(space, s_max, D), cotriple_resolution(space, s_max + 1, D)
+    kept = deeper.nondegenerate[s_max + 1]
+    assert 0 < len(kept) < len(deeper.V[s_max + 1])
+    assert res.V[s_max + 1] == [deeper.V[s_max + 1][vi] for vi in kept]
+    assert res.nondegenerate[s_max + 1] == list(range(len(kept)))
+    for F, full in zip(res.face_full[s_max], deeper.face_full[s_max], strict=True):
+        assert F.shape == (full.shape[0], len(kept))
+        assert F.cols == [full.cols[vi] for vi in kept]
+
+
+def test_frontier_top_level_holds_only_its_nondegenerate_monomials():
+    # S3 -> point at s <= 5, t <= 12, whose chart test_lambda_oracle matches
+    # against Lambda: level 5 enumerates 44,324 monomials and the resolution
+    # keeps the 438 that no degeneracy hits (the budget counts all of them)
+    res = cotriple_resolution(builtin_space("S3", 2, 12), 5, 12)
+    assert sum(res.levels[5].hilbert()[1:]) == 44_324
+    assert [len(v) for v in res.V] == [1, 30, 319, 1_674, 6_096, 17_742, 438]
+    assert [len(n) for n in res.nondegenerate] == [1, 29, 260, 806, 1_195, 961, 438]
+    with pytest.raises(BudgetExceeded):
+        cotriple_resolution(builtin_space("S3", 2, 12), 5, 12, budget=70_000)
 
 
 def test_chart_stable_under_deeper_truncation():

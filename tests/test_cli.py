@@ -207,6 +207,14 @@ def test_budget_exceeded_exit_code(capsys):
         assert err.startswith("error: ") and "past 10" in err
 
 
+def test_bar_check_over_budget_exit_code(capsys):
+    # the two windows hold 462,186 and 4,449,574 basis elements; none is built
+    code, out = run(["bar-check", "--n", "1", "--d-max", "9", "--p", "5"])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "hold 4911760 basis elements, past 500000" in err
+
+
 def test_budget_counts_only_the_levels_built(capsys):
     # levels 0..3 of S2 at degree cap 9 fit in 4000 basis elements; a fifth
     # level, which no chart reads, would not

@@ -8,6 +8,7 @@ from unstable_e2 import steenrod as st
 from unstable_e2 import tower
 from unstable_e2.derivations import (
     BarWindow,
+    BudgetExceeded,
     CochainComplex,
     bar_homology_check,
     der_free_basis,
@@ -216,6 +217,20 @@ def test_bar_window_boundary_squares_to_zero_at_every_prime(p, D, s_top):
         bounds = [bw.boundary_matrix(s, d)[0] for s in range(1, s_top + 1)]
         for lower, upper in zip(bounds, bounds[1:]):
             assert not any(tower.matmul_mod(lower, upper, p).cols), (d, upper.shape)
+
+
+@pytest.mark.parametrize("p, n, D, L", [(2, 1, 5, 2), (2, 1, 5, 3), (3, 2, 7, 2), (5, 1, 7, 2)])
+def test_bar_basis_size_counts_the_enumerated_bases(p, n, D, L):
+    bw = BarWindow(p, n, D, L)
+    assert bw.basis_size(4) == sum(len(bw.bar_basis(s, d)) for s in range(5) for d in range(D + 1))
+
+
+def test_bar_budget_is_checked_before_any_boundary(monkeypatch):
+    # both windows (L = 2 and 3) of the n = 1, D = 5 check hold 5,199 + 17,298
+    # elements of bar levels 0..4
+    monkeypatch.setattr(BarWindow, "bar_basis", None)
+    with pytest.raises(BudgetExceeded, match="hold 22497 basis elements, past 22496"):
+        bar_homology_check(1, 5, s_max=3, L=2, budget=22_496)
 
 
 @pytest.mark.parametrize("n, D", [(1, 4), (2, 7)])
