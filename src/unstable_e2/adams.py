@@ -15,16 +15,20 @@ every monomial and check the simplicial identities on those.
 Cochain groups of the derivation complex against a suspension-type target
 need only the generator data of each level, which is what makes s_max 2-3
 feasible: level s is materialized through its basis and through the full
-face maps of the level below, never through anything deeper.  The
-coboundaries are SparseMaps too, read off the face columns.  Cochains live
-on the nondegenerate generators only (the normalized complex, which has the
-same cohomology by the Dold-Kan normalization theorem): every degeneracy
-sends a basis monomial to one basis monomial with coefficient +-1, so the
-degenerate generators are read off the monomials and dropped, and most
-generators of the deeper levels are degenerate.  Faces go through the
-algebra on nondegenerate monomials only; a degenerate column is a face column
-one level down, relabelled by the simplicial identities (each simplex is a
-degeneracy of exactly one nondegenerate simplex: the Eilenberg-Zilber lemma).
+face maps of the level below, never through anything deeper.  Against a
+trivially-acting target the coface delta^0 vanishes on normalized cochains,
+so a chart is a sum over the target's degrees d of one complex into F_p per
+d, each built, d.d-checked and ranked once per chart; a target with
+nontrivial operations is refused once t_max >= 1.  The coboundaries are
+SparseMaps too, read off the face columns.  Cochains live on the
+nondegenerate generators only (the normalized complex, which has the same
+cohomology by the Dold-Kan normalization theorem): every degeneracy sends a
+basis monomial to one basis monomial with coefficient +-1, so the degenerate
+generators are read off the monomials and dropped, and most generators of
+the deeper levels are degenerate.  Faces go through the algebra on
+nondegenerate monomials only; a degenerate column is a face column one level
+down, relabelled by the simplicial identities (each simplex is a degeneracy
+of exactly one nondegenerate simplex: the Eilenberg-Zilber lemma).
 """
 
 from __future__ import annotations
@@ -223,9 +227,9 @@ def _product_space(a: SpaceModel, b: SpaceModel, name, p, D):
         cols = {}
         for da, na, db, nb in pairs:
             out = {}
-            splits = [(s0, s - s0) for s0 in range(0, s + 1)] if eps == 0 else None
             if eps == 0:
-                for s0, s1 in splits:
+                for s0 in range(0, s + 1):
+                    s1 = s - s0
                     va = {na: 1} if s0 == 0 else ({} if na == "1" else a.algebra.module.act_word(((0, s0),), na))
                     vb = {nb: 1} if s1 == 0 else ({} if nb == "1" else b.algebra.module.act_word(((0, s1),), nb))
                     for xa, ca in va.items():
@@ -437,70 +441,42 @@ class CotripleResolution:
 
     # -- the derivation cochain complex -----------------------------------------
 
-    def der_cochain_complex(self, M: GradedVS, top_s, m_act=None):
-        """Hom(nondegenerate generators of each level, M), cofaces from the faces.
+    def der_cochain_complex(self, d, top_s):
+        """The normalized derivation complex into F_p in internal degree d.
 
-        This is the normalized complex: the cochains that vanish on every
-        degenerate generator.  By the Dold-Kan normalization theorem it has
-        the cohomology of the full complex, and since each degeneracy sends a
-        basis monomial to one basis monomial with coefficient +-1 (a sign
-        spans the same line), it is the full complex with the degenerate rows
-        and columns dropped.  Each coboundary is a SparseMap built column by
-        column.  m_act(word) may supply the operation action on M as a
-        dict-of-dicts matrix {m_name: {m_name2: coeff}}; None means the
-        trivial action.
+        Cochain group s is spanned by the nondegenerate generators of V[s]
+        in degree d, for s = 0..top_s.  By the Dold-Kan normalization theorem
+        it has the cohomology of the full complex, and since each degeneracy
+        sends a basis monomial to one basis monomial with coefficient +-1 (a
+        sign spans the same line), it is the full complex with the degenerate
+        rows and columns dropped.  Against a square-zero target with trivial
+        action the coface delta^0 vanishes on normalized cochains: it pairs a
+        nondegenerate w(g) of level s + 1 with g through the action of the
+        word w, which is nonempty there (the empty word is the insertion, a
+        degeneracy).  So the coboundary is the alternating sum of the duals
+        of the faces i >= 1, and the complex of such a target M is the sum
+        over degrees d of dim M_d copies of this one.  Each coboundary is a
+        SparseMap built column by column.
         """
         p = self.p
         if top_s > self.s_max + 1:
             raise ChartError(f"resolution holds {self.s_max + 1} levels, need {top_s}")
-        bases = [
-            [(vi, mn) for vi in self.nondegenerate[s] for mn in M.basis.get(self.V[s][vi][0], ())]
-            for s in range(0, top_s + 1)
-        ]
-        dims = [len(b) for b in bases]
+        bases = [[vi for vi in self.nondegenerate[s] if self.V[s][vi][0] == d]
+                 for s in range(0, top_s + 1)]
         maps = []
         for s in range(0, top_s):
-            rows = {b: i for i, b in enumerate(bases[s + 1])}
-            cols = {b: i for i, b in enumerate(bases[s])}
+            cols = {vi: c for c, vi in enumerate(bases[s])}
             out = [{} for _ in bases[s]]
-
-            def add(r, c, x):
-                out[c][r] = (out[c].get(r, 0) + x) % p
-
-            # delta^0: a generator of level s+1 that is one polygen w(g) of
-            # level s pairs with g through the action of w; decomposable
-            # generators pair with nothing (square-zero targets kill them).
-            # On a nondegenerate w(g), w is nonempty (the empty word is the
-            # insertion, a degeneracy) and g is nondegenerate (w(s g) is
-            # degenerate), so only a nontrivial action contributes.
-            if m_act is not None:
-                level = self.levels[s]
-                for vi in self.nondegenerate[s + 1]:
-                    key = self.V[s + 1][vi][1]
-                    if len(key) != 1 or key[0][1] != 1:
-                        continue
-                    word, genkey = level.polygens[key[0][0]]
-                    src_vi = self._vidx[s][genkey]
-                    act = m_act(word)
-                    for mn_src in M.basis.get(self.V[s][src_vi][0], ()):
-                        for mn_t, cc in act.get(mn_src, {}).items():
-                            r = rows.get((vi, mn_t))
-                            if r is not None:
-                                add(r, cols[(src_vi, mn_src)], cc)
-            # delta^i, i >= 1: duals of the full face maps one level down,
-            # read on the indexed (nondegenerate) columns only
-            for i in range(1, s + 2):
-                F = self.face_full[s][i - 1]
-                sign = -1 if i % 2 else 1
-                for (vi, mn), r in rows.items():
-                    for src_vi, coeff in F.cols[vi].items():
-                        c = cols.get((src_vi, mn))
-                        if c is not None:
-                            add(r, c, sign * coeff)
-            maps.append(tower.SparseMap(
-                dims[s + 1], [{r: x for r, x in col.items() if x} for col in out], p
-            ))
-        return CochainComplex(p, dims, maps)
+            for r, vi in enumerate(bases[s + 1]):
+                row = {}
+                for i in range(1, s + 2):
+                    tower.add_scaled(row, self.face_full[s][i - 1].cols[vi], -1 if i % 2 else 1, p)
+                for x, v in row.items():
+                    c = cols.get(x)  # None on a degenerate generator
+                    if c is not None:
+                        out[c][r] = v
+            maps.append(tower.SparseMap(len(bases[s + 1]), out, p))
+        return CochainComplex(p, [len(b) for b in bases], maps)
 
     def _insertion_index(self, s, key):
         inner = ((self.levels[s].pg_index[((), key)], 1),)
@@ -568,26 +544,27 @@ def _chart_resolution(X: SpaceModel, Y: SpaceModel, s_max, t_max, D, budget, res
 
 def adams_chart(X: SpaceModel, Y: SpaceModel, s_max, t_max, D, budget=500_000,
                 resolution=None):
-    """The unstable Adams E2 chart on the window, plus the (0,0) hom-set cell."""
+    """The unstable Adams E2 chart on the window, plus the (0,0) hom-set cell.
+
+    Cell (s, t) is the sum over the degrees d of Sigma^t H*Y of
+    dim (Sigma^t H*Y)_d . H^s of the degree-d normalized complex; each
+    degree's complex is built, d.d-checked and ranked once per chart.  That
+    sum needs a trivially-acting target, so a target with nontrivial
+    operations is refused when t_max >= 1.
+    """
+    if t_max >= 1 and not suspension_has_trivial_action(Y):
+        raise ChartError(
+            f"adams_chart needs a trivially-acting suspension target for t >= 1; "
+            f"{Y.name} has nontrivial operations"
+        )
     res = _chart_resolution(X, Y, s_max, t_max, D, budget, resolution)
-    m_act = None
-    if not suspension_has_trivial_action(Y):
-        mod = Y.algebra.module
-
-        def m_act(word):
-            out = {}
-            for d, nm in mod.vs.items():
-                img = mod.act_word(word, nm)
-                if img:
-                    out[nm] = img
-            return out
-
+    targets = [suspension_target(Y, t) for t in range(1, t_max + 1)]
+    H = {d: res.der_cochain_complex(d, s_max + 1).cohomology_dims(s_max)
+         for d in sorted({d for M in targets for d in M.degrees()})}
     entries = {}
-    for t in range(1, t_max + 1):
-        M = suspension_target(Y, t)
-        cc = res.der_cochain_complex(M, s_max + 1, m_act=m_act)
-        dims = cc.cohomology_dims(s_max)
-        for s, dim in enumerate(dims):
+    for t, M in enumerate(targets, 1):
+        for s in range(0, s_max + 1):
+            dim = sum(M.dim(d) * H[d][s] for d in M.degrees())
             if dim:
                 entries[(s, t)] = dim
     count = hom_set_count(X, Y)

@@ -318,8 +318,7 @@ def bar_homology_check(n, D, s_max=3, L=3, p=2, budget=500_000):
     generator; saturation compares the window L against L+1.  Raises
     BudgetExceeded up front when both windows' bar bases together pass budget.
     """
-    def run(length_cap):
-        bw = BarWindow(p, n, D, length_cap)
+    def run(bw):
         dims = {}
         for d in range(0, D + 1):
             # boundary s + 1 runs from bar level s + 1 to s; each is ranked once
@@ -331,11 +330,12 @@ def bar_homology_check(n, D, s_max=3, L=3, p=2, budget=500_000):
         return dims
 
     expected = FreeUnstableAlgebra(p, [("i", n)], D).hilbert()  # rejects n < 1
-    size = sum(BarWindow(p, n, D, cap).basis_size(s_max + 1) for cap in (L, L + 1))
+    windows = [BarWindow(p, n, D, cap) for cap in (L, L + 1)]
+    size = sum(bw.basis_size(s_max + 1) for bw in windows)
     if size > budget:
         raise BudgetExceeded(f"bar windows hold {size} basis elements, past {budget}")
-    hom = run(L)
-    hom_next = run(L + 1)
+    hom = run(windows.pop(0))  # popped, so each window's bases are freed after its ranks
+    hom_next = run(windows.pop())
     report = {"p": p, "n": n, "D": D, "L": L, "homology": hom, "pass": True, "cells": {}}
     for (s, d), dim in sorted(hom.items()):
         saturated = hom_next.get((s, d)) == dim

@@ -156,10 +156,7 @@ def make_word(indices, p, flavor):
             raise ValueError(f"bad Bockstein flag {eps}")
         pairs.append((eps, int(s)))
     if flavor == FLAVOR_A:
-        w = normalize_word_a(pairs, p)
-        if w is None:
-            return None
-        return w
+        return normalize_word_a(pairs, p)
     if p == 2 and any(e for e, _ in pairs):
         raise ValueError("no Bockstein letters at p = 2")
     return tuple(pairs)
@@ -187,15 +184,12 @@ def _adem_pair(e1, a, e2, b, p, flavor):
         if not terms[key]:
             del terms[key]
 
-    def fdiv(x, d):
-        return x // d
-
     if e2 == 0:
         # P^a P^b with a < pb
         lo = a - (p - 1) * b + 1
         if floor0:
             lo = max(lo, 0)
-        for t in range(lo, fdiv(a, p) + 1):
+        for t in range(lo, a // p + 1):
             c = binom_mod((p - 1) * (b - t) - 1, a - p * t, p)
             if not c:
                 continue
@@ -207,14 +201,14 @@ def _adem_pair(e1, a, e2, b, p, flavor):
         lo = a - (p - 1) * b
         if floor0:
             lo = max(lo, 0)
-        for t in range(lo, fdiv(a, p) + 1):
+        for t in range(lo, a // p + 1):
             c = binom_mod((p - 1) * (b - t), a - p * t, p)
             if c:
                 if (a + t) % 2:
                     c = (-c) % p
                 if e1 == 0:  # beta merges on the left; beta beta = 0 otherwise
                     add(((1, a + b - t), (0, t)), c)
-        for t in range(lo, fdiv(a - 1, p) + 1):
+        for t in range(lo, (a - 1) // p + 1):
             c = binom_mod((p - 1) * (b - t) - 1, a - p * t - 1, p)
             if c:
                 if (a + t - 1) % 2:

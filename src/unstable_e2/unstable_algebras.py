@@ -70,7 +70,9 @@ class MonomialBasis:
         # letters are sorted by degree (checked at construction), so the scan
         # can stop at the first letter heavier than the degree left; recursion
         # depth is the number of distinct letters in a monomial, not the
-        # alphabet size
+        # alphabet size.  The walk visits (letter, exponent) extensions in
+        # increasing order and a proper prefix has a lower degree, so each
+        # degree's monomials come out sorted
         by_degree = {}
         n = len(self.pg_degree)
 
@@ -89,7 +91,7 @@ class MonomialBasis:
                     acc.pop()
 
         rec(0, self.D, 0, [])
-        return {d: tuple(sorted(ms)) for d, ms in by_degree.items()}
+        return {d: tuple(ms) for d, ms in by_degree.items()}
 
     def basis(self, d):
         """Ordered monomial basis in degree d (degree 0 is the unit)."""

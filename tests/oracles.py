@@ -307,6 +307,26 @@ def lambda_chart(n, target_dims, s_max, t_max):
     return out
 
 
+def summed_lambda_chart(factors, target_dims, s_max, t_max):
+    """The cells of a product source's chart that the Massey-Peterson sum rule fixes.
+
+    factors names the two factors, "S<n>" or "K<n>" (p = 2).  H*(S^a x S^b)
+    is U(Sigma^a F_2 + Sigma^b F_2), with U the free unstable algebra functor,
+    so its E2 is Ext over unstable modules of that sum; H*K_n is U of a free
+    unstable module, whose Ext vanishes for s >= 1.  For t >= 1 the cell is
+    the sum over the sphere factors of lambda_chart, and with a K factor only
+    the cells with s >= 1 are fixed.  Returns every fixed cell, zeros included.
+    """
+    spheres = [int(f[1:]) for f in factors if f[0] == "S"]
+    s_min = 0 if len(spheres) == len(factors) else 1
+    out = {(s, t): 0 for s in range(s_min, s_max + 1) for t in range(1, t_max + 1)}
+    for n in spheres:
+        for cell, dim in lambda_chart(n, target_dims, s_max, t_max).items():
+            if cell in out:
+                out[cell] += dim
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the faces and degeneracies of a cotriple resolution, extended on every monomial
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from oracles import (
     lambda_chart,
     partition_count_dims,
     simplicial_identity_violations,
+    summed_lambda_chart,
 )
 
 
@@ -180,7 +181,8 @@ def test_criterion_6_resolution_well_formedness():
 
         Y = builtin_space("S1", 2, 8)
         for t in (1, 3):
-            res.der_cochain_complex(suspension_target(Y, t), 4)
+            for d in suspension_target(Y, t).degrees():
+                res.der_cochain_complex(d, 4)
     _report(6, "simplicial identities hold as matrices (s_max=3, D=8); d.d = 0 "
                "asserted on every cochain complex", ok)
 
@@ -264,16 +266,26 @@ LAMBDA_WINDOWS = (
     ("S4", "point", {0: 1}, 3, 12),
     ("S3", "S2", {0: 1, 2: 1}, 3, 8),
 )
+# product sources, against sums of sphere charts (the Massey-Peterson rule)
+PRODUCT_WINDOWS = (
+    ("S1*S2", "point", {0: 1}, 3, 7),
+    ("K1*S1", "point", {0: 1}, 3, 6),
+)
 
 
 def test_criterion_10_lambda_algebra():
     ok = True
-    for xn, yn, target_dims, s_max, t_max in LAMBDA_WINDOWS:
+    for xn, yn, target_dims, s_max, t_max in LAMBDA_WINDOWS + PRODUCT_WINDOWS:
         D = t_max + max(target_dims)
         X, Y = builtin_space(xn, 2, D), builtin_space(yn, 2, D)
         chart = adams_chart(X, Y, s_max, t_max, D)
-        want = lambda_chart(int(xn[1:]), target_dims, s_max, t_max)
-        cells = [(s, t) for s in range(s_max + 1) for t in range(t_max + 1)]
-        ok = ok and all(chart.dim(*c) == want.get(c, 0) for c in cells)
+        if "*" in xn:
+            want = summed_lambda_chart(xn.split("*"), target_dims, s_max, t_max)
+        else:
+            want = lambda_chart(int(xn[1:]), target_dims, s_max, t_max)
+            want = {(s, t): want.get((s, t), 0)
+                    for s in range(s_max + 1) for t in range(t_max + 1)}
+        ok = ok and all(chart.dim(*c) == dim for c, dim in want.items())
     _report(10, "adams_chart equals the unstable Lambda algebra's E2 cell for cell "
-                "on five sphere windows (p=2)", ok)
+                "on five sphere windows and, by the Massey-Peterson sum rule, on "
+                "S1*S2 and K1*S1 (p=2)", ok)

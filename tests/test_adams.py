@@ -147,7 +147,8 @@ def test_structure_maps_stay_sparse():
     maps = [M for mats in res.face_full + res.degen_full for M in mats]
     assert maps
     # the cochain differentials and the bar boundaries are sparse too
-    maps += res.der_cochain_complex(suspension_target(S2, 2), 3).maps
+    for d in suspension_target(S2, 2).degrees():
+        maps += res.der_cochain_complex(d, 3).maps
     bw = BarWindow(2, 2, 5, 2)
     maps += [bw.boundary_matrix(s, d)[0] for s in (1, 2, 3) for d in range(6)]
     for M in maps:
@@ -207,6 +208,20 @@ def test_chart_builds_only_the_levels_it_reads(monkeypatch, p, X, s_max, t_max, 
     assert adams_chart(Xs, S1, s_max, t_max, D, resolution=deeper).entries == chart.entries
 
 
+def test_chart_builds_each_degree_complex_once(monkeypatch):
+    # the targets Sigma^t H*S1, t = 1..8, span degrees 1..9, each shared by two t
+    degrees = []
+    build = adams.CotripleResolution.der_cochain_complex
+
+    def counting(self, d, top_s):
+        degrees.append(d)
+        return build(self, d, top_s)
+
+    monkeypatch.setattr(adams.CotripleResolution, "der_cochain_complex", counting)
+    adams_chart(builtin_space("S2", 2, 10), builtin_space("S1", 2, 10), 3, 8, 10)
+    assert sorted(degrees) == list(range(1, 10))
+
+
 def test_chart_resolution_depth_guard():
     S2, S1 = builtin_space("S2", 2, 10), builtin_space("S1", 2, 10)
     exact = adams_chart(S2, S1, 2, 6, 10, resolution=cotriple_resolution(S2, 2, 7))
@@ -247,11 +262,18 @@ def test_restricted_complex_matches_kernel_of_codegeneracies(p, X, D, s_max, ts)
     # full complex needs level s_max + 1 complete, so the resolution is one deeper
     res = cotriple_resolution(builtin_space(X, p, D), s_max + 1, D)
     S1 = builtin_space("S1", p, D)
+    # against a trivially-acting target the complex is the sum over its
+    # degrees d of dim M_d copies of the degree-d complex; the oracle builds
+    # the full complex on all of M, delta^0 included
     for t in ts:
         M = suspension_target(S1, t)
-        cc = res.der_cochain_complex(M, s_max + 1)
-        dims, coh = kernel_normalized_dims(res, M, s_max + 1)
-        assert (cc.dims, list(cc.cohomology_dims(s_max))) == (dims, coh), t
+        parts = []
+        for d in M.degrees():
+            cc = res.der_cochain_complex(d, s_max + 1)
+            parts.append((M.dim(d), cc.dims, cc.cohomology_dims(s_max)))
+        dims = [sum(n * c[s] for n, c, _ in parts) for s in range(s_max + 2)]
+        coh = [sum(n * h[s] for n, _, h in parts) for s in range(s_max + 1)]
+        assert (dims, coh) == kernel_normalized_dims(res, M, s_max + 1), t
 
 
 @pytest.mark.parametrize(

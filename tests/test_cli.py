@@ -106,6 +106,22 @@ def test_error_exit_code():
     assert code == 2  # refused: truncation below the sufficiency bound
 
 
+def test_nontrivially_acting_target_exit_codes(capsys):
+    # a chart sums per-degree complexes into F_p, which needs a target with
+    # trivial action once t >= 1; K3 at p = 3 has beta on its class
+    code, out = run(["adams-chart", "--p", "3", "--X", "S1", "--Y", "K3", "--D", "6",
+                     "--tmax", "2", "--smax", "2"])
+    err = capsys.readouterr().err
+    assert code == 2 and out == "" and err.startswith("error: ") and "K3" in err
+    # at t_max = 0 the chart is the hom-set cell alone
+    code, out = run(["adams-chart", "--X", "S2", "--Y", "K1", "--tmax", "0", "--D", "6"])
+    assert code == 0
+    assert [(e["s"], e["t"]) for e in json.loads(out)["entries"]] == [(0, 0)]
+    code, out = run(["gh-chart", "--X", "S2", "--Y", "K1", "--tmax", "0", "--D", "6"])
+    err = capsys.readouterr().err
+    assert code == 2 and out == "" and "K1" in err
+
+
 def test_bad_space_exit_code():
     code, _ = run(["adams-chart", "--X", "NOPE", "--Y", "S1", "--smax", "1",
                    "--tmax", "2", "--D", "6"])

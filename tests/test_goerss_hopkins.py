@@ -92,10 +92,15 @@ def test_saturation_entries_are_the_nonzero_cochain_groups():
     S1 = builtin_space("S1", 2, 10)
     res = cotriple_resolution(S2, 2, 10)
     rep = d1_saturation_report(S2, S1, 2, 6, D=10, schedule_max=3, resolution=res)
+    # the targets' degrees are 1..7; each target is a sum of degree-d copies
+    dims = {d: res.der_cochain_complex(d, 2).dims for d in range(1, 8)}
     groups = {}
     for t in range(1, 7):
-        dims = res.der_cochain_complex(suspension_target(S1, t), 2).dims
-        groups.update({(s, t): n for s, n in enumerate(dims) if n})
+        M = suspension_target(S1, t)
+        for s in range(0, 3):
+            n = sum(M.dim(d) * dims[d][s] for d in M.degrees())
+            if n:
+                groups[(s, t)] = n
     assert all(e["coords"] for e in rep["entries"])
     assert {(e["s"], e["t"]): e["coords"] for e in rep["entries"]} == groups
     assert len(rep["entries"]) == len(groups) == 11 and sum(groups.values()) == 56

@@ -1,5 +1,7 @@
 """The unstable Adams E2 of spheres against the Lambda algebra (p = 2).
 
+A product of spheres is checked against the sum of its factors' Lambda
+charts (the Massey-Peterson sum rule, ``summed_lambda_chart``).
 The oracle (tests/oracles.py) shares no code with the cotriple resolution,
 the cochain complexes or the ranks it checks.
 """
@@ -8,7 +10,14 @@ import pytest
 
 from unstable_e2.adams import adams_chart, builtin_space
 
-from oracles import lambda_admissible, lambda_chart, lambda_cohomology, lambda_d, lambda_words
+from oracles import (
+    lambda_admissible,
+    lambda_chart,
+    lambda_cohomology,
+    lambda_d,
+    lambda_words,
+    summed_lambda_chart,
+)
 
 
 def test_lambda_d_squares_to_zero():
@@ -43,3 +52,13 @@ def test_adams_chart_matches_lambda(X, Y, target_dims, s_max, t_max):
     want = lambda_chart(n, target_dims, s_max, t_max)
     cells = {(s, t) for s in range(s_max + 1) for t in range(t_max + 1)}
     assert {c: chart.dim(*c) for c in cells} == {c: want.get(c, 0) for c in cells}
+
+
+def test_product_chart_matches_summed_lambda():
+    # the torus against S1: by the Massey-Peterson rule each cell with t >= 1
+    # is twice the circle's
+    D, s_max, t_max = 7, 3, 6
+    X, Y = builtin_space("S1*S1", 2, D), builtin_space("S1", 2, D)
+    chart = adams_chart(X, Y, s_max, t_max, D)
+    want = summed_lambda_chart(("S1", "S1"), {0: 1, 1: 1}, s_max, t_max)
+    assert {c: chart.dim(*c) for c in want} == want
