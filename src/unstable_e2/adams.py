@@ -520,12 +520,20 @@ def suspension_has_trivial_action(Y: SpaceModel):
 
 
 def _chart_resolution(X: SpaceModel, Y: SpaceModel, s_max, t_max, D, budget, resolution):
-    """The resolution a chart on the window ranks, after the truncation check.
+    """The resolution a chart on the window ranks, after the target and truncation checks.
 
-    Rows 0..s_max read cochain groups 0..s_max + 1: V[0..s_max + 1] and the
-    faces of levels 0..s_max, all held by cotriple_resolution(X, s_max).  A
-    caller's resolution must be one of X, to that depth and degree.
+    The chart's complexes are per-degree complexes into F_p, summed over
+    the target's degrees, so a target with nontrivial operations is refused
+    when t_max >= 1.  Rows 0..s_max read cochain groups 0..s_max + 1:
+    V[0..s_max + 1] and the faces of levels 0..s_max, all held by
+    cotriple_resolution(X, s_max).  A caller's resolution must be one of X,
+    to that depth and degree.
     """
+    if t_max >= 1 and not suspension_has_trivial_action(Y):
+        raise ChartError(
+            f"a chart needs a trivially-acting suspension target for t >= 1; "
+            f"{Y.name} has nontrivial operations"
+        )
     d_needed = t_max + Y.top_degree()
     if D < d_needed:
         raise ChartError(
@@ -552,11 +560,6 @@ def adams_chart(X: SpaceModel, Y: SpaceModel, s_max, t_max, D, budget=500_000,
     sum needs a trivially-acting target, so a target with nontrivial
     operations is refused when t_max >= 1.
     """
-    if t_max >= 1 and not suspension_has_trivial_action(Y):
-        raise ChartError(
-            f"adams_chart needs a trivially-acting suspension target for t >= 1; "
-            f"{Y.name} has nontrivial operations"
-        )
     res = _chart_resolution(X, Y, s_max, t_max, D, budget, resolution)
     targets = [suspension_target(Y, t) for t in range(1, t_max + 1)]
     H = {d: res.der_cochain_complex(d, s_max + 1).cohomology_dims(s_max)

@@ -21,6 +21,8 @@ Every differential here is a ``tower.SparseMap``, ranked once.
 
 from __future__ import annotations
 
+import itertools
+
 from . import steenrod as st
 from . import tower
 from .unstable_algebras import FreeUnstableAlgebra, MonomialBasis
@@ -194,6 +196,10 @@ class BarWindow:
     L+1, which absorbs exactly the one index-0 letter each face can append.
     On this window the complex's homology is concentrated in simplicial
     degree 0 where it matches the classical free-algebra dimensions.
+
+    The window works one internal degree at a time: it keeps the bar bases
+    of the last degree asked for only.  The phi, last-face and product
+    tables serve every degree, so they stay for the window's life.
     """
 
     def __init__(self, p, n, D, L):
@@ -204,7 +210,7 @@ class BarWindow:
         words_f = tuple(w for w in words_t if len(w) <= L)
         self.factor = MonomialBasis(p, tuple(n + st.word_degree(w, p) for w in words_f), D)
         self.factor_words = words_f
-        self._bases = {}  # (s, d) -> bar_basis(s, d); inner levels bound two boundaries
+        self._bases = {}  # (s, d) -> bar_basis(s, d), for one degree d at a time
         self._phi = {}  # factor monomial -> _phi_factor image
         self._last = {}  # (m0, f) -> last-face entry of m0 . phi(f), without its sign
 
@@ -257,25 +263,25 @@ class BarWindow:
         return total
 
     def bar_basis(self, s, d):
-        """Basis of the degree-d part of the s-th bar level: (m0, m1..ms), enumerated once."""
-        if (s, d) in self._bases:
-            return self._bases[(s, d)]
+        """Basis of the degree-d part of the s-th bar level: (m0, m1..ms), sorted.
+
+        Enumerated once per degree; asking for another degree drops the
+        bases held for this one.
+        """
+        key = (s, d)
+        if key in self._bases:
+            return self._bases[key]
+        if any(dd != d for _, dd in self._bases):
+            self._bases = {}
         out = []
-
-        def rec(slot, deg_left, acc):
-            if slot == s:
-                for m0 in self.target.basis(deg_left):
-                    out.append((m0,) + tuple(acc))
-                return
-            for dd in range(1, deg_left + 1):
-                for m in self.factor.basis(dd):
-                    acc.append(m)
-                    rec(slot + 1, deg_left - dd, acc)
-                    acc.pop()
-
-        rec(0, d, [])
+        # factor degrees d_1..d_s >= 1 leave degree d - sum for m0
+        for degs in itertools.product(range(1, d + 1), repeat=s):
+            left = d - sum(degs)
+            if left >= 0:
+                for fs in itertools.product(*map(self.factor.basis, degs)):
+                    out.extend((m0,) + fs for m0 in self.target.basis(left))
         out.sort()
-        self._bases[(s, d)] = out
+        self._bases[key] = out
         return out
 
     def boundary_matrix(self, s, d):
@@ -317,16 +323,18 @@ def bar_homology_check(n, D, s_max=3, L=3, p=2, budget=500_000):
     0, where its dimensions equal the free unstable algebra on one degree-n
     generator; saturation compares the window L against L+1.  Raises
     BudgetExceeded up front when both windows' bar bases together pass budget.
+    Works one window and one internal degree at a time: each boundary is
+    ranked as soon as it is built and then dropped, and the first window is
+    freed before the second one runs.
     """
     def run(bw):
         dims = {}
         for d in range(0, D + 1):
-            # boundary s + 1 runs from bar level s + 1 to s; each is ranked once
-            bounds = [bw.boundary_matrix(s, d) for s in range(1, s_max + 2)]
-            sizes = [len(bounds[0][2])] + [len(src) for _, src, _ in bounds]
-            ranks = [tower.rank(M, p) for M, _, _ in bounds]
+            # boundary s runs from bar level s to s - 1
+            ranks = [tower.rank(bw.boundary_matrix(s, d)[0], p) for s in range(1, s_max + 2)]
             for s in range(s_max + 1):
-                dims[(s, d)] = sizes[s] - ranks[s] - (ranks[s - 1] if s else 0)
+                size = len(bw.bar_basis(s, d))
+                dims[(s, d)] = size - ranks[s] - (ranks[s - 1] if s else 0)
         return dims
 
     expected = FreeUnstableAlgebra(p, [("i", n)], D).hilbert()  # rejects n < 1
@@ -334,7 +342,7 @@ def bar_homology_check(n, D, s_max=3, L=3, p=2, budget=500_000):
     size = sum(bw.basis_size(s_max + 1) for bw in windows)
     if size > budget:
         raise BudgetExceeded(f"bar windows hold {size} basis elements, past {budget}")
-    hom = run(windows.pop(0))  # popped, so each window's bases are freed after its ranks
+    hom = run(windows.pop(0))  # popped, so each window is freed after its ranks
     hom_next = run(windows.pop())
     report = {"p": p, "n": n, "D": D, "L": L, "homology": hom, "pass": True, "cells": {}}
     for (s, d), dim in sorted(hom.items()):

@@ -111,7 +111,8 @@ def d1_saturation_report(X: SpaceModel, Y: SpaceModel, s_max, t_max, D,
     cokernel of the two-term complex at chain level 1 is nonzero;
     each representative must become a boundary at some level within the
     schedule, witnessed by an Artin-Schreier solution.  An exhausted
-    schedule is inconclusive, not a pass.
+    schedule is inconclusive, not a pass.  Like ``adams_chart``, it refuses a
+    target with nontrivial operations when t_max >= 1.
     """
     res = _chart_resolution(X, Y, s_max, t_max, D, budget, resolution)
     report = {"entries": [], "pass": True, "inconclusive": False}

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .tower import add_scaled
 
@@ -44,6 +45,9 @@ class BWindow:
 
 
 DEFAULT_B_WINDOW = BWindow()
+
+# the one memo entry of every word whose admissible form is 0
+_ZERO = MappingProxyType({})
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +259,11 @@ class AdemContext:
                 raise WindowExhausted(f"index {s} exceeds window K={w.K}")
 
     def rewrite(self, word):
-        """Admissible form of a word, as dict {admissible word: coeff mod p}.
+        """Admissible form of a word, as a mapping {admissible word: coeff mod p}.
 
-        The dict is the memo's own entry (two words may share one): callers
-        read it and never change it.
+        The mapping is the memo's own entry: two words may share one, and
+        every word that rewrites to 0 shares one read-only empty entry.
+        Callers read it and never change it.
         """
         word = tuple(word)
         hit = self._memo.get(word)
@@ -270,7 +275,7 @@ class AdemContext:
             self._check_window(word)
             i = _first_violation(word, self.p)
             result = {word: 1} if i is None else self._apply_pair(word, i)
-        self._memo[word] = result
+        result = self._memo[word] = result or _ZERO
         return result
 
     def _rewrite_tail_first(self, word):
@@ -289,7 +294,7 @@ class AdemContext:
             if front is None:
                 (_, a), (e2, b) = head, u[0]
                 front = {w: 1} if a >= p * b + e2 else self._apply_pair(w, 0)
-                memo[w] = front
+                front = memo[w] = front or _ZERO
             if len(tail) == 1 and c == 1:
                 return front
             add_scaled(result, front, c, p)
@@ -334,14 +339,19 @@ def get_context(p, flavor, window=None):
 # ---------------------------------------------------------------------------
 
 class OpElement:
-    """Homogeneous F_p-linear combination of same-flavor words."""
+    """Homogeneous F_p-linear combination of same-flavor words; a value.
+
+    terms is a read-only mapping {word: nonzero coeff mod p}.  It may be a
+    view of an Adem memo entry (see ``adem_rewrite``), so arithmetic builds
+    new elements and never changes one.
+    """
 
     __slots__ = ("p", "flavor", "terms")
 
     def __init__(self, p, flavor, terms):
         self.p = p
         self.flavor = flavor
-        self.terms = {tuple(w): c % p for w, c in terms.items() if c % p}
+        self.terms = MappingProxyType({tuple(w): c % p for w, c in terms.items() if c % p})
         if len(self.terms) > 1 and len({word_degree(w, p) for w in self.terms}) > 1:
             raise ValueError("inhomogeneous combination of words")
 
@@ -349,7 +359,7 @@ class OpElement:
     def _homogeneous(cls, p, flavor, terms):
         """An element on nonzero reduced terms already known to share one degree."""
         x = cls.__new__(cls)
-        x.p, x.flavor, x.terms = p, flavor, terms
+        x.p, x.flavor, x.terms = p, flavor, MappingProxyType(terms)
         return x
 
     @classmethod
@@ -395,15 +405,19 @@ class OpElement:
 
 
 def adem_rewrite(x, window=None):
-    """Rewrite an OpElement (or a raw word) into the admissible basis."""
+    """Rewrite an OpElement into the admissible basis.
+
+    The result's terms are read-only.  For one word with coefficient 1 they
+    are a view of the rewrite memo's own entry, shared and never copied.
+    """
     if not isinstance(x, OpElement):
         raise TypeError("adem_rewrite expects an OpElement")
     ctx = get_context(x.p, x.flavor, window)
     if len(x.terms) == 1:
-        # a copy of the memo entry: its terms are already reduced and nonzero
+        # the memo entry itself: its terms are already reduced and nonzero
         ((w, c),) = x.terms.items()
         r = ctx.rewrite(w)
-        terms = dict(r) if c == 1 else {w2: c * c2 % x.p for w2, c2 in r.items()}
+        terms = r if c == 1 else {w2: c * c2 % x.p for w2, c2 in r.items()}
         return OpElement._homogeneous(x.p, x.flavor, terms)
     out = {}
     for w, c in x.terms.items():

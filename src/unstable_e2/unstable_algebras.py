@@ -91,6 +91,9 @@ class MonomialBasis:
                     acc.pop()
 
         rec(0, self.D, 0, [])
+        # rec holds itself through its closure cell; clearing that cycle lets
+        # refcounting free this basis when its last reference goes
+        del rec
         return {d: tuple(ms) for d, ms in by_degree.items()}
 
     def basis(self, d):
@@ -226,11 +229,14 @@ class FreeUnstableAlgebra(MonomialBasis):
         return out
 
     def op_on_polygen(self, eps, s, i):
-        """Single letter beta^eps P^s on the i-th polynomial generator."""
+        """Single letter beta^eps P^s on the i-th polynomial generator.
+
+        The vector is the memo's own entry: callers read it and never change it.
+        """
         key = (eps, s, i)
         hit = self._op_memo.get(key)
         if hit is not None:
-            return dict(hit)
+            return hit
         word, gen = self.polygens[i]
         if eps == 0 and s == 0:
             out = {((i, 1),): 1}
@@ -253,14 +259,17 @@ class FreeUnstableAlgebra(MonomialBasis):
                 w = st.normalize_word_a(((eps, s),) + word, self.p)
                 out = {} if w is None else self._resolve_word(w, gen)
         self._op_memo[key] = out
-        return dict(out)
+        return out
 
     def _power_op_part(self, i, e, a):
-        """Degree-raise-a part of P (total) on the e-th power of polygen i (no Bockstein)."""
+        """Degree-raise-a part of P (total) on the e-th power of polygen i (no Bockstein).
+
+        The vector is the memo's own entry, read only, as in ``op_on_polygen``.
+        """
         key = (i, e, a)
         hit = self._sq_pow_memo.get(key)
         if hit is not None:
-            return dict(hit)
+            return hit
         step = 1 if self.p == 2 else 2 * (self.p - 1)
         if a % step:
             out = {}
@@ -279,7 +288,7 @@ class FreeUnstableAlgebra(MonomialBasis):
                     continue
                 add_scaled(out, self.mul(u, rest), 1, self.p)
         self._sq_pow_memo[key] = out
-        return dict(out)
+        return out
 
     def _power_op_mono(self, s, mono):
         """P^s (Sq^s at p=2) on a basis monomial, by the Cartan formula."""

@@ -176,13 +176,18 @@ def test_criterion_6_resolution_well_formedness():
         # levels 0..3, complete in a resolution one level deeper
         res = cotriple_resolution(space, 4, 8)
         ok = ok and simplicial_identity_violations(res) == []
-        # every cochain complex asserts d.d = 0 at construction; build some
+        # every cochain complex asserts d.d = 0 at construction; build the
+        # ones against Sigma^t S1 for t = 5, 7 (degrees 5..8), where two
+        # consecutive coboundaries are nonzero, so d.d composes real maps
         from unstable_e2.adams import suspension_target
 
         Y = builtin_space("S1", 2, 8)
-        for t in (1, 3):
+        composable = False
+        for t in (5, 7):
             for d in suspension_target(Y, t).degrees():
-                res.der_cochain_complex(d, 4)
+                maps = res.der_cochain_complex(d, 4).maps
+                composable = composable or any(M.size and N.size for M, N in zip(maps, maps[1:]))
+        ok = ok and composable
     _report(6, "simplicial identities hold as matrices (s_max=3, D=8); d.d = 0 "
                "asserted on every cochain complex", ok)
 

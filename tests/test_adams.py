@@ -146,9 +146,15 @@ def test_structure_maps_stay_sparse():
     res = cotriple_resolution(S2, 3, 6)
     maps = [M for mats in res.face_full + res.degen_full for M in mats]
     assert maps
-    # the cochain differentials and the bar boundaries are sparse too
-    for d in suspension_target(S2, 2).degrees():
-        maps += res.der_cochain_complex(d, 3).maps
+    composable = False
+    # the cochain differentials and the bar boundaries are sparse too; against
+    # Sigma^5 S1 (degrees 5 and 6) two consecutive coboundaries are nonzero
+    S1 = builtin_space("S1", 2, 6)
+    for d in suspension_target(S1, 5).degrees():
+        cx = res.der_cochain_complex(d, 3).maps
+        maps += cx
+        composable = composable or any(M.size and N.size for M, N in zip(cx, cx[1:]))
+    assert composable
     bw = BarWindow(2, 2, 5, 2)
     maps += [bw.boundary_matrix(s, d)[0] for s in (1, 2, 3) for d in range(6)]
     for M in maps:

@@ -113,6 +113,11 @@ def test_nontrivially_acting_target_exit_codes(capsys):
                      "--tmax", "2", "--smax", "2"])
     err = capsys.readouterr().err
     assert code == 2 and out == "" and err.startswith("error: ") and "K3" in err
+    # the saturation report reads the same complexes, so it refuses the same window
+    code, out = run(["d1-saturation", "--p", "3", "--X", "S1", "--Y", "K3", "--D", "6",
+                     "--tmax", "2", "--smax", "2", "--tower-max", "3"])
+    err = capsys.readouterr().err
+    assert code == 2 and out == "" and err.startswith("error: ") and "K3" in err
     # at t_max = 0 the chart is the hom-set cell alone
     code, out = run(["adams-chart", "--X", "S2", "--Y", "K1", "--tmax", "0", "--D", "6"])
     assert code == 0

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from unstable_e2.derivations import (
     descent_two_term,
     descent_verify,
 )
-from unstable_e2.unstable_algebras import FreeUnstableAlgebra
+from unstable_e2.unstable_algebras import FreeUnstableAlgebra, MonomialBasis
 from unstable_e2.unstable_modules import GradedVS, ModWindow, exactness_report
 
 from oracles import sparse, two_term_bar_der_cohomology
@@ -217,6 +219,32 @@ def test_bar_window_boundary_squares_to_zero_at_every_prime(p, D, s_top):
         bounds = [bw.boundary_matrix(s, d)[0] for s in range(1, s_top + 1)]
         for lower, upper in zip(bounds, bounds[1:]):
             assert not any(tower.matmul_mod(lower, upper, p).cols), (d, upper.shape)
+
+
+def test_bar_window_and_bases_die_with_their_last_reference():
+    # with the cycle collector off, an object held by a reference cycle (a
+    # recursive closure that refers to itself, say) would outlive its owner
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        bw = BarWindow(2, 1, 5, 2)
+        bw.boundary_matrix(2, 4)
+        basis = MonomialBasis(2, (1, 2, 3), 6)
+        refs = [weakref.ref(bw), weakref.ref(bw.target), weakref.ref(basis)]
+        del bw, basis
+        assert [r() for r in refs] == [None, None, None]
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_bar_window_holds_the_bases_of_one_degree():
+    bw = BarWindow(2, 1, 5, 2)
+    for s in range(4):
+        bw.bar_basis(s, 4)
+    assert {d for _, d in bw._bases} == {4}
+    bw.boundary_matrix(2, 3)
+    assert sorted(bw._bases) == [(1, 3), (2, 3)]
 
 
 @pytest.mark.parametrize("p, n, D, L", [(2, 1, 5, 2), (2, 1, 5, 3), (3, 2, 7, 2), (5, 1, 7, 2)])

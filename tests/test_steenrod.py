@@ -236,15 +236,29 @@ def test_inhomogeneous_element_raises():
 
 
 def test_rewrite_results_do_not_alias_the_memo():
-    # rewrite hands out the memo's own entry; the elements built from it are copies
+    # rewrite hands out the memo's own entry; the elements built from it
+    # share it read-only, so writing to their terms raises
     ctx = st.get_context(2, FLAVOR_A)
     word = ((0, 2), (0, 2))
     entry = ctx.rewrite(word)
     assert ctx.rewrite(word) is entry and entry == {((0, 3), (0, 1)): 1}
     for x in (adem_rewrite(OpElement(2, FLAVOR_A, {word: 1})), multiply(W([2]), W([2]))):
-        assert x.terms == entry and x.terms is not entry
-        x.terms.clear()
+        assert x.terms == entry
+        with pytest.raises(TypeError):
+            x.terms[((0, 4),)] = 1
+        with pytest.raises(AttributeError):
+            x.terms.clear()
     assert ctx.rewrite(word) == {((0, 3), (0, 1)): 1}
+
+
+def test_zero_rewrites_share_one_read_only_entry():
+    ctx = st.AdemContext(2, FLAVOR_A)
+    zeros = [((0, 1), (0, 1)), ((0, 3), (0, 2)), ((0, 1), (0, 2), (0, 2)), ((0, 1), (0, 3))]
+    entries = [ctx.rewrite(w) for w in zeros]
+    assert all(e == {} and e is entries[0] for e in entries)
+    with pytest.raises(TypeError):
+        entries[0][((0, 1),)] = 1
+    assert adem_rewrite(W([1, 1])).is_zero()
 
 
 def test_flavor_b_odd_p_idempotence():
