@@ -187,8 +187,13 @@ def _product_space(a: SpaceModel, b: SpaceModel, name, p, D):
         for db, nb in list(bvs.items()):
             if da + db <= D:
                 pairs.append((da, na, db, nb))
+
     def tname(na, nb):
         return f"{na}|{nb}"
+
+    def tensor(va, vb):
+        return {tname(xa, xb): ca * cb for xa, ca in va.items() for xb, cb in vb.items()}
+
     for da, na, db, nb in pairs:
         basis.setdefault(da + db, []).append(tname(na, nb))
     basis = {d: tuple(sorted(v)) for d, v in basis.items()}
@@ -214,12 +219,9 @@ def _product_space(a: SpaceModel, b: SpaceModel, name, p, D):
             if p != 2 and (db1 * da2) % 2:
                 sign = -1
             col = {}
-            for xa, ca in mul_side(a.algebra, na1, na2).items():
-                for xb, cb in mul_side(b.algebra, nb1, nb2).items():
-                    if xa == "1" and xb == "1":
-                        continue
-                    col[tname(xa, xb)] = (col.get(tname(xa, xb), 0) + sign * ca * cb) % p
-            prods[(n1, n2)] = {k: v for k, v in col.items() if v}
+            va, vb = mul_side(a.algebra, na1, na2), mul_side(b.algebra, nb1, nb2)
+            tower.add_scaled(col, tensor(va, vb), sign, p)
+            prods[(n1, n2)] = col
     action = {}
     letters = sorted(set(a.algebra.module.action) | set(b.algebra.module.action))
     for letter in letters:
@@ -232,20 +234,15 @@ def _product_space(a: SpaceModel, b: SpaceModel, name, p, D):
                     s1 = s - s0
                     va = {na: 1} if s0 == 0 else ({} if na == "1" else a.algebra.module.act_word(((0, s0),), na))
                     vb = {nb: 1} if s1 == 0 else ({} if nb == "1" else b.algebra.module.act_word(((0, s1),), nb))
-                    for xa, ca in va.items():
-                        for xb, cb in vb.items():
-                            key = tname(xa, xb)
-                            out[key] = (out.get(key, 0) + ca * cb) % p
+                    tower.add_scaled(out, tensor(va, vb), 1, p)
             else:
                 va = {} if na == "1" else a.algebra.module.act_word(((1, 0),), na)
-                for xa, ca in va.items():
-                    out[tname(xa, nb)] = (out.get(tname(xa, nb), 0) + ca) % p
+                tower.add_scaled(out, tensor(va, {nb: 1}), 1, p)
                 vb = {} if nb == "1" else b.algebra.module.act_word(((1, 0),), nb)
                 sgn = -1 if (p != 2 and da % 2) else 1
-                for xb, cb in vb.items():
-                    out[tname(na, xb)] = (out.get(tname(na, xb), 0) + sgn * cb) % p
-            # the degree cut: images above D (and "1|1") are not basis names
-            out = {k: v for k, v in out.items() if v and k in names}
+                tower.add_scaled(out, tensor({na: 1}, vb), sgn, p)
+            # the degree cut: images above D are not basis names
+            out = {k: v for k, v in out.items() if k in names}
             if out:
                 cols[tname(na, nb)] = out
         if cols:

@@ -70,15 +70,10 @@ def _load_config(args):
             raise ValueError(f"unknown config keys {unknown}; the keys are {' '.join(names)}")
         for k, v in data.items():
             setattr(cfg, k, v)
-    overrides = {
-        "p": args.p, "D": args.D, "s_max": args.smax, "t_max": args.tmax,
-        "window_L": args.window_L, "window_K": args.window_K,
-        "tower_max": args.tower_max, "budget": args.budget,
-        "format": args.format, "out": args.out,
-    }
-    for k, v in overrides.items():
+    for f in fields(RunConfig):  # each flag's dest is its field's name
+        v = getattr(args, f.name)
         if v is not None:
-            setattr(cfg, k, v)
+            setattr(cfg, f.name, v)
     cfg.validate()
     return cfg
 
@@ -256,8 +251,8 @@ def build_parser():
     shared.add_argument("--config", help="JSON config file (flags override it)")
     shared.add_argument("--p", type=int)
     shared.add_argument("--D", type=int)
-    shared.add_argument("--smax", type=int)
-    shared.add_argument("--tmax", type=int)
+    shared.add_argument("--smax", type=int, dest="s_max", metavar="SMAX")
+    shared.add_argument("--tmax", type=int, dest="t_max", metavar="TMAX")
     shared.add_argument("--window-L", type=int, dest="window_L")
     shared.add_argument("--window-K", type=int, dest="window_K")
     shared.add_argument("--tower-max", type=int, dest="tower_max")

@@ -298,21 +298,23 @@ class BarWindow:
         last_sign = -1 if s % 2 else 1
         cols = []
         for elem in src:
-            col = {}
+            # the faces hit distinct rows: in slot i, face i puts f_i f_{i+1}
+            # and every later face keeps f_i, of lower degree
+            faces = {}
             # face 0 is omitted: epsilon of a positive-degree factor is 0
             for i in range(1, s):
                 r = mul_factors(elem[i], elem[i + 1])
-                if r is None:
-                    continue
-                row = tgt_idx[elem[:i] + (r[1],) + elem[i + 2 :]]
-                col[row] = (col.get(row, 0) + (-r[0] if i % 2 else r[0])) % p
+                if r is not None:
+                    row = tgt_idx[elem[:i] + (r[1],) + elem[i + 2 :]]
+                    faces[row] = -r[0] if i % 2 else r[0]
             odd, deg, terms = self._last_face(elem[0], elem[-1])
             sign = -last_sign if odd and (d - deg) % 2 else last_sign
             rest = elem[1:-1]
             for m, c in terms:
-                row = tgt_idx[(m,) + rest]
-                col[row] = (col.get(row, 0) + sign * c) % p
-            cols.append({r: c for r, c in col.items() if c})
+                faces[tgt_idx[(m,) + rest]] = sign * c
+            col = {}
+            tower.add_scaled(col, faces, 1, p)
+            cols.append(col)
         return tower.SparseMap(len(tgt), cols, p), src, tgt
 
 

@@ -173,21 +173,13 @@ def make_word(indices, p, flavor):
 def _adem_pair(e1, a, e2, b, p, flavor):
     """Rewrite beta^e1 P^a . beta^e2 P^b (an inadmissible adjacency).
 
-    Returns a dict {(pair, pair) or (pair,): coeff}; keys are the replacement
-    letter tuples.  Assumes a < p*b + e2.  In flavor A the summation index is
-    clamped at 0 (the classical relations); flavor B keeps all integer terms.
+    Returns a dict {(pair, pair): nonzero coeff}, one key per t and Bockstein
+    on the second letter.  Assumes a < p*b + e2.  In flavor A the summation
+    index is clamped at 0 (the classical relations); flavor B keeps all
+    integer terms.
     """
     terms = {}
     floor0 = flavor == FLAVOR_A
-
-    def add(key, c):
-        c %= p
-        if not c:
-            return
-        terms[key] = (terms.get(key, 0) + c) % p
-        if not terms[key]:
-            del terms[key]
-
     if e2 == 0:
         # P^a P^b with a < pb
         lo = a - (p - 1) * b + 1
@@ -199,7 +191,7 @@ def _adem_pair(e1, a, e2, b, p, flavor):
                 continue
             if p != 2 and (a + t) % 2:
                 c = (-c) % p
-            add(((e1, a + b - t), (0, t)), c)
+            terms[((e1, a + b - t), (0, t))] = c
     else:
         # P^a beta P^b with a <= pb
         lo = a - (p - 1) * b
@@ -211,13 +203,13 @@ def _adem_pair(e1, a, e2, b, p, flavor):
                 if (a + t) % 2:
                     c = (-c) % p
                 if e1 == 0:  # beta merges on the left; beta beta = 0 otherwise
-                    add(((1, a + b - t), (0, t)), c)
+                    terms[((1, a + b - t), (0, t))] = c
         for t in range(lo, (a - 1) // p + 1):
             c = binom_mod((p - 1) * (b - t) - 1, a - p * t - 1, p)
             if c:
                 if (a + t - 1) % 2:
                     c = (-c) % p
-                add(((e1, a + b - t), (1, t)), c)
+                terms[((e1, a + b - t), (1, t))] = c
     return terms
 
 

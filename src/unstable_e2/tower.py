@@ -18,11 +18,11 @@ Every structure map and differential is a SparseMap ({row: coeff}
 columns), composed by matmul_mod and ranked by rank: one column elimination
 per prime, on Python-int bitsets at p = 2.  add_scaled (acc += c * vec mod
 p, keeping only nonzero residues) is the one update rule for sparse vectors
-({key: coeff} dicts): SparseMap columns, Adem rewrites, and module and
-algebra elements.  The only dense matrices are the field-level blocks and
-embeddings, at most 24 x 24, kept as tuples of row tuples; rref, kernels,
-cokernels and solves on them are plain Python and accept any nested int
-sequence.  Nothing here needs numpy:
+({key: coeff} dicts): no other code adds one up mod p, be it a SparseMap
+column, a module or algebra element or a product.  The only dense matrices
+are the field-level blocks and embeddings, at most 24 x 24, kept as tuples
+of row tuples; rref, kernels, cokernels and solves on them are plain Python
+and accept any nested int sequence.  Nothing here needs numpy:
 SparseMap.__array_function__ imports it only when numpy itself calls the
 hook, so that count_nonzero on a map counts its stored entries.
 

@@ -154,16 +154,13 @@ class MonomialBasis:
         """Product of dict-vectors {monomial: coeff}."""
         out = {}
         for m1, c1 in v1.items():
+            # multiplying by m1 sends distinct monomials to distinct ones
+            row = {}
             for m2, c2 in v2.items():
                 r = self.mul_monomials(m1, m2)
-                if r is None:
-                    continue
-                s, m = r
-                c = (out.get(m, 0) + s * c1 * c2) % self.p
-                if c:
-                    out[m] = c
-                elif m in out:
-                    del out[m]
+                if r is not None:
+                    row[r[1]] = r[0] * c2
+            add_scaled(out, row, c1, self.p)
         return out
 
 
@@ -217,9 +214,8 @@ class FreeUnstableAlgebra(MonomialBasis):
             deg = self.monomial_degree(m) * self.p
             if deg > self.D:
                 raise DegreeCapExceeded(f"p-th power degree {deg} exceeds truncation")
-            mono = tuple((i, e * self.p) for i, e in m)
-            out[mono] = (out.get(mono, 0) + c) % self.p
-        return {k: v2 for k, v2 in out.items() if v2}
+            add_scaled(out, {tuple((i, e * self.p) for i, e in m): c}, 1, self.p)
+        return out
 
     def _resolve_word(self, word, gen):
         """Admissible-or-not word applied to a generator."""
@@ -422,25 +418,20 @@ def extend_algebra_map(source: FreeUnstableAlgebra, target, gen_images, monomial
     monomials, or on every reduced one when monomials is None.  A polygen's
     image w(f(g)) is computed only when a requested monomial contains it.
     """
-    pow_memo = {}
-
-    def pg_power(i, e):
-        key = (i, e)
-        if key not in pow_memo:
-            if e == 1:
-                w, g = source.polygens[i]
-                pow_memo[key] = target.act_word(w, gen_images[g])
-            else:
-                pow_memo[key] = target.mul(pg_power(i, e - 1), pg_power(i, 1))
-        return pow_memo[key]
-
+    powers = {}  # polygen index -> [image, image^2, ...], extended on demand
     if monomials is None:
         monomials = (m for _, m in source.reduced_basis_items())
     out = {}
     for m in monomials:
         vec = None
         for i, e in m:
-            part = pg_power(i, e)
+            pw = powers.get(i)
+            if pw is None:
+                w, g = source.polygens[i]
+                pw = powers[i] = [target.act_word(w, gen_images[g])]
+            while len(pw) < e:
+                pw.append(target.mul(pw[-1], pw[0]))
+            part = pw[e - 1]
             vec = part if vec is None else target.mul(vec, part)
         out[m] = vec if vec is not None else {}
     return out

@@ -8,9 +8,10 @@ window (degree cap, word length cap, index floor) with saturation tracked
 by the callers.
 
 The short exact sequence  0 -> F(V) --(1-P^0)--> F(V) --q--> F_0(V) -> 0
-is materialized per degree on windows: the first map sends a basis word w.x
-to w.x - rewrite(w.P^0).x, the quotient interprets index-0 letters as the
-identity and kills words with negative indices.
+is materialized per degree on windows, each column built by act_free (the
+one action of a word on a free module) on a generator: the first map sends
+a basis word w.x to w.x - (w.P^0).x, the quotient interprets index-0
+letters as the identity and kills words with negative indices.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ class ModWindow:
     K: int
 
     def rewrite_window(self):
-        # internal rewriting may transiently need larger indices/lengths
-        return st.BWindow(K=2 * self.K + 2 * abs(self.D) + 16, L=self.L + 4)
+        # indices may grow while rewriting, lengths never do (flavor B), and the
+        # stabilizer's deepest window is 2L + 3 long, so w.P^0 has length <= 2L + 4
+        return st.BWindow(K=2 * self.K + 2 * abs(self.D) + 16, L=2 * self.L + 4)
 
 
 class GradedVS:
@@ -74,6 +76,23 @@ def _first_index_cap(p, excess_cap, word_deg, eps1):
     return (excess_cap + word_deg - 2 * eps1) // (2 * p)
 
 
+def _admissible_tails(p, deg_left, prev_s):
+    """Admissible flavor-A tails of degree deg_left after a letter with index prev_s."""
+    if deg_left == 0:
+        yield ()
+        return
+    if p != 2 and deg_left == 1 and prev_s >= 1:
+        yield ((1, 0),)  # trailing Bockstein
+    step = 2 * (p - 1) if p != 2 else 1
+    for eps in (0, 1) if p != 2 else (0,):
+        for s in range(1, (prev_s - eps) // p + 1):
+            d = step * s + eps
+            if d > deg_left:
+                break
+            for rest in _admissible_tails(p, deg_left - d, s):
+                yield ((eps, s),) + rest
+
+
 def admissible_words_a(p, word_deg, excess_cap, _cache={}):
     """All admissible flavor-A words of the given degree with excess <= cap."""
     key = (p, word_deg, excess_cap)
@@ -83,24 +102,6 @@ def admissible_words_a(p, word_deg, excess_cap, _cache={}):
     if word_deg == 0:
         out.append(())
     elif word_deg > 0:
-
-        def tail(deg_left, prev_s):
-            # admissible tails after a letter with index prev_s
-            if deg_left == 0:
-                yield ()
-                return
-            if p != 2 and deg_left == 1 and prev_s >= 1:
-                yield ((1, 0),)  # trailing Bockstein
-            for eps in (0, 1) if p != 2 else (0,):
-                step = 2 * (p - 1) if p != 2 else 1
-                smax = (prev_s - eps) // p
-                for s in range(1, smax + 1):
-                    d = step * s + eps
-                    if d > deg_left:
-                        break
-                    for rest in tail(deg_left - d, s):
-                        yield ((eps, s),) + rest
-
         for eps1 in (0, 1) if p != 2 else (0,):
             cap = _first_index_cap(p, excess_cap, word_deg, eps1)
             step = 2 * (p - 1) if p != 2 else 1
@@ -108,7 +109,7 @@ def admissible_words_a(p, word_deg, excess_cap, _cache={}):
                 d = step * s1 + eps1
                 if d > word_deg:
                     break
-                for rest in tail(word_deg - d, s1):
+                for rest in _admissible_tails(p, word_deg - d, s1):
                     out.append(((eps1, s1),) + rest)
         if p != 2 and word_deg == 1 and excess_cap >= 1:
             out.append(((1, 0),))  # the bare Bockstein
@@ -222,15 +223,8 @@ def act_free(p, flavor, op, elt, gen_degrees, window=None):
                 word = st.normalize_word_a(word, p)
                 if word is None:
                     continue
-            for w2, c2 in ctx.rewrite(word).items():
-                if st.excess(w2, p) > n:
-                    continue
-                key = (w2, g)
-                v = (out.get(key, 0) + c * oc * c2) % p
-                if v:
-                    out[key] = v
-                elif key in out:
-                    del out[key]
+            image = {(w2, g): c2 for w2, c2 in ctx.rewrite(word).items() if st.excess(w2, p) <= n}
+            tower.add_scaled(out, image, c * oc, p)
     return out
 
 
@@ -248,20 +242,17 @@ def one_minus_p0_window(V, window, d, p=2, length_cap=None):
     src = free_b_basis_window(V, d, replace(window, L=L), p)
     tgt = free_b_basis_window(V, d, replace(window, L=L + 1), p)
     tgt_index = {b: i for i, b in enumerate(tgt)}
-    ctx = st.get_context(p, st.FLAVOR_B, window.rewrite_window())
+    rw = window.rewrite_window()
     gen_degrees = dict(_gen_pairs(V))
     cols = []
     for w, g in src:
-        col = {tgt_index[(w, g)]: 1}
-        n = gen_degrees[g]
-        for w2, c2 in ctx.rewrite(w + ((0, 0),)).items():
-            if st.excess(w2, p) > n:
-                continue
-            key = (w2, g)
+        op = st.OpElement(p, st.FLAVOR_B, {w + ((0, 0),): 1})
+        image = act_free(p, st.FLAVOR_B, op, {((), g): 1}, gen_degrees, rw)
+        for key in image:
             assert key in tgt_index, f"rewrite left the window: {key}"
-            r = tgt_index[key]
-            col[r] = (col.get(r, 0) - c2) % p
-        cols.append({r: c for r, c in col.items() if c})
+        col = {tgt_index[(w, g)]: 1}
+        tower.add_scaled(col, {tgt_index[key]: c for key, c in image.items()}, -1, p)
+        cols.append(col)
     return tower.SparseMap(len(tgt), cols, p), src, tgt
 
 
@@ -275,25 +266,14 @@ def quotient_q_window(V, window, d, p=2, length_cap=None):
     src = free_b_basis_window(V, d, replace(window, L=L), p)
     tgt = free_a_basis(V, d, p)
     tgt_index = {b: i for i, b in enumerate(tgt)}
-    ctx = st.get_context(p, st.FLAVOR_A)
     gen_degrees = dict(_gen_pairs(V))
-    cols = [{} for _ in src]
-    for col, (w, g) in zip(cols, src):
+    cols = []
+    for w, g in src:
         if any(s < 0 for _, s in w):
+            cols.append({})
             continue
-        aw = st.normalize_word_a(w, p)
-        if aw is None:
-            continue
-        n = gen_degrees[g]
-        for w2, c2 in ctx.rewrite(aw).items():
-            if st.excess(w2, p) > n:
-                continue
-            r = tgt_index[(w2, g)]
-            v = (col.get(r, 0) + c2) % p
-            if v:
-                col[r] = v
-            else:
-                col.pop(r, None)
+        image = act_free(p, st.FLAVOR_A, st.OpElement.from_word(w, p), {((), g): 1}, gen_degrees)
+        cols.append({tgt_index[key]: c for key, c in image.items()})
     return tower.SparseMap(len(tgt), cols, p), src, tgt
 
 

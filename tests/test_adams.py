@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,15 @@ def test_product_space_kunneth():
     assert T.algebra.mul_names(a, b) == {vs.basis[2][0]: 1}
     assert T.algebra.mul_names(a, a) == {}
     assert T.algebra.module.validate() == []
+
+
+@pytest.mark.parametrize("name", ["K1*K1", "K1*S1"])
+def test_product_space_bockstein_at_odd_prime(name):
+    # beta acts on a tensor by the Koszul-signed Leibniz rule; a wrong sign on
+    # the a (x) beta b term makes beta beta (x (x) x) nonzero on K1*K1
+    mod = builtin_space(name, 3, 6).algebra.module
+    assert mod.action[(1, 0)]
+    assert mod.validate() == []
 
 
 def test_unknown_space():
@@ -446,6 +457,21 @@ def test_resolution_level_zero_matches_free_algebra():
     res = cotriple_resolution(S2, 1, 7)
     expected = FreeUnstableAlgebra(2, [("i", 2)], 7)
     assert res.levels[0].hilbert() == expected.hilbert()
+
+
+def test_resolution_build_leaves_no_reference_cycles():
+    # with the cycle collector off, anything a build leaves in a reference
+    # cycle (a recursive closure that refers to itself, say) outlives it
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        res = cotriple_resolution(builtin_space("S3", 2, 10), 4, 10)
+        del res
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _all_algebra_maps_brute(level, M_vs, p=2):

@@ -253,3 +253,11 @@ def test_exactness_odd_prime():
     for n in (1, 2):
         rep = exactness_report(GradedVS.single(3, n), ModWindow(D=5, L=5, K=4), p=3)
         assert rep["pass"], n
+
+
+@pytest.mark.parametrize("p,n,L", [(2, 3, 4), (2, 4, 2), (2, 3, 8), (3, 3, 4)])
+def test_exactness_stabilizer_stays_inside_the_rewrite_window(p, n, L):
+    # the stabilizer builds windows up to length 2L + 3 and appends P^0, so
+    # the rewrite window must allow length 2L + 4
+    rep = exactness_report(GradedVS.single(p, n), ModWindow(D=10, L=L, K=8), p=p)
+    assert rep["pass"], [d for d, c in rep["degrees"].items() if not c["pass"]]
