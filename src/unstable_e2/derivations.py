@@ -26,7 +26,7 @@ import itertools
 from . import steenrod as st
 from . import tower
 from .unstable_algebras import FreeUnstableAlgebra, MonomialBasis
-from .unstable_modules import GradedVS, admissible_words_b
+from .unstable_modules import GradedVS, polygen_words
 
 
 class BudgetExceeded(Exception):
@@ -169,26 +169,6 @@ def descent_verify(V0: GradedVS, M0: GradedVS, p=2, start_level=1, max_level=tow
 # the bar construction on x -> x - P^0 x, in the nonnegative-index window
 # ---------------------------------------------------------------------------
 
-def _decorated_generators(p, n, D, length_cap):
-    """Nonnegative admissible flavor-B words of excess < n (plus odd-p edge cases).
-
-    These index the polynomial generators of the enveloping algebra of the
-    flavor-B free module in the nonnegative-index window; appending an
-    index-0 letter keeps a word in the family, which is what makes this
-    window exactly closed under all bar-construction structure maps.
-    They come ordered by (degree, word), as ``MonomialBasis`` letters must.
-    """
-    out = []
-    for wd in range(0, D - n + 1):
-        for w in admissible_words_b(p, wd, n - 1, length_cap, 0):
-            out.append(w)
-        if p != 2:
-            for w in admissible_words_b(p, wd, n, length_cap, 0):
-                if st.excess(w, p) == n and w and w[0][0] == 1:
-                    out.append(w)
-    return tuple(sorted(set(out), key=lambda w: (st.word_degree(w, p), w)))
-
-
 class BarWindow:
     """The two-sided bar complex of the map g_w -> g_w - g_{w.P^0}, windowed.
 
@@ -204,7 +184,10 @@ class BarWindow:
 
     def __init__(self, p, n, D, L):
         self.p = p
-        words_t = _decorated_generators(p, n, D, L + 1)
+        # the enveloping algebra's polynomial generators in the nonnegative-index
+        # window: appending an index-0 letter keeps a word in the family, which
+        # is what closes the window under every bar structure map
+        words_t = polygen_words(p, n, D - n, L + 1)
         self.target = MonomialBasis(p, tuple(n + st.word_degree(w, p) for w in words_t), D)
         self.t_index = {w: i for i, w in enumerate(words_t)}
         words_f = tuple(w for w in words_t if len(w) <= L)

@@ -444,24 +444,16 @@ def sq_on_monomial(i, exps):
     Closed form from the total square: the coefficient of the shift (j_1..j_m)
     is prod C(a_l, j_l) over compositions j of i.
     """
-    m = len(exps)
-    out = {}
-
-    def rec(pos, rem, acc):
-        if pos == m:
-            if rem == 0:
-                key = tuple(acc)
-                out[key] = out.get(key, 0) ^ 1
-            return
-        a = exps[pos]
-        for j in range(0, min(a, rem) + 1):
-            if binom_mod(a, j, 2):
-                acc.append(a + j)
-                rec(pos + 1, rem - j, acc)
-                acc.pop()
-
-    rec(0, i, [])
-    return {k: v for k, v in out.items() if v}
+    partial = [((), i)]  # (shifted exponents so far, degree still to place)
+    for a in exps:
+        partial = [
+            (acc + (a + j,), rem - j)
+            for acc, rem in partial
+            for j in range(0, min(a, rem) + 1)
+            if binom_mod(a, j, 2)
+        ]
+    # each composition j gives its own monomial, so every coefficient is 1
+    return {acc: 1 for acc, rem in partial if rem == 0}
 
 
 def act_polynomial(x, poly, degree_cap=64):

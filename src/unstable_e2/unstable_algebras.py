@@ -4,9 +4,10 @@ The free unstable algebra on a graded set of generators is the free
 graded-commutative algebra on the polynomial generators: admissible words
 applied to generators, subject to excess strictly below the generator
 degree (plus, at odd primes, Bockstein-led words of excess exactly the
-degree).  The top operation realizes the p-th power, so words of excess
-equal to the degree that start with a power operation are rewritten to
-p-th powers of shorter classes.
+degree), as ``unstable_modules.polygen_words`` lists them.  The top
+operation realizes the p-th power, so words of excess equal to the degree
+that start with a power operation are rewritten to p-th powers of shorter
+classes.
 
 Monomials are tuples ((polygen_index, exponent), ...) sorted by index;
 odd-degree polygens square to zero at odd primes.  All bases, action and
@@ -24,26 +25,11 @@ import itertools
 
 from . import steenrod as st
 from .tower import add_scaled
-from .unstable_modules import FTUnstableModule, _gen_pairs, admissible_words_a
+from .unstable_modules import FTUnstableModule, _gen_pairs, polygen_words
 
 
 class DegreeCapExceeded(Exception):
     """A product or operation left the configured degree truncation."""
-
-
-def _polygen_words(p, n, max_word_deg):
-    """Words indexing polynomial generators on a degree-n generator.
-
-    Excess < n, plus (odd p) Bockstein-led words of excess exactly n;
-    excess-n power-led words are p-th powers, not generators.
-    """
-    out = []
-    for wd in range(0, max_word_deg + 1):
-        for w in admissible_words_a(p, wd, n):
-            e = st.excess(w, p)
-            if e < n or (p != 2 and e == n and w and w[0][0] == 1):
-                out.append(w)
-    return out
 
 
 class MonomialBasis:
@@ -177,7 +163,7 @@ class FreeUnstableAlgebra(MonomialBasis):
         pgs, words = [], {}  # words: generator degree -> its polygen words
         for name, n in self.gens:
             if n not in words:
-                words[n] = _polygen_words(p, n, D - n)
+                words[n] = polygen_words(p, n, D - n)
             for w in words[n]:
                 pgs.append((st.word_degree(w, p) + n, name, w))
         pgs.sort()
@@ -192,19 +178,18 @@ class FreeUnstableAlgebra(MonomialBasis):
 
     def _classify_word(self, word, gen):
         """Value of an admissible flavor-A word on a generator, as a vector."""
-        p, n = self.p, self.gen_degree[gen]
-        e = st.excess(word, p)
-        if e > n:
+        n = self.gen_degree[gen]
+        if st.excess(word, self.p) > n:
             return {}
         key = (word, gen)
-        if e < n or (p != 2 and e == n and word and word[0][0] == 1):
-            if key not in self.pg_index:
-                raise DegreeCapExceeded(f"class {key} beyond truncation {self.D}")
-            return {((self.pg_index[key], 1),): 1}
-        # excess == n with a power-operation lead: p-th power of the tail class
-        tail = word[1:]
-        inner = self._resolve_word(tail, gen)
-        return self._pth_power(inner)
+        i = self.pg_index.get(key)
+        if i is not None:
+            return {((i, 1),): 1}
+        if st.word_degree(word, self.p) + n > self.D:
+            raise DegreeCapExceeded(f"class {key} beyond truncation {self.D}")
+        # every polygen word within the truncation is indexed, so this one has
+        # excess n and a power-operation lead: the p-th power of its tail class
+        return self._pth_power(self._resolve_word(word[1:], gen))
 
     def _pth_power(self, v):
         out = {}

@@ -5,7 +5,11 @@ excess at most the generator degree applied to generators; over the
 integer-indexed algebra the same recipe gives something infinite in every
 degree (index-0 chains), so those are only ever materialized on an explicit
 window (degree cap, word length cap, index floor) with saturation tracked
-by the callers.
+by the callers.  One recursive walker enumerates both flavors' words: flavor
+A walks indices >= 0 and never takes the letter P^0, flavor B takes P^0 and
+walks down to the window's index floor within its length cap.
+polygen_words states, once, which of these words index the polynomial
+generators of a free unstable algebra.
 
 The short exact sequence  0 -> F(V) --(1-P^0)--> F(V) --q--> F_0(V) -> 0
 is materialized per degree on windows, each column built by act_free (the
@@ -17,6 +21,7 @@ letters as the identity and kills words with negative indices.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
 from . import steenrod as st
 from . import tower
@@ -69,108 +74,95 @@ class GradedVS:
 # admissible-word enumeration
 # ---------------------------------------------------------------------------
 
-def _first_index_cap(p, excess_cap, word_deg, eps1):
+def _first_index_caps(p, word_deg, excess_cap):
+    # the first letter's index cap per Bockstein eps1, from excess <= cap:
     # excess = 2 p s1 + 2 eps1 - word_deg (odd p), 2 s1 - word_deg (p = 2)
     if p == 2:
-        return (excess_cap + word_deg) // 2
-    return (excess_cap + word_deg - 2 * eps1) // (2 * p)
+        return ((excess_cap + word_deg) // 2,)
+    return tuple((excess_cap + word_deg - 2 * eps1) // (2 * p) for eps1 in (0, 1))
 
 
-def _admissible_tails(p, deg_left, prev_s):
-    """Admissible flavor-A tails of degree deg_left after a letter with index prev_s."""
+def _max_degree(p, cap_s, r):
+    # the most degree at most r more letters add when the next index is at most
+    # cap_s: indices cap_s, cap_s // p, ..., each with a Bockstein; index-0
+    # letters add at most a Bockstein each, negative ones take degree away
+    step, eps = (1, 0) if p == 2 else (2 * (p - 1), 1)
+    total = 0
+    while r > 0 and cap_s > 0:
+        total += step * cap_s + eps
+        cap_s //= p
+        r -= 1
+    return total + r * eps if cap_s == 0 else total
+
+
+def _walk_words(p, deg_left, caps, len_left, floor, with_p0, out, acc=()):
+    """Append acc + w to out for each admissible w of degree deg_left.
+
+    w has at most len_left letters, indices >= floor, and a first letter
+    beta^eps P^s with s <= caps[eps].  Without with_p0 (flavor A, floor 0)
+    a power letter has index >= 1, so P^0 never occurs.  Letters are
+    scanned from high index to low: the degree left grows as s falls while
+    _max_degree shrinks, so the scan stops at the first s whose remainder
+    no later letters can reach.
+    """
     if deg_left == 0:
-        yield ()
-        return
-    if p != 2 and deg_left == 1 and prev_s >= 1:
-        yield ((1, 0),)  # trailing Bockstein
-    step = 2 * (p - 1) if p != 2 else 1
-    for eps in (0, 1) if p != 2 else (0,):
-        for s in range(1, (prev_s - eps) // p + 1):
-            d = step * s + eps
-            if d > deg_left:
+        out.append(acc)
+    if len_left <= 0:
+        return out
+    step = 1 if p == 2 else 2 * (p - 1)
+    r = len_left - 1
+    for eps, cap in enumerate(caps):
+        s = min(cap, (deg_left - eps - min(0, r * step * floor)) // step)
+        lowest = floor if with_p0 or eps else 1
+        while s >= lowest:
+            rem = deg_left - step * s - eps
+            if rem > _max_degree(p, s // p, r):
                 break
-            for rest in _admissible_tails(p, deg_left - d, s):
-                yield ((eps, s),) + rest
+            nxt = (s // p, (s - 1) // p)[: len(caps)]
+            _walk_words(p, rem, nxt, r, floor, with_p0, out, acc + ((eps, s),))
+            s -= 1
+    return out
 
 
 def admissible_words_a(p, word_deg, excess_cap, _cache={}):
     """All admissible flavor-A words of the given degree with excess <= cap."""
     key = (p, word_deg, excess_cap)
-    if key in _cache:
-        return _cache[key]
-    out = []
-    if word_deg == 0:
-        out.append(())
-    elif word_deg > 0:
-        for eps1 in (0, 1) if p != 2 else (0,):
-            cap = _first_index_cap(p, excess_cap, word_deg, eps1)
-            step = 2 * (p - 1) if p != 2 else 1
-            for s1 in range(1, cap + 1):
-                d = step * s1 + eps1
-                if d > word_deg:
-                    break
-                for rest in _admissible_tails(p, word_deg - d, s1):
-                    out.append(((eps1, s1),) + rest)
-        if p != 2 and word_deg == 1 and excess_cap >= 1:
-            out.append(((1, 0),))  # the bare Bockstein
-    result = tuple(sorted(out))
-    _cache[key] = result
-    return result
+    if key not in _cache:
+        # every flavor-A letter has degree >= 1, so word_deg caps the length
+        caps = _first_index_caps(p, word_deg, excess_cap)
+        _cache[key] = tuple(sorted(_walk_words(p, word_deg, caps, word_deg, 0, False, [])))
+    return _cache[key]
 
 
 def admissible_words_b(p, word_deg, excess_cap, length_cap, index_floor, _cache={}):
     """Admissible flavor-B words: degree fixed, excess <= cap, length <= L, indices >= -K."""
     key = (p, word_deg, excess_cap, length_cap, index_floor)
-    if key in _cache:
-        return _cache[key]
-    step = 2 * (p - 1) if p != 2 else 1
-    floor = -index_floor
-    eps_extra = 1 if p != 2 else 0
+    if key not in _cache:
+        caps = _first_index_caps(p, word_deg, excess_cap)
+        _cache[key] = tuple(sorted(_walk_words(p, word_deg, caps, length_cap, -index_floor, True, [])))
+    return _cache[key]
 
-    def max_le(cap_s, r):
-        # max degree achievable by at most r more letters with index <= cap_s
-        total, best, c = 0, 0, cap_s
-        for _ in range(r):
-            total += step * c + eps_extra
-            best = max(best, total)
-            c = c // p
-        return best
 
-    def letters(deg_left, eps, smax, r):
-        # indices s <= smax leaving a degree that r more letters can reach,
-        # high to low: the remainder grows as s falls while max_le shrinks,
-        # so the scan stops at the first s whose remainder is out of reach
-        s = min(smax, (deg_left - eps - min(0, r * step * floor)) // step)
-        while s >= floor:
-            rem = deg_left - (step * s + eps)
-            if rem > max_le(s // p, r):
-                return
-            yield s, rem
-            s -= 1
+def polygen_words(p, n, max_word_deg, length_cap=None):
+    """Words indexing the polynomial generators on a degree-n class.
 
+    These are the admissible words of excess < n, plus (odd p) the
+    Bockstein-led words of excess exactly n; an excess-n word led by a power
+    operation is a p-th power, not a generator.  Flavor A by default;
+    flavor B with index floor 0 and words of length <= length_cap when a
+    length cap is given.  Ordered by (degree, word), up to max_word_deg.
+    """
     out = []
-
-    def rec(deg_left, prev_s, len_left, acc):
-        if deg_left == 0:
-            out.append(tuple(acc))
-        if len_left <= 0:
-            return
-        for eps in (0, 1) if p != 2 else (0,):
-            for s, rem in letters(deg_left, eps, (prev_s - eps) // p, len_left - 1):
-                acc.append((eps, s))
-                rec(rem, s, len_left - 1, acc)
-                acc.pop()
-
-    if word_deg == 0:
-        out.append(())
-    if length_cap >= 1:
-        for eps1 in (0, 1) if p != 2 else (0,):
-            cap = _first_index_cap(p, excess_cap, word_deg, eps1)
-            for s1, rem in letters(word_deg, eps1, cap, length_cap - 1):
-                rec(rem, s1, length_cap - 1, [(eps1, s1)])
-    result = tuple(sorted(set(out)))
-    _cache[key] = result
-    return result
+    for wd in range(0, max_word_deg + 1):
+        if length_cap is None:
+            words = admissible_words_a(p, wd, n)
+        else:
+            words = admissible_words_b(p, wd, n, length_cap, 0)
+        for w in words:
+            e = st.excess(w, p)
+            if e < n or (p != 2 and e == n and w[0][0] == 1):
+                out.append(w)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +181,7 @@ def free_a_basis(gens, d, p=2):
             continue
         for w in admissible_words_a(p, d - n, n):
             out.append((w, name))
-    return tuple(sorted(out, key=lambda t: (t[1], t[0])))
+    return tuple(sorted(out, key=itemgetter(1, 0)))
 
 
 def free_b_basis_window(gens, d, window, p=2):
@@ -199,7 +191,7 @@ def free_b_basis_window(gens, d, window, p=2):
     for name, n in pairs:
         for w in admissible_words_b(p, d - n, n, window.L, window.K):
             out.append((w, name))
-    return tuple(sorted(out, key=lambda t: (t[1], t[0])))
+    return tuple(sorted(out, key=itemgetter(1, 0)))
 
 
 def _gen_pairs(gens):

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from unstable_e2.unstable_modules import (
     GradedVS,
     ModWindow,
     act_free,
+    admissible_words_a,
     admissible_words_b,
     exactness_report,
     free_a_basis,
@@ -58,6 +60,32 @@ def test_free_a_dims_against_brute_force():
 def test_admissible_words_b_against_brute_force(p, word_deg, excess_cap, L, K):
     fast = admissible_words_b(p, word_deg, excess_cap, L, K)
     assert list(fast) == brute_force_admissible_b(p, word_deg, excess_cap, L, K)
+
+
+@pytest.mark.parametrize("p,d_max", [(3, 12), (5, 16)])
+def test_admissible_words_a_odd_prime_against_brute_force(p, d_max):
+    # a flavor-A word is a flavor-B word with indices >= 0 and no P^0; at most
+    # its last letter is the bare Bockstein, every other has degree >= 2(p - 1)
+    for d in range(0, d_max + 1):
+        L = (d - 1) // (2 * (p - 1)) + 1
+        for cap in range(0, 4):
+            slow = [w for w in brute_force_admissible_b(p, d, cap, L, 0) if (0, 0) not in w]
+            assert list(admissible_words_a(p, d, cap)) == slow, (p, d, cap)
+
+
+def test_exactness_report_leaves_no_reference_cycles():
+    # with the cycle collector off, anything left in a reference cycle (a
+    # recursive closure that refers to itself, say) outlives the call; no other
+    # test asks for this window's word keys, so the enumerators run cold
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        exactness_report(GradedVS.single(2, 2), ModWindow(D=6, L=3, K=7))
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_free_b_window_examples():
