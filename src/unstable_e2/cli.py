@@ -146,20 +146,24 @@ def cmd_descent(args, cfg):
 
     rng = random.Random(args.seed)
     lines = []
-    ok = True
+    failed = inconclusive = False
     for i in range(args.instances):
         V0, M0 = _random_graded_pair(rng, cfg.p, args.total_dim)
         rep = descent_verify(V0, M0, p=cfg.p, start_level=1, max_level=cfg.tower_max)
-        ok = ok and rep["pass"]
+        inconclusive = inconclusive or rep["inconclusive"]
+        failed = failed or not (rep["pass"] or rep["inconclusive"])
+        witnesses = "ok" if rep["pass_witnesses"] else (
+            "INCONCLUSIVE" if rep["inconclusive"] else "FAIL")
         lines.append(
             f"instance {i}: classical={rep['classical_dim']} "
             f"dims={'ok' if rep['pass_dims'] else 'FAIL'} "
             f"inverse_pair={'ok' if rep['pass_inverse_pair'] else 'FAIL'} "
-            f"witnesses={'ok' if rep['pass_witnesses'] else 'FAIL'}"
+            f"witnesses={witnesses}"
         )
-    lines.append("PASS" if ok else "FAIL")
+    # a reported failure outweighs an inconclusive instance
+    lines.append("FAIL" if failed else "INCONCLUSIVE" if inconclusive else "PASS")
     _emit(("\n".join(lines) + "\n").encode(), cfg)
-    return 0 if ok else 1
+    return 1 if failed else 2 if inconclusive else 0
 
 
 def _random_graded_pair(rng, p, total_dim):

@@ -124,7 +124,11 @@ def descent_verify(V0: GradedVS, M0: GradedVS, p=2, start_level=1, max_level=tow
     block: the inverse pair is checked once per level, and cokernel row ri
     dies where block row ri mod (block cokernel rank) has its witness, but
     no earlier than one level up.
-    Failures are reported, never raised.
+    Failures are reported, never raised.  A class with no witness anywhere
+    in the chain fails (b) without refuting it (a nonzero-trace b needs an
+    extension of degree p, and only p = 2 and 3 divide the chain's degrees):
+    when that is the only failure the report is inconclusive.  A witness
+    past max_level is a failure.
     """
     classical = der_free_basis(V0, M0)
     classical_by_deg = {}
@@ -139,6 +143,7 @@ def descent_verify(V0: GradedVS, M0: GradedVS, p=2, start_level=1, max_level=tow
         "pass_inverse_pair": True,
         "pass_witnesses": True,
     }
+    missing = late = False
     for k in range(start_level, max_level + 1):
         two = descent_two_term(V0, M0, k, p)
         dims_ok = all(
@@ -151,17 +156,21 @@ def descent_verify(V0: GradedVS, M0: GradedVS, p=2, start_level=1, max_level=tow
         if not tower.base_slot_inverse_pair(p, k):
             report["pass_inverse_pair"] = False
         if k == start_level:
-            deaths = [
-                max(k + 1, lvl) if lvl is not None and max(k + 1, lvl) <= max_level else None
-                for lvl, _ in tower.cokernel_witnesses(p, k)
-            ]
+            levels = [lvl for lvl, _ in tower.cokernel_witnesses(p, k)]
             for d, cell in two["degrees"].items():
                 for ri in range(cell["D1"]):
-                    death = deaths[ri % len(deaths)]
-                    report["witnesses"].append({"degree": d, "rep": ri, "death_level": death})
+                    lvl = levels[ri % len(levels)]
+                    death = None if lvl is None else max(k + 1, lvl)
                     if death is None:
-                        report["pass_witnesses"] = False
+                        missing = True
+                    elif death > max_level:
+                        death, late = None, True
+                    report["witnesses"].append({"degree": d, "rep": ri, "death_level": death})
+    report["pass_witnesses"] = not (missing or late)
     report["pass"] = report["pass_dims"] and report["pass_inverse_pair"] and report["pass_witnesses"]
+    report["inconclusive"] = (
+        missing and not late and report["pass_dims"] and report["pass_inverse_pair"]
+    )
     return report
 
 

@@ -4,9 +4,12 @@ The chain is F_p = L1 < L2 < L3 < L4 with level k of degree k! over F_p,
 so every level embeds in the next (k! divides (k+1)!).  The union of the
 chain is a constructive stand-in for an algebraic closure: any element
 algebraic of degree dividing 24 lives at some level.  Defining polynomials
-are read from a frozen table; chain embeddings are constructed once per
-run by locating a root of the lower polynomial inside the upper field and
-are cached as immutable tuples.
+are read from a frozen table.  A level's multiplication and frobenius
+matrix are its only polynomial arithmetic: they verify its table entry
+(frobenius^n fixes x and only F_p is fixed, Berlekamp's criterion), and
+they find each chain embedding, by a scan of the upper level's copy of the
+lower field for a root of the lower polynomial, once per run, cached as
+immutable tuples.
 
 The descent facts about 1 - frobenius live here too, on one coordinate
 block: its kernel and cokernel and the Artin-Schreier witness of each
@@ -175,11 +178,6 @@ class SparseMap:
         return (isinstance(other, SparseMap) and self.shape == other.shape
                 and self.cols == other.cols)
 
-    def is_identity(self):
-        return self.shape[0] == self.shape[1] and all(
-            col == {j: 1} for j, col in enumerate(self.cols)
-        )
-
 
 def add_scaled(acc, vec, c, p):
     """acc += c * vec over F_p, in place, for sparse vectors {key: coeff}.
@@ -264,74 +262,6 @@ def _poly_table():
 _POLY_TABLE = _poly_table()
 
 
-def _is_irreducible(f, p):
-    n = len(f) - 1
-    if n == 1:
-        return True
-
-    def mul(a, b):
-        r = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    r[i + j] = (r[i + j] + ai * bj) % p
-        for i in range(len(r) - 1, n - 1, -1):
-            c = r[i]
-            if c:
-                r[i] = 0
-                for j in range(n):
-                    r[i - n + j] = (r[i - n + j] - c * f[j]) % p
-        r = r[:n]
-        return r + [0] * (n - len(r))
-
-    def pow_x(e):
-        result = [1] + [0] * (n - 1)
-        base = [0, 1] + [0] * (n - 2)
-        while e:
-            if e & 1:
-                result = mul(result, base)
-            base = mul(base, base)
-            e >>= 1
-        return result
-
-    def norm(x):
-        x = list(x)
-        while x and x[-1] == 0:
-            x.pop()
-        return x
-
-    def gcd(a, b):
-        a, b = norm(a), norm(b)
-        while b:
-            inv = pow(b[-1], p - 2, p)
-            while len(a) >= len(b) and a:
-                c = (a[-1] * inv) % p
-                s = len(a) - len(b)
-                for j in range(len(b)):
-                    a[s + j] = (a[s + j] - c * b[j]) % p
-                a = norm(a)
-            a, b = b, a
-        return a
-
-    xx = [0, 1] + [0] * (n - 2)
-    if pow_x(p ** n) != xx:
-        return False
-    m, qs, d = n, set(), 2
-    while d * d <= m:
-        while m % d == 0:
-            qs.add(d)
-            m //= d
-        d += 1
-    if m > 1:
-        qs.add(m)
-    for q in qs:
-        e = pow_x(p ** (n // q))
-        diff = [(e[i] - (1 if i == 1 else 0)) % p for i in range(n)]
-        if len(gcd(diff, list(f))) > 1:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # the tower itself
 # ---------------------------------------------------------------------------
@@ -347,7 +277,6 @@ class FieldLevel:
         if key not in _POLY_TABLE:
             raise TowerExhausted(f"no defining polynomial for p={p}, degree={self.degree}")
         self.poly = _POLY_TABLE[key]
-        assert _is_irreducible(list(self.poly), p), f"bad table entry {key}"
         # reduction rows: x^(degree+i) mod f for i = 0..degree-2
         n = self.degree
         red = []
@@ -369,6 +298,13 @@ class FieldLevel:
             tuple((int(i == j) - c) % p for j, c in enumerate(row))
             for i, row in enumerate(self.frobenius_matrix)
         )
+        # f is irreducible exactly when frobenius^n fixes x (so F_p[x]/(f) is
+        # reduced, a product of fields) and fixes only F_p (one field): Berlekamp
+        x = v = tuple(int(i == 1) for i in range(n))
+        for _ in range(n):
+            v = _matvec(self.frobenius_matrix, v, p)
+        fixed = kernel_basis(self.one_minus_frobenius, p)
+        assert v == x and len(fixed) == 1, f"bad table entry {key}"
 
     def mul_coords(self, a, b):
         p, n = self.p, self.degree
@@ -515,49 +451,35 @@ class FieldTower:
         if k in self._embed_step:
             return self._embed_step[k]
         lo, hi = self.field(k), self.field(k + 1)
-        dlo, dhi = lo.degree, hi.degree
-        if dlo == 1:
-            M = ((1,),) + ((0,),) * (dhi - 1)
-            self._embed_step[k] = M
-            return M
+        dlo, dhi, p = lo.degree, hi.degree, self.p
         # the copy of F_{p^dlo} inside the upper field is the kernel of Frob^dlo - id
         F = hi.power_frobenius_matrix(dlo)
-        K = kernel_basis(
-            [[c - (i == j) for j, c in enumerate(row)] for i, row in enumerate(F)], self.p
-        )
+        K = kernel_basis([[c - (i == j) for j, c in enumerate(row)] for i, row in enumerate(F)], p)
         assert len(K) == dlo
-        # scan that subfield (p^dlo elements, deterministic order) for a root of lo.poly
-        root = None
-        for counters in itertools.product(range(self.p), repeat=dlo):
-            vec = [0] * dhi
+        one = (1,) + (0,) * (dhi - 1)
+        # scan that subfield (p^dlo elements, deterministic order) for a root of
+        # lo.poly, evaluated by Horner in the upper level's coordinates
+        for counters in itertools.product(range(p), repeat=dlo):
+            root = [0] * dhi
             for i, c in enumerate(reversed(counters)):
                 if c:
-                    vec = [(v + c * x) % self.p for v, x in zip(vec, K[i])]
-            cand = TowerElem(self, k + 1, vec)
-            acc = self.zero(k + 1)
-            pw = self.one(k + 1)
-            for c in lo.poly:
-                if c:
-                    acc = acc + self.scalar(c, k + 1) * pw
-                pw = pw * cand
-            if acc.is_zero():
-                root = cand
+                    root = [(v + c * x) % p for v, x in zip(root, K[i])]
+            acc = one  # lo.poly is monic
+            for c in reversed(lo.poly[:-1]):
+                acc = hi.mul_coords(acc, root)
+                acc = ((acc[0] + c) % p,) + acc[1:]
+            if not any(acc):
                 break
-        assert root is not None, "defining polynomial has no root in the upper field"
-        cols = []
-        pw = self.one(k + 1)
-        for _ in range(dlo):
-            cols.append(pw.coords)
-            pw = pw * root
+        assert not any(acc), "defining polynomial has no root in the upper field"
+        cols = [one]
+        for _ in range(dlo - 1):
+            cols.append(hi.mul_coords(cols[-1], root))
         M = tuple(zip(*cols))
         self._embed_step[k] = M
         return M
 
     def embedding_matrix(self, j, k):
-        """Composite embedding matrix level j -> level k (j <= k)."""
-        if j == k:
-            n = self.field(j).degree
-            return tuple(tuple(int(a == b) for b in range(n)) for a in range(n))
+        """Composite embedding matrix level j -> level k (j < k)."""
         key = (j, k)
         if key not in self._embed_comp:
             cols = zip(*self._embedding_step(j))

@@ -331,9 +331,6 @@ class FreeUnstableAlgebra(MonomialBasis):
             add_scaled(out, self.act_word(w, vec), oc, self.p)
         return out
 
-    def gen_vector(self, name):
-        return {((self.pg_index[((), name)], 1),): 1}
-
 
 # ---------------------------------------------------------------------------
 # finite-type algebras (module + product tables)

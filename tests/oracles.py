@@ -41,6 +41,16 @@ def sparse(M, p):
     return tower.SparseMap(M.shape[0], cols, p)
 
 
+def is_identity(S):
+    """Whether a tower.SparseMap is the identity map."""
+    return S.shape[0] == S.shape[1] and all(col == {j: 1} for j, col in enumerate(S.cols))
+
+
+def gen_vector(A, name):
+    """The generator `name` of a FreeUnstableAlgebra, as a dict-vector."""
+    return {((A.pg_index[((), name)], 1),): 1}
+
+
 def brute_force_admissible(p, word_deg, excess_cap):
     """Admissible flavor-A words by filtering all raw compositions (p=2 only).
 
@@ -404,7 +414,7 @@ def simplicial_identity_violations(res):
     """Every failed identity d_i d_j = d_{j-1} d_i (i < j) etc., as sparse map equalities.
 
     Reads res.face_full and full_degeneracies(res), composes with ``@`` and
-    compares with ``==`` or ``is_identity()``.  Returns one (kind, s, i, j)
+    compares with ``==`` or ``is_identity``.  Returns one (kind, s, i, j)
     per failure: "dd", "ss", "ds-id", "ds" or "sd".
     """
     face, degen = res.face_full, full_degeneracies(res)
@@ -424,7 +434,7 @@ def simplicial_identity_violations(res):
             for i in range(0, s + 2):
                 comp = face[s + 1][i] @ degen[s][j]
                 if i == j or i == j + 1:
-                    if not comp.is_identity():
+                    if not is_identity(comp):
                         bad.append(("ds-id", s, i, j))
                 elif i < j:
                     if comp != degen[s - 1][j - 1] @ face[s][i]:

@@ -45,6 +45,16 @@ def test_descent_inconclusive_schedule():
     assert code == 2 and "inconclusive" in out
 
 
+def test_descent_missing_witness_is_inconclusive():
+    # x - x^5 = 1 needs F_{5^5}; no chain level contains it: inconclusive, exit 2
+    code, out = run(["descent", "--p", "5", "--instances", "1"])
+    assert code == 2 and out.splitlines()[-1] == "INCONCLUSIVE"
+    assert "witnesses=INCONCLUSIVE" in out and "FAIL" not in out
+    # at p = 3 the witness lies at level 3, past --tower-max 2: a failure, exit 1
+    code, out = run(["descent", "--p", "3", "--tower-max", "2", "--instances", "1"])
+    assert code == 1 and out.splitlines()[-1] == "FAIL" and "witnesses=FAIL" in out
+
+
 def test_descent_small_run():
     code, out = run(["descent", "--instances", "4", "--total-dim", "4", "--tower-max", "2"])
     assert code == 0 and out.strip().endswith("PASS")

@@ -4,8 +4,9 @@ A fresh interpreter puts None in sys.modules["numpy"], so that any import of
 numpy raises ImportError.  It runs each `ue2` command of the README and one
 small call of each algebra-core kind (an Adem sweep, exactness_report,
 descent_verify, bar_homology_check, a Hilbert series); this process checks
-the exit codes, the outputs against the same commands run here, and the
-library results against known values.
+the exit codes (0, or the one a trailing `# exit N` states), the outputs
+against the same commands run here, and the library results against known
+values.
 """
 
 import ast
@@ -13,6 +14,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -66,10 +68,16 @@ print(json.dumps(out))
 
 
 def _readme_commands():
-    cmds = [shlex.split(line.split("#")[0])[1:] for line in README.read_text().splitlines()
-            if line.startswith("ue2 ")]
+    """Each README `ue2` line's argv, and the exit code a trailing `# exit N` states (else 0)."""
+    cmds, codes = [], []
+    for line in README.read_text().splitlines():
+        if line.startswith("ue2 "):
+            cmd, _, comment = line.partition("#")
+            stated = re.fullmatch(r" *exit (\d+) *", comment)
+            cmds.append(shlex.split(cmd)[1:])
+            codes.append(int(stated[1]) if stated else 0)
     assert len(cmds) >= 11
-    return cmds
+    return cmds, codes
 
 
 def _run_here(argv):
@@ -80,7 +88,7 @@ def _run_here(argv):
 
 
 def test_commands_and_library_calls_run_without_numpy(tmp_path, monkeypatch):
-    cmds = _readme_commands()
+    cmds, codes = _readme_commands()
     blocked, here = tmp_path / "blocked", tmp_path / "here"
     blocked.mkdir()
     here.mkdir()
@@ -93,7 +101,7 @@ def test_commands_and_library_calls_run_without_numpy(tmp_path, monkeypatch):
 
     monkeypatch.chdir(here)
     want = [_run_here(argv) for argv in cmds]
-    assert [code for code, _ in got["commands"]] == [0] * len(cmds)
+    assert [code for code, _ in got["commands"]] == codes
     assert got["commands"] == want
     files = sorted(f.name for f in blocked.iterdir())
     assert files == sorted(f.name for f in here.iterdir()) and {"a.json", "g.json"} <= set(files)

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 
 import numpy as np
@@ -261,3 +263,66 @@ def test_level_two_class_dies_at_level_four_not_three():
     M = (np.eye(6, dtype=np.int64) - fl.frobenius_matrix) % 2
     b3 = tw.embed(w, 3)
     assert solve(M, np.array(b3.coords), 2) is None
+
+
+def _mobius(n):
+    m, out, q = n, 1, 2
+    while q * q <= m:
+        if m % q == 0:
+            m //= q
+            if m % q == 0:
+                return 0
+            out = -out
+        q += 1
+    return -out if m > 1 else out
+
+
+@pytest.mark.parametrize("p,level", [(2, 2), (3, 2), (5, 2), (7, 2), (2, 3), (3, 3)])
+def test_field_level_accepts_exactly_the_irreducible_table_entries(monkeypatch, p, level):
+    # every monic polynomial of the level's degree, put in the table in turn;
+    # Gauss: (1/n) sum_{d | n} mu(d) p^(n/d) of them are irreducible
+    n = tower._FACTORIAL[level]
+    accepted = []
+    for low in itertools.product(range(p), repeat=n):
+        f = low + (1,)
+        monkeypatch.setitem(tower._POLY_TABLE, (p, n), f)
+        try:
+            tower.FieldLevel(p, level)
+        except AssertionError:
+            continue
+        accepted.append(f)
+    gauss = sum(_mobius(d) * p ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+    assert len(accepted) == gauss
+    if (p, n) == (2, 6):
+        # (x^3+x+1)^2: one fixed line, but frobenius^6 moves x;
+        # (x^3+x+1)(x^3+x^2+1): frobenius^6 fixes x, but the fixed space is a plane
+        assert (1, 0, 1, 0, 0, 0, 1) not in accepted
+        assert (1,) * 7 not in accepted
+
+
+_EMBEDDING_SHA256 = {
+    (1, 2): "fae298c070f048107204c1de59eae61fcca5aebd9055ba848555f48182dbc154",
+    (1, 3): "8a1ae2671434fd6445a43afec55c3ae33181600e3b94177057d73484dfa88b01",
+    (1, 4): "debff236ae54572953e964b5f9cb9cc6e8ee240c25257403a820496732d44688",
+    (2, 2, 3): "b18476e5a430bf28c9002f7540988ef5bf0b8233b8372a754d4fa086ba37c554",
+    (2, 2, 4): "f571113633c8f81e1b6f483a3852ca2b4ded5c29d5175ad11402dea29cf6b757",
+    (2, 3, 4): "cb0b2e827f816aef4e31d2daf7a97b1a1ee9cf8ce39dad374520b9742430f6a8",
+    (3, 2, 3): "1cb9ecf5718f4f682330ee68d5e3e1e38e5aca27f006610e820e284183639b33",
+    (3, 2, 4): "78d9b5335121433f07383ef8cf7f1839c1cfa12a76bccece94830d210f216f9a",
+    (3, 3, 4): "ca9362e37a52528ca9f6586fffb2b8d7b8afc0df1375bd96b1111b8cb66a45a9",
+    (5, 2, 3): "36f6d05425a520fbe96818630e55136f32bf3c99f802cdecc347c007966ae949",
+    (5, 2, 4): "60009b4c66bfe5376e4be189780a58a09cb26fe45ce1a67148c260248cb017fd",
+    (5, 3, 4): "caca4fd28024c900cee7473ce34b0803ff2b8647e0200bceb8f1870a29b5264d",
+}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_embedding_matrices_are_frozen(p):
+    # which root of the lower polynomial the scan picks fixes every embedding,
+    # and with it every witness coordinate; level 1 embeds as the prime field
+    tw = get_tower(p)
+    for j in range(1, 4):
+        for k in range(j + 1, 5):
+            want = _EMBEDDING_SHA256[(j, k) if j == 1 else (p, j, k)]
+            got = hashlib.sha256(repr(tw.embedding_matrix(j, k)).encode()).hexdigest()
+            assert got == want, (p, j, k)
