@@ -16,11 +16,13 @@ are computed once per (p, level) in ``tower``, which also checks the
 inverse pair on the block; this module tiles them across the coordinates
 of each degree.
 
-Every differential here is a ``tower.SparseMap``, ranked once.
+Cochain differentials are ``tower.SparseMap``s, bar boundaries are streamed
+column by column, and each complex is ranked once with clearing.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from . import steenrod as st
@@ -37,7 +39,8 @@ class CochainComplex:
     """Finite cochain complex of F_p vector spaces; d.d = 0 checked at build.
 
     maps[s] is the differential C^s -> C^{s+1}, a SparseMap of shape
-    (dims[s + 1], dims[s]); d.d is composed sparsely.
+    (dims[s + 1], dims[s]); d.d is composed sparsely.  cohomology_dims
+    ranks the maps in increasing s with clearing (tower.complex_ranks).
     """
 
     def __init__(self, p, dims, maps):
@@ -58,7 +61,7 @@ class CochainComplex:
             raise ValueError(
                 f"H^{top} needs the outgoing differential; complex stops at C^{len(self.dims) - 1}"
             )
-        ranks = [tower.rank(M, self.p) for M in self.maps[: top + 1]]
+        ranks = tower.complex_ranks([M.columns for M in self.maps[: top + 1]], self.p)
         return tuple(
             self.dims[s] - ranks[s] - (ranks[s - 1] if s else 0) for s in range(top + 1)
         )
@@ -188,7 +191,8 @@ class BarWindow:
 
     The window works one internal degree at a time: it keeps the bar bases
     of the last degree asked for only.  The phi, last-face and product
-    tables serve every degree, so they stay for the window's life.
+    tables serve every degree, so they stay for the window's life.  No
+    boundary is held whole: boundary_columns yields one column at a time.
     """
 
     def __init__(self, p, n, D, L):
@@ -276,20 +280,20 @@ class BarWindow:
         self._bases[key] = out
         return out
 
-    def boundary_matrix(self, s, d):
-        """Alternating-sum boundary from bar level s to s-1 in degree d, as a SparseMap.
+    def boundary_columns(self, s, d, skip=()):
+        """The columns of the alternating-sum boundary from bar level s to s-1 in degree d.
 
-        A basis element is (m0, f_1, ..., f_s); face i < s merges f_i f_{i+1}
-        and face s multiplies phi(f_s) onto m0.
+        In basis order, building none indexed by skip.  An element is
+        (m0, f_1, ..., f_s); face i < s merges f_i f_{i+1} and face s
+        multiplies phi(f_s) onto m0.
         """
         p = self.p
-        src = self.bar_basis(s, d)
-        tgt = self.bar_basis(s - 1, d)
-        tgt_idx = {b: i for i, b in enumerate(tgt)}
+        tgt_idx = {b: i for i, b in enumerate(self.bar_basis(s - 1, d))}
         mul_factors = self.factor.mul_monomials
         last_sign = -1 if s % 2 else 1
-        cols = []
-        for elem in src:
+        for j, elem in enumerate(self.bar_basis(s, d)):
+            if j in skip:
+                continue
             # the faces hit distinct rows: in slot i, face i puts f_i f_{i+1}
             # and every later face keeps f_i, of lower degree
             faces = {}
@@ -306,8 +310,7 @@ class BarWindow:
                 faces[tgt_idx[(m,) + rest]] = sign * c
             col = {}
             tower.add_scaled(col, faces, 1, p)
-            cols.append(col)
-        return tower.SparseMap(len(tgt), cols, p), src, tgt
+            yield col
 
 
 def bar_homology_check(n, D, s_max=3, L=3, p=2, budget=500_000):
@@ -317,15 +320,19 @@ def bar_homology_check(n, D, s_max=3, L=3, p=2, budget=500_000):
     0, where its dimensions equal the free unstable algebra on one degree-n
     generator; saturation compares the window L against L+1.  Raises
     BudgetExceeded up front when both windows' bar bases together pass budget.
-    Works one window and one internal degree at a time: each boundary is
-    ranked as soon as it is built and then dropped, and the first window is
-    freed before the second one runs.
+    Works one window and one internal degree at a time, and the first window
+    is freed before the second one runs.  The boundaries are streamed into
+    the ranks from the top down, with clearing: a cleared column is never built.
     """
+    if min(D, s_max, L) < 0:
+        raise ValueError(f"bar windows need D, s_max and L >= 0, not {D}, {s_max} and {L}")
+
     def run(bw):
         dims = {}
         for d in range(0, D + 1):
-            # boundary s runs from bar level s to s - 1
-            ranks = [tower.rank(bw.boundary_matrix(s, d)[0], p) for s in range(1, s_max + 2)]
+            # boundary s runs from bar level s to s - 1; ranks[s - 1] is its rank
+            boundaries = [functools.partial(bw.boundary_columns, s, d) for s in range(s_max + 1, 0, -1)]
+            ranks = tower.complex_ranks(boundaries, p)[::-1]
             for s in range(s_max + 1):
                 size = len(bw.bar_basis(s, d))
                 dims[(s, d)] = size - ranks[s] - (ranks[s - 1] if s else 0)

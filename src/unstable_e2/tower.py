@@ -18,9 +18,10 @@ inverse pair between the kernel and the base-field slot, checked on the
 block.  Callers tile the block across their coordinates.
 
 Every structure map and differential is a SparseMap ({row: coeff}
-columns), composed by matmul_mod and ranked by rank: one column elimination
-per prime, on Python-int bitsets at p = 2.  add_scaled (acc += c * vec mod
-p, keeping only nonzero residues) is the one update rule for sparse vectors
+columns), composed by matmul_mod.  One column elimination, pivot_rows (on
+bitsets at p = 2), ranks each map (rank) and each complex, with clearing,
+from streamed columns (complex_ranks).  add_scaled (acc += c * vec mod p,
+keeping only nonzero residues) is the one update rule for sparse vectors
 ({key: coeff} dicts): no other code adds one up mod p, be it a SparseMap
 column, a module or algebra element or a product.  The only dense matrices
 are the field-level blocks and embeddings, at most 24 x 24, kept as tuples
@@ -170,6 +171,10 @@ class SparseMap:
             return self.size
         return NotImplemented
 
+    def columns(self, skip=()):
+        """The columns in order, leaving out the indices in skip."""
+        return (col for j, col in enumerate(self.cols) if j not in skip)
+
     def __matmul__(self, other):
         """The composite self . other."""
         return matmul_mod(self, other, self.p)
@@ -204,17 +209,25 @@ def matmul_mod(A, B, p):
     return SparseMap(A.shape[0], out, p)
 
 
-def rank(M, p):
-    """Rank over F_p of a SparseMap.
+def pivot_rows(cols, p):
+    """The pivot rows of a column elimination over F_p, one per unit of rank.
 
-    Column elimination with the pivot on each column's highest row: bitsets
-    at p = 2 (gf2_rank), {row: coeff} columns at odd p.  The highest row
-    keeps fill-in down on the resolution's cochain maps.
+    Reads the {row: coeff} columns once, in order, from any iterable; each
+    is reduced until its highest row is new, and that row is its pivot, so
+    the pivot rows are the highest rows of the span.  Bitsets at p = 2.
     """
+    pivots = {}  # highest row (at p = 2 its bit length) -> reduced column, scaled to 1 there
     if p == 2:
-        return gf2_rank(M)
-    pivots = {}  # highest row -> reduced column, scaled to 1 there
-    for col in M.cols:
+        for col in cols:
+            v = sum(1 << r for r in col)
+            while v:
+                piv = pivots.get(v.bit_length())
+                if piv is None:
+                    pivots[v.bit_length()] = v
+                    break
+                v ^= piv
+        return {b - 1 for b in pivots}
+    for col in cols:
         v = dict(col)
         while v:
             r = max(v)
@@ -224,21 +237,32 @@ def rank(M, p):
                 pivots[r] = {k: c * inv % p for k, c in v.items()}
                 break
             add_scaled(v, piv, -v[r], p)
-    return len(pivots)
+    return set(pivots)
+
+
+def rank(M, p):
+    """Rank over F_p of a SparseMap; the highest-row pivot keeps fill-in down on cochain maps."""
+    return gf2_rank(M) if p == 2 else len(pivot_rows(M.cols, p))
 
 
 def gf2_rank(M):
     """Rank over GF(2) of a SparseMap: each column a Python int, pivoting on its highest set bit."""
-    pivots = {}  # bit length (highest set bit + 1) -> reduced column
-    for col in M.cols:
-        v = sum(1 << r for r in col)
-        while v:
-            piv = pivots.get(v.bit_length())
-            if piv is None:
-                pivots[v.bit_length()] = v
-                break
-            v ^= piv
-    return len(pivots)
+    return len(pivot_rows(M.cols, 2))
+
+
+def complex_ranks(maps, p):
+    """Ranks of the maps d_0, d_1, ... of a complex over F_p, with clearing.
+
+    maps[k](skip) yields the columns of d_k in order but those in skip, the
+    pivot rows of d_(k-1).  As d_k d_(k-1) = 0, a pivot row i of d_(k-1)
+    puts e_i + lower terms in the kernel of d_k, so column i of d_k adds no
+    pivot (Chen and Kerber's twist).
+    """
+    ranks, skip = [], ()
+    for columns in maps:
+        skip = pivot_rows(columns(skip), p)
+        ranks.append(len(skip))
+    return ranks
 
 
 # ---------------------------------------------------------------------------

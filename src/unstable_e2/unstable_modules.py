@@ -205,13 +205,17 @@ def act_free(p, flavor, op, elt, gen_degrees, window=None):
 
     elt is a dict {(word, genname): coeff}; op an OpElement of the same flavor.
     """
-    ctx = st.get_context(p, flavor, window)
-    out = {}
+    return _act_free(st.get_context(p, flavor, window), op.terms, elt, gen_degrees)
+
+
+def _act_free(ctx, op_terms, elt, gen_degrees):
+    """act_free in a given Adem context, for op terms {word: coeff}; a window looks ctx up once."""
+    p, out = ctx.p, {}
     for (w, g), c in elt.items():
         n = gen_degrees[g]
-        for ow, oc in op.terms.items():
+        for ow, oc in op_terms.items():
             word = ow + w
-            if flavor == st.FLAVOR_A:
+            if ctx.flavor == st.FLAVOR_A:
                 word = st.normalize_word_a(word, p)
                 if word is None:
                     continue
@@ -234,12 +238,11 @@ def one_minus_p0_window(V, window, d, p=2, length_cap=None):
     src = free_b_basis_window(V, d, replace(window, L=L), p)
     tgt = free_b_basis_window(V, d, replace(window, L=L + 1), p)
     tgt_index = {b: i for i, b in enumerate(tgt)}
-    rw = window.rewrite_window()
+    ctx = st.get_context(p, st.FLAVOR_B, window.rewrite_window())
     gen_degrees = dict(_gen_pairs(V))
     cols = []
     for w, g in src:
-        op = st.OpElement(p, st.FLAVOR_B, {w + ((0, 0),): 1})
-        image = act_free(p, st.FLAVOR_B, op, {((), g): 1}, gen_degrees, rw)
+        image = _act_free(ctx, {w + ((0, 0),): 1}, {((), g): 1}, gen_degrees)
         for key in image:
             assert key in tgt_index, f"rewrite left the window: {key}"
         col = {tgt_index[(w, g)]: 1}
@@ -258,13 +261,15 @@ def quotient_q_window(V, window, d, p=2, length_cap=None):
     src = free_b_basis_window(V, d, replace(window, L=L), p)
     tgt = free_a_basis(V, d, p)
     tgt_index = {b: i for i, b in enumerate(tgt)}
+    ctx = st.get_context(p, st.FLAVOR_A)
     gen_degrees = dict(_gen_pairs(V))
     cols = []
     for w, g in src:
         if any(s < 0 for _, s in w):
             cols.append({})
             continue
-        image = act_free(p, st.FLAVOR_A, st.OpElement.from_word(w, p), {((), g): 1}, gen_degrees)
+        # _act_free normalizes w, as OpElement.from_word would
+        image = _act_free(ctx, {w: 1}, {((), g): 1}, gen_degrees)
         cols.append({tgt_index[key]: c for key, c in image.items()})
     return tower.SparseMap(len(tgt), cols, p), src, tgt
 
@@ -278,6 +283,8 @@ def exactness_report(V, window, p=2):
     the length window), with a saturation flag.  Failures are reported, not
     raised.
     """
+    if any(d < 0 for d in V.degrees()):
+        raise ValueError(f"generator degrees must be >= 0, not {V.degrees()}")
     report = {"p": p, "window": window, "degrees": {}, "pass": True}
     for d in range(0, window.D + 1):
         M, src, tgt = one_minus_p0_window(V, window, d, p)

@@ -12,7 +12,8 @@ resolution's faces extended through the algebra on every monomial instead
 of relabelled on the degenerate ones, and its degeneracies extended through
 the algebra instead of read off the monomial keys (the simplicial
 identities and the extra degeneracy are checked on these).  The dense
-adapters (``dense``, ``sparse``) let tests write maps as numpy literals.
+adapters (``dense``, ``sparse``) let tests write maps as numpy literals, and
+``boundary_matrix`` holds a bar boundary whole, as the engine never does.
 """
 
 import functools
@@ -39,6 +40,12 @@ def sparse(M, p):
     M = np.asarray(M, dtype=np.int64) % p
     cols = [{int(r): int(M[r, j]) for r in np.flatnonzero(M[:, j])} for j in range(M.shape[1])]
     return tower.SparseMap(M.shape[0], cols, p)
+
+
+def boundary_matrix(bw, s, d):
+    """A BarWindow's boundary from level s to s - 1 in degree d: (SparseMap, source, target)."""
+    src, tgt = bw.bar_basis(s, d), bw.bar_basis(s - 1, d)
+    return tower.SparseMap(len(tgt), list(bw.boundary_columns(s, d)), bw.p), src, tgt
 
 
 def is_identity(S):

@@ -222,6 +222,23 @@ def test_bar_check_degree_zero_exit_code(capsys):
         assert err.startswith("error: ") and "degrees >= 1" in err
 
 
+def test_bar_check_and_exactness_refuse_windows_that_check_nothing(capsys):
+    # each of these used to print a bare PASS, with no cell checked, and exit 0
+    for argv in (["bar-check", "--n", "1", "--d-max", "-1"],
+                 ["bar-check", "--n", "1", "--d-max", "3", "--smax-bar", "-1"],
+                 ["bar-check", "--n", "1", "--d-max", "3", "--bar-L", "-1"],
+                 ["exactness", "--n", "-2"]):
+        code, out = run(argv)
+        err = capsys.readouterr().err
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and ">= 0" in err, argv
+    # a length-0 bar window and a degree-0 generator still check their cells
+    code, out = run(["bar-check", "--n", "1", "--d-max", "2", "--bar-L", "0"])
+    assert code == 0 and out.count(" PASS\n") == 12 and out.endswith("\nPASS\n")
+    code, out = run(["exactness", "--n", "0", "--D", "3"])
+    assert code == 0 and out.count(" PASS\n") == 4 and "degree 0: injective=True" in out
+
+
 def test_k_space_wrong_field_exit_code(capsys):
     code, out = run(["adams-chart", "--X", "K(F_3,1)", "--Y", "S1", "--smax", "1",
                      "--tmax", "3", "--D", "6"])
