@@ -12,9 +12,10 @@ classes.
 Monomials are tuples ((polygen_index, exponent), ...) sorted by index;
 odd-degree polygens square to zero at odd primes.  All bases, action and
 multiplication are truncated at a fixed top degree D.  The bases are built
-at construction.  Operations on polynomial generators, the parts of the
-total power operation on their powers, and products of basis monomials
-are kept in per-instance tables filled on first use.  Each entry is a pure
+at construction.  A letter on a polygen w(g) is the word (letter, w)
+resolved on g; P^s on a monomial y m' is the Cartan sum of P^k(y) P^(s-k)(m').
+Letters on polygens, P^s on monomials, and products of basis monomials are
+kept in per-instance tables filled on first use.  Each entry is a pure
 function of its key, so instances can be shared freely.  A product beyond
 D raises on every call and is never stored.
 """
@@ -171,7 +172,7 @@ class FreeUnstableAlgebra(MonomialBasis):
         self.pg_index = {pg: i for i, pg in enumerate(self.polygens)}
         super().__init__(p, (d for d, _, _ in pgs), D)
         self._op_memo = {}
-        self._sq_pow_memo = {}
+        self._power_memo = {}  # (s, monomial) -> P^s(monomial)
         self._ctx = st.get_context(p, st.FLAVOR_A)
 
     # -- operations ------------------------------------------------------------
@@ -212,100 +213,63 @@ class FreeUnstableAlgebra(MonomialBasis):
     def op_on_polygen(self, eps, s, i):
         """Single letter beta^eps P^s on the i-th polynomial generator.
 
-        The vector is the memo's own entry: callers read it and never change it.
+        The letter joins the polygen's word and the whole word is resolved on
+        the generator, so instability, the top operation as the p-th power
+        and the degree cap all come from ``_classify_word``.  The vector is
+        the memo's own entry: callers read it and never change it.
         """
         key = (eps, s, i)
         hit = self._op_memo.get(key)
         if hit is not None:
             return hit
-        word, gen = self.polygens[i]
         if eps == 0 and s == 0:
             out = {((i, 1),): 1}
-        elif eps == 1 and s == 0:
-            merged = st.normalize_word_a(((1, 0),) + word, self.p)
-            out = {} if merged is None else self._resolve_word(merged, gen)
         else:
-            pg_deg = self.pg_degree[i]
-            opdeg = st.letter_degree((eps, s), self.p)
-            top = pg_deg if self.p == 2 else pg_deg // 2
-            if eps == 0 and self.p == 2 and s == pg_deg:
-                out = {((i, 2),): 1}  # top square directly
-            elif eps == 0 and self.p != 2 and 2 * s == pg_deg:
-                out = self._pth_power({((i, 1),): 1})
-            elif (s > top) if eps == 0 else False:
-                out = {}
-            elif pg_deg + opdeg > self.D:
-                raise DegreeCapExceeded("operation image beyond truncation")
-            else:
-                w = st.normalize_word_a(((eps, s),) + word, self.p)
-                out = {} if w is None else self._resolve_word(w, gen)
+            word, gen = self.polygens[i]
+            w = st.normalize_word_a(((eps, s),) + word, self.p)
+            out = {} if w is None else self._resolve_word(w, gen)
         self._op_memo[key] = out
         return out
 
-    def _power_op_part(self, i, e, a):
-        """Degree-raise-a part of P (total) on the e-th power of polygen i (no Bockstein).
-
-        The vector is the memo's own entry, read only, as in ``op_on_polygen``.
-        """
-        key = (i, e, a)
-        hit = self._sq_pow_memo.get(key)
-        if hit is not None:
-            return hit
-        step = 1 if self.p == 2 else 2 * (self.p - 1)
-        if a % step:
-            out = {}
-        elif e == 0:
-            out = {(): 1} if a == 0 else {}
-        else:
-            out = {}
-            pg_deg = self.pg_degree[i]
-            top = pg_deg if self.p == 2 else pg_deg // 2
-            for s in range(0, min(top, a // step) + 1):
-                u = self.op_on_polygen(0, s, i)
-                if not u:
-                    continue
-                rest = self._power_op_part(i, e - 1, a - s * step)
-                if not rest:
-                    continue
-                add_scaled(out, self.mul(u, rest), 1, self.p)
-        self._sq_pow_memo[key] = out
-        return out
-
     def _power_op_mono(self, s, mono):
-        """P^s (Sq^s at p=2) on a basis monomial, by the Cartan formula."""
-        step = 1 if self.p == 2 else 2 * (self.p - 1)
+        """P^s (Sq^s at p=2) on a basis monomial, by the Cartan formula.
+
+        With y the first polygen factor of mono = y m', P^s(y m') is the sum
+        of P^k(y) P^(s-k)(m') over k up to the top operation on y.  The
+        vector is the memo's own entry, read only, as in ``op_on_polygen``.
+        """
         if not mono:
             return {(): 1} if s == 0 else {}
-        (i, e), rest = mono[0], mono[1:]
+        key = (s, mono)
+        hit = self._power_memo.get(key)
+        if hit is not None:
+            return hit
+        i, rest = self._peel(mono)
+        top = self.pg_degree[i] if self.p == 2 else self.pg_degree[i] // 2
         out = {}
-        for a in range(0, s * step + 1, step):
-            u = self._power_op_part(i, e, a)
-            if not u:
-                continue
-            v = self._power_op_mono(s - a // step, rest)
-            if not v:
-                continue
-            add_scaled(out, self.mul(u, v), 1, self.p)
+        for k in range(0, min(s, top) + 1):
+            u = self.op_on_polygen(0, k, i)
+            v = u and self._power_op_mono(s - k, rest)
+            if v:
+                add_scaled(out, self.mul(u, v), 1, self.p)
+        self._power_memo[key] = out
         return out
 
     def _beta_mono(self, mono):
-        """Bockstein on a basis monomial (derivation with Koszul signs)."""
+        """Bockstein on a basis monomial: beta(y m') = beta(y) m' + (-1)^|y| y beta(m')."""
         if not mono:
             return {}
-        (i, e), rest = mono[0], mono[1:]
-        out = {}
-        d_i = self.pg_degree[i]
-        # beta(y^e) = e y^{e-1} beta(y): odd-degree y has e = 1
-        by = self.op_on_polygen(1, 0, i)
-        if by and e % self.p:
-            head_rest = {((i, e - 1),): 1} if e > 1 else {(): 1}
-            add_scaled(out, self.mul(self.mul(by, head_rest), {rest: 1}), e, self.p)
-        # pass beta over y^e with the sign (-1)^{e|y|}
-        brest = self._beta_mono(rest)
-        if brest:
-            sign = -1 if (self.p != 2 and (d_i * e) % 2) else 1
-            add_scaled(out, self.mul({((i, e),): 1}, brest), sign, self.p)
+        i, rest = self._peel(mono)
+        out = self.mul(self.op_on_polygen(1, 0, i), {rest: 1})
+        sign = -1 if self.pg_degree[i] % 2 else 1
+        add_scaled(out, self.mul({((i, 1),): 1}, self._beta_mono(rest)), sign, self.p)
         return out
+
+    @staticmethod
+    def _peel(mono):
+        """Split a monomial as y m' with y its first polygen: (index of y, m')."""
+        (i, e), tail = mono[0], mono[1:]
+        return i, (((i, e - 1),) + tail if e > 1 else tail)
 
     def act_letter(self, eps, s, vec):
         out = {}

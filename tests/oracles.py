@@ -11,7 +11,8 @@ and ranked densely, instead of the two-term descent complex, and the
 resolution's faces extended through the algebra on every monomial instead
 of relabelled on the degenerate ones, and its degeneracies extended through
 the algebra instead of read off the monomial keys (the simplicial
-identities and the extra degeneracy are checked on these).  The dense
+identities and the extra degeneracy are checked on these), and the trace
+rule instead of Artin-Schreier solves for the death levels.  The dense
 adapters (``dense``, ``sparse``) let tests write maps as numpy literals, and
 ``boundary_matrix`` holds a bar boundary whole, as the engine never does.
 """
@@ -173,6 +174,21 @@ def leftmost_adem_rewrite(word, p):
                     out[w] = (out.get(w, 0) + c * c2) % p
             return {w: c for w, c in out.items() if c}
     return {word: 1}
+
+
+def trace_rule_death_level(p, level, top_level):
+    """Chain level at which a cokernel class of 1 - frobenius at ``level`` dies.
+
+    Level k of the chain is F_(p^(k!)).  By additive Hilbert 90, b in
+    F_(p^m) is x - x^p for some x in F_(p^m) exactly when Tr(b) = 0, and for
+    b in F_(p^n) that trace is (m/n) Tr_n(b).  A cokernel class of level L
+    has Tr_(L!)(b) != 0, so it dies at the first k > L with p | k!/L!, or at
+    no level up to ``top_level`` (None).
+    """
+    for k in range(level + 1, top_level + 1):
+        if math.factorial(k) // math.factorial(level) % p == 0:
+            return k
+    return None
 
 
 def partition_count_dims(gen_degrees, D):

@@ -101,6 +101,33 @@ def test_compare_mismatch_exit_one(tmp_path):
     assert code == 1 and "differ at (s=1, t=2)" in out
 
 
+def test_compare_window_mismatch_exit_code(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for smax, f in (("2", a), ("1", b)):
+        code, _ = run(["adams-chart", "--X", "S2", "--Y", "S1", "--smax", smax, "--tmax", "2",
+                       "--D", "6", "--out", str(f)])
+        assert code == 0
+    code, out = run(["compare", str(a), str(b)])
+    assert code == 2 and out.startswith("error: window mismatch")
+
+
+def test_gh_chart_schedule_below_level_two_exit_code():
+    code, out = run(["gh-chart", "--X", "S2", "--Y", "S1", "--smax", "1", "--tmax", "2",
+                     "--D", "6", "--tower-max", "1"])
+    assert code == 2 and out.startswith("inconclusive")
+
+
+def test_d1_saturation_fail_and_inconclusive_exit_codes():
+    window = ["--X", "S3", "--Y", "S1", "--smax", "1", "--tmax", "2", "--D", "6"]
+    # at p = 3 the cokernel class dies at level 3, past a schedule of 2: FAIL, exit 1
+    code, out = run(["d1-saturation", "--p", "3", *window, "--tower-max", "2"])
+    assert code == 1 and "death at level 3" in out and out.splitlines()[-1] == "FAIL"
+    # at p = 5 it dies at no level of the chain: INCONCLUSIVE, exit 2
+    code, out = run(["d1-saturation", "--p", "5", *window, "--tower-max", "3"])
+    assert code == 2 and "death at level None" in out
+    assert out.splitlines()[-1] == "INCONCLUSIVE"
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"D": 6, "p": 2}))

@@ -17,7 +17,7 @@ from unstable_e2.tower import (
     solve,
 )
 
-from oracles import F16, dense, sparse
+from oracles import F16, dense, sparse, trace_rule_death_level
 
 
 def test_frobenius_fixes_prime_field():
@@ -155,6 +155,15 @@ def test_cokernel_saturation_from_level_one():
     b = tw.one(1)
     x, lvl = tw.artin_schreier_solve(b)
     assert lvl == 2
+
+
+def test_cokernel_death_levels_follow_the_trace_rule():
+    # p = 7 waits for a root finder: its level-4 embedding scan takes seconds
+    for p in (2, 3, 5):
+        for level in range(1, tower.MAX_LEVEL + 1):
+            want = trace_rule_death_level(p, level, tower.MAX_LEVEL)
+            got = [lvl for lvl, _ in tower.cokernel_witnesses(p, level)]
+            assert got == [want], (p, level)
 
 
 def test_semilinear_examples():

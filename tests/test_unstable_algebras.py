@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,7 +10,7 @@ from unstable_e2.unstable_algebras import (
     MonomialBasis,
     extend_algebra_map,
 )
-from unstable_e2.unstable_modules import GradedVS, admissible_words_a
+from unstable_e2.unstable_modules import GradedVS, admissible_words_a, free_a_basis
 
 from oracles import algebra_map_violations, gen_vector, partition_count_dims
 
@@ -56,22 +57,34 @@ def test_hilbert_against_partition_oracle():
 
 
 def test_hilbert_monotone_in_generator_degree():
-    D = 10
-    hs = [FreeUnstableAlgebra(2, [("i", n)], D).hilbert() for n in (1, 2, 3)]
-    for d in range(4, D + 1):  # above the low-degree window where supports differ
-        assert hs[0][d] >= hs[1][d] >= hs[2][d] or True
-    # the classical statement: dims for larger n eventually dominate smaller ones
-    # in the stable range; spot-check equality of totals is not asserted
+    # stable range: below degree 2n, U(F(n)) is F(n), and the suspension
+    # F(n + 1) -> F(n) is an isomorphism in degrees n + 1 + k for k < n; at
+    # p = 2 both still hold at k = n, where i^2 = Sq^n i is the one product
+    hs = {n: FreeUnstableAlgebra(2, [("i", n)], 12).hilbert() for n in range(1, 7)}
+    for n in range(1, 6):
+        for k in range(n + 1):
+            assert hs[n][n + k] == hs[n + 1][n + 1 + k], (n, k)
+    for p in (2, 3, 5):
+        for n in range(1, 6):
+            h = FreeUnstableAlgebra(p, [("i", n)], 2 * n - 1).hilbert()
+            for d in range(n, 2 * n):
+                assert h[d] == len(free_a_basis([("i", n)], d, p)), (p, n, d)
 
 
 def test_top_operation_is_squaring():
-    A = FreeUnstableAlgebra(2, [("i2", 2)], 8)
-    for i, (w, g) in enumerate(A.polygens):
-        d = A.pg_degree[i]
-        if 2 * d > 8:
-            continue
-        sq = A.act_letter(0, d, {((i, 1),): 1})
-        assert sq == {((i, 2),): 1}, (w, g)
+    # the top operation is the p-th power: Sq^|y| y = y^2, and P^(|y|/2) y = y^3
+    # on even-degree y at p = 3
+    for p, gens, D in ((2, [("i2", 2)], 8), (3, [("a", 2), ("b", 4)], 12)):
+        A = FreeUnstableAlgebra(p, gens, D)
+        checked = 0
+        for i, (w, g) in enumerate(A.polygens):
+            d = A.pg_degree[i]
+            if p * d > D or (p != 2 and d % 2):
+                continue
+            top = d if p == 2 else d // 2
+            assert A.act_letter(0, top, {((i, 1),): 1}) == {((i, p),): 1}, (p, w, g)
+            checked += 1
+        assert checked >= 2
 
 
 def test_odd_p_lens_algebra():
@@ -92,26 +105,61 @@ def test_odd_p_exterior_square_vanishes():
 
 
 def test_cartan_formula_on_products():
-    random.seed(2)
-    A = FreeUnstableAlgebra(2, [("a", 2), ("b", 3)], 10)
-    av, bv = gen_vector(A, "a"), gen_vector(A, "b")
-    ab = A.mul(av, bv)
-    for s in (1, 2, 3):
-        lhs = A.act_letter(0, s, ab)
-        rhs = {}
-        for s0 in range(0, s + 1):
-            part = A.mul(A.act_letter(0, s0, av), A.act_letter(0, s - s0, bv))
-            for m, c in part.items():
-                rhs[m] = (rhs.get(m, 0) + c) % 2
-        rhs = {k: v for k, v in rhs.items() if v}
-        assert lhs == rhs, s
+    # beta^e P^s(ab) = sum over k of beta^e(P^k a) P^(s-k) b, plus at e = 1
+    # the Koszul term (-1)^|a| P^k a beta P^(s-k) b
+    for p, D, gens, letters in (
+        (2, 10, [("a", 2), ("b", 3)], [(0, 1), (0, 2), (0, 3)]),
+        (3, 14, [("x", 1), ("a", 2), ("b", 3)], [(0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]),
+    ):
+        A = FreeUnstableAlgebra(p, gens, D)
+        for (a, da), (b, _) in itertools.combinations(gens, 2):
+            av, bv = gen_vector(A, a), gen_vector(A, b)
+            ab = A.mul(av, bv)
+            for eps, s in letters:
+                terms = []
+                for k in range(0, s + 1):
+                    terms.append((1, A.mul(A.act_letter(eps, k, av), A.act_letter(0, s - k, bv))))
+                    if eps:
+                        koszul = A.mul(A.act_letter(0, k, av), A.act_letter(1, s - k, bv))
+                        terms.append(((-1) ** da, koszul))
+                rhs = {}
+                for sign, part in terms:
+                    for m, c in part.items():
+                        rhs[m] = (rhs.get(m, 0) + sign * c) % p
+                rhs = {k: v for k, v in rhs.items() if v}
+                assert A.act_letter(eps, s, ab) == rhs, (p, a, b, eps, s)
+
+
+def test_bockstein_is_a_derivation_on_products():
+    # beta(ab) = beta(a) b + (-1)^|a| a beta(b) on products of two generators
+    p = 3
+    A = FreeUnstableAlgebra(p, [("x", 1), ("y", 2), ("z", 3), ("u", 4)], 9)
+    names = [n for n, _ in A.gens]
+    for a in names:
+        for b in names:
+            av, bv = gen_vector(A, a), gen_vector(A, b)
+            rhs = A.mul(A.act_letter(1, 0, av), bv)
+            sign = -1 if A.gen_degree[a] % 2 else 1
+            for m, c in A.mul(av, A.act_letter(1, 0, bv)).items():
+                rhs[m] = (rhs.get(m, 0) + sign * c) % p
+            rhs = {m: c for m, c in rhs.items() if c}
+            assert A.act_letter(1, 0, A.mul(av, bv)) == rhs, (a, b)
 
 
 def test_action_instability():
+    # Sq^s a = 0 for s > |a|; at p = 3, P^s a = 0 for 2s > |a|, and
+    # beta P^s a = 0 for 2s = |a| too, as beta(a^3) = 0
     A = FreeUnstableAlgebra(2, [("a", 2)], 10)
     av = gen_vector(A, "a")
     for s in (3, 4, 5):
         assert A.act_letter(0, s, av) == {}
+    A = FreeUnstableAlgebra(3, [("a", 2), ("b", 4)], 14)
+    for name, n in A.gens:
+        v = gen_vector(A, name)
+        assert A.act_letter(0, n // 2, v) and A.act_letter(1, n // 2 - 1, v)
+        for s in range(n // 2 + 1, n // 2 + 3):
+            assert A.act_letter(0, s, v) == {} and A.act_letter(1, s, v) == {}, (name, s)
+        assert A.act_letter(1, n // 2, v) == {}, name
 
 
 def test_act_word_matches_op_composition():
