@@ -8,9 +8,9 @@ as elements, inner faces push the evaluation inward); degeneracies insert
 formal layers.  Face and degeneracy maps are stored as ``tower.SparseMap``s
 on monomial bases (one {row index: coeff} dict per source basis element,
 nonzero coefficients mod p only).  The degeneracies are read off the
-monomial keys, never extended through the algebra; the tests
-(``tests/oracles.py``) extend faces and degeneracies through the algebra on
-every monomial and check the simplicial identities on those.
+monomial keys, never extended through the algebra, and built on first use;
+the tests (``tests/oracles.py``) extend faces and degeneracies through the
+algebra on every monomial and check the simplicial identities on those.
 
 Cochain groups of the derivation complex against a suspension-type target
 need only the generator data of each level, which is what makes s_max 2-3
@@ -25,10 +25,10 @@ nondegenerate generators only (the normalized complex, which has the same
 cohomology by the Dold-Kan normalization theorem): every degeneracy sends a
 basis monomial to one basis monomial with coefficient +-1, so the degenerate
 generators are read off the monomials and dropped, and most generators of
-the deeper levels are degenerate.  Faces go through the algebra on
-nondegenerate monomials only; a degenerate column is a face column one level
-down, relabelled by the simplicial identities (each simplex is a degeneracy
-of exactly one nondegenerate simplex: the Eilenberg-Zilber lemma).
+the deeper levels are degenerate, by one mask rule at every level.  A chart
+reads a face column only at a nondegenerate monomial or at a generator of a
+read column one level up: exactly those go through the algebra, and every
+other face column is None.
 """
 
 from __future__ import annotations
@@ -273,15 +273,12 @@ class CotripleResolution:
     the full monomial basis of level s < s_max, and of the top level only
     its nondegenerate part, which is all a chart reads.  face_full[s][i] is
     the SparseMap of the i-th face from level s to level s-1 on monomial
-    bases (columns are V[s+1], rows V[s]).  G[t][j], t < s_max, is the j-th
-    degeneracy into level t + 1 on the generators V[t], a signed index map
-    into V[t + 1] read off the keys; it is the one degeneracy construction,
-    and degen_full[s][j] is G[s + 1][j + 1] as a SparseMap, built on first
-    use since no chart reads it.  nondegenerate[s] lists the indices into
-    V[s] that no G[s - 1][j] hits (all of V[0] and V[s_max + 1]): the
-    generators cochains live on, collected in the face pass.  Each face is
-    extended through the algebra on the nondegenerate monomials only, and
-    relabelled through G on the others, so face_full holds complete maps.
+    bases (columns are V[s+1], rows V[s]); it holds the columns a chart
+    reads, each extended through the algebra, and None in every other
+    column (see _build_faces).  nondegenerate[s] lists the indices into V[s]
+    that no degeneracy hits (all of V[0] and V[s_max + 1]): the generators
+    cochains live on, decided at every level by one mask rule.  The
+    degeneracies G and degen_full are built on first use; no chart reads them.
     """
 
     def __init__(self, space: SpaceModel, s_max, D, budget=500_000):
@@ -294,7 +291,8 @@ class CotripleResolution:
         self.levels = []
         self.V = [sorted((d, nm) for d, nm in space.algebra.graded_vs().items() if d <= D)]
         self._vidx = [{key: i for i, (_, key) in enumerate(self.V[0])}]
-        self.G = []
+        self.nondegenerate = [list(range(len(self.V[0])))]
+        masks = [0] * len(self.V[0])
         total = len(self.V[0])
         for s in range(0, s_max + 1):
             level = FreeUnstableAlgebra(self.p, [(key, d) for d, key in self.V[s]], D)
@@ -305,20 +303,35 @@ class CotripleResolution:
                     f"resolution level {s + 1} pushes basis count past {budget} "
                     f"(degree cap {D})"
                 )
+            # the one degeneracy rule, with no G: bit 0 of a monomial's mask marks
+            # the image of the insertion G[s][0], a single polygen of the empty word
+            # to the first power; bit j >= 1 that of G[s][j], the monomials whose
+            # polygens w(g) all have bit j - 1 in the mask of g, since G[s][j] sends
+            # w(g) to w(G[s - 1][j - 1](g)) up to sign (-2 clears bit 0 for any other
+            # monomial).  Mask 0 is nondegenerate.
             top = s == s_max
-            basis = self._nondegenerate_top(level) if top else level.reduced_basis_items()
-            self.V.append(list(basis))
+            pg_masks = [masks[self._vidx[s][g]] << 1 | (not w) for w, g in level.polygens]
+            basis, masks = [], []
+            for d, m in level.reduced_basis_items():
+                mask = -1 if len(m) == 1 and m[0][1] == 1 else -2
+                for i, _ in m:
+                    mask &= pg_masks[i]
+                if not (top and mask):  # the top level keeps its nondegenerate monomials
+                    basis.append((d, m))
+                    masks.append(mask)
+            self.V.append(basis)
+            self.nondegenerate.append([vi for vi, mask in enumerate(masks) if not mask])
             if not top:  # the top level is indexed by position only
                 self._vidx.append({key: i for i, (_, key) in enumerate(self.V[s + 1])})
-                self.G.append(self._degeneracies(s))
-        self.nondegenerate = [list(range(len(self.V[0])))]
+        del masks, pg_masks  # the top level's, which its faces do not read
         self.face_full = []
         self._build_faces()
 
     # -- construction ---------------------------------------------------------
 
-    def _degeneracies(self, t):
-        """G[t][j], 0 <= j <= t: the j-th degeneracy into level t + 1 on V[t].
+    @cached_property
+    def G(self):
+        """G[t][j], t < s_max, 0 <= j <= t: the j-th degeneracy into level t + 1 on V[t].
 
         Each is a list over V[t] of (index into V[t + 1], sign mod p): a
         degeneracy sends a generator to one generator, up to sign, so it is
@@ -328,45 +341,27 @@ class CotripleResolution:
         sign collects those of the G[t - 1][j - 1](g) and the Koszul sign of
         the re-sort.
         """
-        G_t = [[(self._insertion_index(t, key), 1) for _, key in self.V[t]]]
-        if t == 0:
-            return G_t
-        src, dst, gen_idx = self.levels[t - 1], self.levels[t], self._vidx[t - 1]
-        for prev in self.G[t - 1]:
-            # polygen w(g) -> (index of w(g'), c), where prev sends g to c g'
-            pg = [(dst.pg_index[(w, self.V[t][r][1])], c)
-                  for w, g in src.polygens for r, c in (prev[gen_idx[g]],)]
-            col = []
-            for _, key in self.V[t]:
-                factors, sign = [(pg[i][0], e) for i, e in key], 1
-                if self.p != 2:
-                    odd = [f for f, _ in factors if dst.pg_degree[f] % 2]
-                    sign = (-1) ** sum(a > b for k, a in enumerate(odd) for b in odd[k + 1:])
-                    for i, e in key:
-                        sign *= pg[i][1] ** e
-                col.append((self._vidx[t + 1][tuple(sorted(factors))], sign % self.p))
-            G_t.append(col)
-        return G_t
-
-    def _nondegenerate_top(self, level):
-        """The (degree, monomial) pairs of the top level that no degeneracy hits.
-
-        Read off the letters, with no G[s_max]: the insertion G[s_max][0] hits
-        the single polygens of the empty word and exponent 1, and G[s_max][j],
-        j >= 1, the monomials whose polygens w(g) all have g in G[s_max - 1][j - 1]'s image.
-        """
-        s = self.s_max
-        hit = [0] * len(self.V[s])  # bit b: in the image of G[s - 1][b]
-        for b, G_b in enumerate(self.G[s - 1] if s else ()):
-            for r, _ in G_b:
-                hit[r] |= 1 << b
-        masks = [hit[self._vidx[s][g]] for _, g in level.polygens]
-        for d, m in level.reduced_basis_items():
-            common = (1 << s) - 1
-            for i, _ in m:
-                common &= masks[i]
-            if not common and (len(m) > 1 or m[0][1] > 1 or level.polygens[m[0][0]][0]):
-                yield d, m
+        G = []
+        for t in range(self.s_max):
+            G.append([[(self._insertion_index(t, key), 1) for _, key in self.V[t]]])
+            if t == 0:
+                continue
+            src, dst, gen_idx = self.levels[t - 1], self.levels[t], self._vidx[t - 1]
+            for prev in G[t - 1]:
+                # polygen w(g) -> (index of w(g'), c), where prev sends g to c g'
+                pg = [(dst.pg_index[(w, self.V[t][r][1])], c)
+                      for w, g in src.polygens for r, c in (prev[gen_idx[g]],)]
+                col = []
+                for _, key in self.V[t]:
+                    factors, sign = [(pg[i][0], e) for i, e in key], 1
+                    if self.p != 2:
+                        odd = [f for f, _ in factors if dst.pg_degree[f] % 2]
+                        sign = (-1) ** sum(a > b for k, a in enumerate(odd) for b in odd[k + 1:])
+                        for i, e in key:
+                            sign *= pg[i][1] ** e
+                    col.append((self._vidx[t + 1][tuple(sorted(factors))], sign % self.p))
+                G[t].append(col)
+        return G
 
     def _gen_vec(self, col, level_to):
         """Column over V[level_to] as a generator-combination vector in that level."""
@@ -374,51 +369,44 @@ class CotripleResolution:
         return {((pg_index[((), basis[i][1])], 1),): c for i, c in col.items()}
 
     def _build_faces(self):
-        """face_full[s][i], 0 <= i <= s <= s_max, one level at a time.
+        """face_full[s][i], 0 <= i <= s <= s_max, on the columns a chart reads.
 
-        The pass for level s < s_max collects the image of G[s] and appends
-        its complement in V[s + 1] as nondegenerate[s + 1] (all of V[s + 1]
-        at the top).  Only those monomials of level s go through the algebra.  A
-        degenerate one, m = c G[s][j](x) with c = +-1, has its column
-        relabelled from level s - 1 by the simplicial identities (face i of
-        level s is d_{i+1} on the generators of level s + 1): c x for i in
-        {j - 1, j}, c G[s - 1][j - 1] of face i at x for i < j - 1, and
-        c G[s - 1][j] of face i - 1 at x for i > j.
+        A chart reads face columns of level s at the nondegenerate monomials
+        of V[s + 1], and, for face i >= 1 of level s + 1 to extend its kept
+        columns, at the generators of those columns.  So the read sets are
+        found from the top down, where every column is nondegenerate, with
+        each level's generator keys in the same pass.  Then each level, from
+        the bottom up, extends exactly its read columns through the algebra
+        (face 0 evaluates a generator as an element, face i >= 1 is face
+        i - 1 of the level below on the generators); every other column is
+        None.
         """
         p = self.p
+        stack, needed = [], set()  # (read columns of V[s + 1], their generator keys), top down
+        for s in range(self.s_max, -1, -1):
+            extra = needed.difference(self.nondegenerate[s + 1])
+            read = self.nondegenerate[s + 1] + sorted(extra) if extra else self.nondegenerate[s + 1]
+            polygens, basis = self.levels[s].polygens, self.V[s + 1]
+            keys = {polygens[k][1] for vi in read for k, _ in basis[vi][1]}
+            needed = {self._vidx[s][key] for key in keys}
+            stack.append((read, keys))
         for s in range(0, self.s_max + 1):
-            lifts, seen = [], set()  # lifts[j]: (m, x, c) with m = c G[s][j](x), first j
-            for G_j in self.G[s] if s < self.s_max else ():
-                lifts.append([(m, x, c) for x, (m, c) in enumerate(G_j) if m not in seen])
-                seen.update(m for m, _ in G_j)
-            self.nondegenerate.append([vi for vi in range(len(self.V[s + 1])) if vi not in seen])
-            nondeg = [self.V[s + 1][vi][1] for vi in self.nondegenerate[s + 1]]
-            gens = {self.levels[s].polygens[k][1] for m in nondeg for k, _ in m}
+            read, keys = stack.pop()  # level s; each level's sets go once it is built
+            monos = [self.V[s + 1][vi][1] for vi in read]
             rows = self._vidx[s]
             maps = []
             for i in range(0, s + 1):
                 if i == 0:
                     target = self.space.algebra if s == 0 else self.levels[s - 1]
-                    gen_images = {key: {key: 1} for key in gens}
+                    gen_images = {key: {key: 1} for key in keys}
                 else:
                     prev = self.face_full[s - 1][i - 1]
                     target = self.levels[s - 1]
-                    gen_images = {key: self._gen_vec(prev.cols[rows[key]], s - 1) for key in gens}
-                images = extend_algebra_map(self.levels[s], target, gen_images, nondeg)
+                    gen_images = {key: self._gen_vec(prev.cols[rows[key]], s - 1) for key in keys}
+                images = extend_algebra_map(self.levels[s], target, gen_images, monos)
                 cols = [None] * len(self.V[s + 1])
-                for vi, m in zip(self.nondegenerate[s + 1], nondeg):
+                for vi, m in zip(read, monos):
                     cols[vi] = {rows[key]: c % p for key, c in images[m].items() if c % p}
-                for j, lifts_j in enumerate(lifts):
-                    if i in (j - 1, j):
-                        for m, x, c in lifts_j:
-                            cols[m] = {x: c}
-                        continue
-                    if i < j - 1:
-                        F, g = self.face_full[s - 1][i].cols, self.G[s - 1][j - 1]
-                    else:
-                        F, g = self.face_full[s - 1][i - 1].cols, self.G[s - 1][j]
-                    for m, x, c in lifts_j:
-                        cols[m] = {g[r][0]: c * g[r][1] * v % p for r, v in F[x].items()}
                 maps.append(tower.SparseMap(len(self.V[s]), cols, p))
             self.face_full.append(maps)
 

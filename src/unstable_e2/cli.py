@@ -139,6 +139,8 @@ def cmd_exactness(args, cfg):
 
 
 def cmd_descent(args, cfg):
+    if args.instances < 1:
+        raise ValueError(f"descent needs --instances >= 1, not {args.instances}")
     if cfg.tower_max < 2:
         _emit(b"inconclusive: saturation witnesses need a schedule of >= 2 levels\n", cfg)
         return 2

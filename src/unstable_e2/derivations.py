@@ -131,8 +131,11 @@ def descent_verify(V0: GradedVS, M0: GradedVS, p=2, start_level=1, max_level=tow
     in the chain fails (b) without refuting it (a nonzero-trace b needs an
     extension of degree p, and only p = 2 and 3 divide the chain's degrees):
     when that is the only failure the report is inconclusive.  A witness
-    past max_level is a failure.
+    past max_level is a failure.  A range of no levels checks nothing and
+    raises ValueError.
     """
+    if start_level > max_level:
+        raise ValueError(f"descent levels {start_level}..{max_level} hold no level to check")
     classical = der_free_basis(V0, M0)
     classical_by_deg = {}
     for d, _, _ in classical:

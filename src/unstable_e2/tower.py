@@ -145,10 +145,11 @@ class SparseMap:
     """A linear map over F_p stored as sparse columns.
 
     cols[j] is the image of source basis element j as {row index: coeff},
-    holding only nonzero coefficients reduced mod p.  `size` counts the
-    stored entries and `nbytes` the memory the columns hold; numpy's
-    count_nonzero is answered without densifying, and no other numpy
-    function accepts the map.
+    holding only nonzero coefficients reduced mod p.  A face map of a
+    cotriple resolution holds None in a column no chart reads, and composing
+    such a map raises.  `size` counts the entries and `nbytes` the memory of
+    the held columns; numpy's count_nonzero is answered without densifying,
+    and no other numpy function accepts the map.
     """
 
     def __init__(self, nrows, cols, p):
@@ -158,11 +159,11 @@ class SparseMap:
 
     @property
     def size(self):
-        return sum(len(col) for col in self.cols)
+        return sum(len(col) for col in self.cols if col)
 
     @property
     def nbytes(self):
-        return sys.getsizeof(self.cols) + sum(sys.getsizeof(col) for col in self.cols)
+        return sys.getsizeof(self.cols) + sum(sys.getsizeof(c) for c in self.cols if c is not None)
 
     def __array_function__(self, func, types, args, kwargs):
         import numpy as np

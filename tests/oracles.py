@@ -409,6 +409,21 @@ def full_faces(res):
     return faces
 
 
+def completed_faces(res):
+    """res.face_full with each column it does not hold (None) taken from full_faces(res).
+
+    A resolution holds only the face columns a chart reads; a check that
+    composes faces needs them all.  Held columns are the resolution's own
+    dicts, so a corrupted one stays corrupted here.
+    """
+    return [
+        [tower.SparseMap(F.shape[0], [col if col is not None else ref
+                                      for col, ref in zip(F.cols, full.cols)], res.p)
+         for F, full in zip(maps, full_maps)]
+        for maps, full_maps in zip(res.face_full, full_faces(res))
+    ]
+
+
 def full_degeneracies(res):
     """The degeneracies of a cotriple resolution, extended through the algebra.
 
@@ -436,11 +451,11 @@ def full_degeneracies(res):
 def simplicial_identity_violations(res):
     """Every failed identity d_i d_j = d_{j-1} d_i (i < j) etc., as sparse map equalities.
 
-    Reads res.face_full and full_degeneracies(res), composes with ``@`` and
-    compares with ``==`` or ``is_identity``.  Returns one (kind, s, i, j)
-    per failure: "dd", "ss", "ds-id", "ds" or "sd".
+    Reads completed_faces(res) and full_degeneracies(res), composes with
+    ``@`` and compares with ``==`` or ``is_identity``.  Returns one
+    (kind, s, i, j) per failure: "dd", "ss", "ds-id", "ds" or "sd".
     """
-    face, degen = res.face_full, full_degeneracies(res)
+    face, degen = completed_faces(res), full_degeneracies(res)
     bad = []
     for s in range(1, res.s_max + 1):
         for j in range(0, s + 1):
@@ -508,7 +523,7 @@ def extra_degeneracy(res):
 # in Algebraic Topology, 1967).  The functions below build the full
 # derivation cochain complex of a cotriple resolution against a target with
 # trivial action, take that kernel by dense elimination mod p, and rank the
-# restricted coboundaries.  They read the resolution's full faces, the
+# restricted coboundaries.  They read the resolution's completed faces, the
 # degeneracies of full_degeneracies and the insertion, never the degenerate
 # sets or res.G, and they do their own linear algebra.
 
@@ -550,9 +565,10 @@ def _full_der_cochain_complex(res, M, top_s):
     Cochain group s is Hom(V[s], M) on every generator of level s.  The
     coface delta^0 pairs each generator g of level s with its insertion [g]
     one level up (the target acts trivially, so polygens with a nonempty
-    word pair with nothing); delta^i, i >= 1, is the dual of face i - 1.
+    word pair with nothing); delta^i, i >= 1, is the dual of face i - 1,
+    read from completed_faces(res).
     """
-    p = res.p
+    p, faces = res.p, completed_faces(res)
     bases = [
         [(vi, mn) for vi, (d, _) in enumerate(res.V[s]) for mn in M.basis.get(d, ())]
         for s in range(top_s + 1)
@@ -567,7 +583,7 @@ def _full_der_cochain_complex(res, M, top_s):
         for i in range(1, s + 2):
             sign = -1 if i % 2 else 1
             for (vi, mn), r in rows.items():
-                for src_vi, coeff in res.face_full[s][i - 1].cols[vi].items():
+                for src_vi, coeff in faces[s][i - 1].cols[vi].items():
                     c = cols.get((src_vi, mn))
                     if c is not None:
                         d[r, c] += sign * coeff

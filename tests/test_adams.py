@@ -17,11 +17,13 @@ from unstable_e2.adams import (
     suspension_target,
 )
 from unstable_e2.derivations import BarWindow
+from unstable_e2.goerss_hopkins import d1_saturation_report, gh_chart
 from unstable_e2.tower import SparseMap
 from unstable_e2.unstable_algebras import FreeUnstableAlgebra
 
 from oracles import (
     boundary_matrix,
+    completed_faces,
     dense,
     extra_degeneracy,
     full_degeneracies,
@@ -116,7 +118,7 @@ def test_simplicial_identities_smax3():
     # levels 0..3 in full: the top level keeps only its nondegenerate monomials
     S2 = builtin_space("S2", 2, 6)
     res = cotriple_resolution(S2, 4, 6)
-    assert "degen_full" not in vars(res)  # degeneracies are built on first use
+    assert "G" not in vars(res) and "degen_full" not in vars(res)  # built on first use
     assert simplicial_identity_violations(res) == []
     assert [len(maps) for maps in res.degen_full] == [1, 2, 3]
 
@@ -179,18 +181,19 @@ def test_extra_degeneracy_contracts_free_base():
     K1 = builtin_space("K1", 2, 5)
     res = cotriple_resolution(K1, 3, 5)
     h = extra_degeneracy(res)
+    faces = completed_faces(res)
     p = 2
     # last face collapses the inserted layer: d_last . h = id
     for s in range(0, res.s_max):
-        last = dense(res.face_full[s][s])
+        last = dense(faces[s][s])
         comp = (last @ dense(h[s])) % p
         n = comp.shape[1]
         assert np.array_equal(comp, np.eye(n, dtype=np.int64)), s
     # earlier faces commute with the homotopy: d_i . h_{s} = h_{s-1} . d_i
     for s in range(1, res.s_max):
         for i in range(0, s):
-            lhs = (dense(res.face_full[s][i]) @ dense(h[s])) % p
-            rhs = (dense(h[s - 1]) @ dense(res.face_full[s - 1][i])) % p
+            lhs = (dense(faces[s][i]) @ dense(h[s])) % p
+            rhs = (dense(h[s - 1]) @ dense(faces[s - 1][i])) % p
             assert np.array_equal(lhs, rhs), (s, i)
 
 
@@ -221,7 +224,10 @@ def test_chart_builds_only_the_levels_it_reads(monkeypatch, p, X, s_max, t_max, 
     chart = adams_chart(Xs, S1, s_max, t_max, D)
     (res,) = built
     assert res.s_max == s_max and len(res.levels) == s_max + 1
-    assert "degen_full" not in vars(res)
+    # no chart reads the degeneracies, so none builds them
+    gh_chart(Xs, S1, s_max, t_max, D, resolution=res)
+    d1_saturation_report(Xs, S1, s_max, t_max, D, resolution=res)
+    assert "G" not in vars(res) and "degen_full" not in vars(res)
     deeper = build(Xs, s_max + 1, t_max + 1)
     assert adams_chart(Xs, S1, s_max, t_max, D, resolution=deeper).entries == chart.entries
 
@@ -336,19 +342,54 @@ def test_levels_are_enumerated_in_basis_order(p, X, s_max, D):
     [(2, "S2", 3, 8), (2, "K2", 3, 8), (3, "S3", 3, 12), (3, "K1", 3, 6), (3, "K1", 2, 8)],
 )
 def test_faces_match_full_extension(p, X, s_max, D):
-    # degenerate columns are relabelled through the simplicial identities;
-    # the reference extends every column through the algebra.  At p = 3, K1
+    # the resolution holds the columns a chart reads and None elsewhere; the
+    # reference extends every column through the algebra.  At p = 3, K1
     # has degeneracy columns of coefficient -1, and at D = 8 its face 0
     # evaluates beta P^1 on the base tables.  Levels 0..s_max are complete in
     # a resolution one level deeper
     res = cotriple_resolution(builtin_space(X, p, D), s_max + 1, D)
     assert simplicial_identity_violations(res) == []
     full = full_faces(res)
+    held = 0
     for s, maps in enumerate(full):
         for i, F in enumerate(maps):
             assert res.face_full[s][i].shape == F.shape, (s, i)
             for m, col in enumerate(F.cols):
-                assert res.face_full[s][i].cols[m] == col, (s, i, res.V[s + 1][m])
+                mine = res.face_full[s][i].cols[m]
+                assert mine is None or mine == col, (s, i, res.V[s + 1][m])
+                held += mine is not None
+    assert 0 < held < sum(len(F.cols) for maps in full for F in maps)
+
+
+def _read_sets(res):
+    """Per level s, the face columns a chart reads, found without _build_faces.
+
+    From the top down: the nondegenerate monomials of V[s + 1], and the
+    generators of the monomials read one level up.
+    """
+    reads, needed = [], set()
+    for s in range(res.s_max, -1, -1):
+        read = set(res.nondegenerate[s + 1]) | needed
+        polygens = res.levels[s].polygens
+        needed = {res._vidx[s][polygens[k][1]] for vi in read for k, _ in res.V[s + 1][vi][1]}
+        reads.append(read)
+    return reads[::-1]
+
+
+@pytest.mark.parametrize(
+    "p,X,s_max,D,counts",
+    [(2, "S3", 5, 12, [30, 277, 885, 1_330, 1_067, 438]),
+     (3, "S3", 3, 12, None), (3, "K1", 2, 8, None)],
+)
+def test_held_face_columns_are_exactly_the_read_set(p, X, s_max, D, counts):
+    res = cotriple_resolution(builtin_space(X, p, D), s_max, D)
+    reads = _read_sets(res)
+    for s, read in enumerate(reads):
+        for i, F in enumerate(res.face_full[s]):
+            assert {vi for vi, col in enumerate(F.cols) if col is not None} == read, (s, i)
+    if counts is not None:
+        assert [len(read) for read in reads] == counts
+    assert any(len(read) < len(res.V[s + 1]) for s, read in enumerate(reads))
 
 
 @pytest.mark.parametrize(

@@ -55,6 +55,15 @@ def test_descent_missing_witness_is_inconclusive():
     assert code == 1 and out.splitlines()[-1] == "FAIL" and "witnesses=FAIL" in out
 
 
+def test_descent_refuses_no_instances(capsys):
+    # each used to print a bare PASS, with no instance checked, and exit 0
+    for n in ("0", "-3"):
+        code, out = run(["descent", "--instances", n])
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "--instances >= 1" in err
+
+
 def test_descent_small_run():
     code, out = run(["descent", "--instances", "4", "--total-dim", "4", "--tower-max", "2"])
     assert code == 0 and out.strip().endswith("PASS")

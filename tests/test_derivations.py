@@ -94,6 +94,14 @@ def test_descent_verify_mismatched_degrees():
     assert v["classical_dim"] == 0 and v["pass"]
 
 
+def test_descent_verify_refuses_an_empty_level_range():
+    # start_level 3 past max_level 2 used to pass with levels == {}, having checked nothing
+    V0 = M0 = GradedVS.single(2, 4)
+    with pytest.raises(ValueError, match="levels 3..2 hold no level"):
+        descent_verify(V0, M0, p=2, start_level=3, max_level=2)
+    assert list(descent_verify(V0, M0, p=2, start_level=2, max_level=2)["levels"]) == [2]
+
+
 def test_descent_verify_random_instances():
     random.seed(77)
     for _ in range(25):
