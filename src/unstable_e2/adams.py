@@ -1,5 +1,11 @@
 """Cotriple resolutions of space cohomologies and the unstable Adams E2 chart.
 
+The catalog spaces (the point, S^n, K(F_p, n) and products of two) are
+tabulated by one rule from their classes, a letter rule and a product rule,
+and each records its atoms, the sphere and K(F_p, n) factors.  The chart's
+(0,0) cell, the set of unstable-algebra maps H*X -> H*Y, is counted atom by
+atom.
+
 The resolution iterates the free unstable algebra monad on the reduced
 cohomology of a space: level s is free on the full monomial basis of level
 s-1 (the top level keeps only its nondegenerate monomials).  Face maps
@@ -33,8 +39,9 @@ other face column is None.
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from . import steenrod as st
@@ -58,14 +65,17 @@ class ChartError(Exception):
 
 @dataclass
 class SpaceModel:
-    """Reduced mod-p cohomology of a catalog space, with generator bookkeeping."""
+    """Reduced mod-p cohomology of a catalog space, tabulated up to degree D.
+
+    atoms lists the space's factors, ("sphere", n) or ("k", n), one each (the
+    point has none): H*X is the tensor product of their algebras.
+    """
 
     name: str
     p: int
     D: int
     algebra: FTAlgebra
-    generators: tuple  # ((name, degree), ...) algebra generators
-    gen_monomials: dict = field(default_factory=dict)  # basis name -> ((gen, exp), ...)
+    atoms: tuple
 
     def top_degree(self):
         degs = self.algebra.graded_vs().degrees()
@@ -105,161 +115,96 @@ def _parse_atom(text):
     return None
 
 
+def _table_space(name, p, D, atoms, classes, letter, product):
+    """The one table rule: a catalog space from its classes and its two rules.
+
+    classes lists (degree, name) in basis order; letter(letter, x) and
+    product(x, y) give a letter's image of a class and the product of two
+    classes as {name: coeff}.  Every letter and every product x <= y (by
+    name) that stays within degree D is tabulated; a letter with no nonzero
+    column is left out.
+    """
+    basis = {}
+    for d, x in classes:
+        basis.setdefault(d, []).append(x)
+    action = {}
+    for L in [(0, s) for s in range(1, D + 1)] + ([(1, 0)] if p != 2 else []):
+        cols = {x: letter(L, x) for d, x in classes if d + st.letter_degree(L, p) <= D}
+        if any(cols.values()):
+            action[L] = cols
+    products = {(x, y): product(x, y)
+                for dx, x in classes for dy, y in classes if x <= y and dx + dy <= D}
+    algebra = FTAlgebra(FTUnstableModule(p, D, basis, action), products)
+    return SpaceModel(name, p, D, algebra, atoms)
+
+
 def _atom_space(atom, p, D):
     kind, n, q = atom
     if q is not None and q != p:
         raise ValueError(f"K(F_{q},{n}) needs p = {q}, not p = {p}")
     if kind == "point":
-        mod = FTUnstableModule(p, D, {}, {})
-        return SpaceModel("point", p, D, FTAlgebra(mod, {}), ())
+        return _table_space("point", p, D, (), [], None, None)
     if kind == "sphere":
         if n < 1:
             raise ValueError("spheres need n >= 1")
-        name = f"s{n}"
-        mod = FTUnstableModule(p, D, {n: (name,)}, {})
-        prods = {(name, name): {}} if 2 * n <= D else {}
-        return SpaceModel(
-            f"S{n}", p, D, FTAlgebra(mod, prods), ((name, n),),
-            {name: ((name, 1),)},
-        )
-    if kind == "k":
-        if n < 1:
-            raise ValueError("K(F_p, n) needs n >= 1")
-        return _k_space(n, p, D)
-    raise ValueError(f"unknown atom {atom}")
+        # one class, with no nonzero letter or square
+        return _table_space(f"S{n}", p, D, (("sphere", n),), [(n, f"s{n}")],
+                            lambda *_: {}, lambda *_: {})
+    if n < 1:
+        raise ValueError("K(F_p, n) needs n >= 1")
+    return _k_space(n, p, D)
 
 
 def _k_space(n, p, D):
-    """K(F_p, n): tables generated from the free unstable algebra on one class."""
-    gen = f"i{n}"
-    A = FreeUnstableAlgebra(p, [(gen, n)], D)
-    names = {}
-    basis = {}
-    for d, m in A.reduced_basis_items():
-        nm = f"k{d}_{len(basis.setdefault(d, []))}"
-        basis[d].append(nm)
-        names[m] = nm
-    basis = {d: tuple(v) for d, v in basis.items()}
+    """K(F_p, n): the free unstable algebra on one class, its monomials named k<d>_<i>."""
+    A = FreeUnstableAlgebra(p, [(f"i{n}", n)], D)
+    monos = {f"k{d}_{i}": m for d in range(1, D + 1) for i, m in enumerate(A.basis(d))}
+    names = {m: x for x, m in monos.items()}
 
-    def vec_to_names(vec):
-        return {names[m]: c for m, c in vec.items() if m}
+    def letter(L, x):
+        return {names[m]: c for m, c in A.act_letter(*L, {monos[x]: 1}).items()}
 
-    action = {}
-    letters = [(0, s) for s in range(1, D + 1)] + ([(1, 0)] if p != 2 else [])
-    for eps, s in letters:
-        cols = {}
-        for d, m in A.reduced_basis_items():
-            if d + st.letter_degree((eps, s), p) > D:
-                continue
-            img = A.act_letter(eps, s, {m: 1})
-            if img:
-                cols[names[m]] = vec_to_names(img)
-        if cols:
-            action[(eps, s)] = cols
-    mod = FTUnstableModule(p, D, basis, action)
-    prods = {}
-    for d1, m1 in A.reduced_basis_items():
-        for d2, m2 in A.reduced_basis_items():
-            if d1 + d2 > D or names[m1] > names[m2]:
-                continue
-            r = A.mul_monomials(m1, m2)
-            col = {} if r is None else {names[r[1]]: r[0]}
-            prods[(names[m1], names[m2])] = col
-    # factor each basis class into polygen classes, for hom-set enumeration and
-    # for the contracting homotopy available over a free base
-    gm = {}
-    for d, m in A.reduced_basis_items():
-        gm[names[m]] = tuple((names[((i, 1),)], e) for i, e in m)
-    gens = tuple(sorted((names[((i, 1),)], A.pg_degree[i]) for i in range(len(A.polygens))))
-    return SpaceModel(f"K{n}", p, D, FTAlgebra(mod, prods), gens, gm)
+    def product(x, y):
+        r = A.mul_monomials(monos[x], monos[y])
+        return {} if r is None else {names[r[1]]: r[0]}
+
+    classes = [(A.monomial_degree(m), x) for x, m in monos.items()]
+    return _table_space(f"K{n}", p, D, (("k", n),), classes, letter, product)
 
 
 def _product_space(a: SpaceModel, b: SpaceModel, name, p, D):
-    """Kunneth tensor of two catalog spaces."""
-    basis = {}
-    pairs = []
-    avs, bvs = a.algebra.graded_vs(), b.algebra.graded_vs()
-    for da, na in list(avs.items()):
-        pairs.append((da, na, 0, "1"))
-    for db, nb in list(bvs.items()):
-        pairs.append((0, "1", db, nb))
-    for da, na in list(avs.items()):
-        for db, nb in list(bvs.items()):
-            if da + db <= D:
-                pairs.append((da, na, db, nb))
+    """The Kunneth tensor product of two catalog spaces, its classes named x|y (1 the unit)."""
+    split = {}  # class x|y -> (degree of x, x, degree of y, y)
+    for da, x in [(0, "1"), *a.algebra.graded_vs().items()]:
+        for db, y in [(0, "1"), *b.algebra.graded_vs().items()]:
+            if "1" in (x, y) or da + db <= D:
+                split[f"{x}|{y}"] = (da, x, db, y)
+    del split["1|1"]
+    A, B = a.algebra.module, b.algebra.module
 
-    def tname(na, nb):
-        return f"{na}|{nb}"
+    def tensor(u, v, sign=1):
+        return {f"{x}|{y}": sign * cx * cy for x, cx in u.items() for y, cy in v.items()}
 
-    def tensor(va, vb):
-        return {tname(xa, xb): ca * cb for xa, ca in va.items() for xb, cb in vb.items()}
+    def mul(space, x, y):
+        return {y: 1} if x == "1" else {x: 1} if y == "1" else space.algebra.mul_names(x, y)
 
-    for da, na, db, nb in pairs:
-        basis.setdefault(da + db, []).append(tname(na, nb))
-    basis = {d: tuple(sorted(v)) for d, v in basis.items()}
-    names = {nm for v in basis.values() for nm in v}
+    def letter(L, z):
+        da, x, _, y = split[z]
+        if L[0]:  # the Bockstein, by the Koszul-signed Leibniz rule
+            terms = [(L, (0, 0), 1), ((0, 0), L, -1 if da % 2 else 1)]
+        else:  # P^s, by the Cartan formula
+            terms = [((0, k), (0, L[1] - k), 1) for k in range(L[1] + 1)]
+        out = {}
+        for La, Lb, c in terms:
+            tower.add_scaled(out, tensor(A.act_letter(La, x), B.act_letter(Lb, y)), c, p)
+        return out
 
-    def mul_side(alg, x, y):
-        if x == "1":
-            return {y: 1}
-        if y == "1":
-            return {x: 1}
-        return alg.mul_names(x, y)
+    def product(z1, z2):  # FTAlgebra reduces the coefficients mod p
+        (_, x1, db1, y1), (da2, x2, _, y2) = split[z1], split[z2]
+        return tensor(mul(a, x1, x2), mul(b, y1, y2), -1 if db1 * da2 % 2 else 1)
 
-    prods = {}
-    for da1, na1, db1, nb1 in pairs:
-        for da2, na2, db2, nb2 in pairs:
-            d = da1 + db1 + da2 + db2
-            if d > D:
-                continue
-            n1, n2 = tname(na1, nb1), tname(na2, nb2)
-            if n1 > n2:
-                continue
-            sign = 1
-            if p != 2 and (db1 * da2) % 2:
-                sign = -1
-            col = {}
-            va, vb = mul_side(a.algebra, na1, na2), mul_side(b.algebra, nb1, nb2)
-            tower.add_scaled(col, tensor(va, vb), sign, p)
-            prods[(n1, n2)] = col
-    action = {}
-    letters = sorted(set(a.algebra.module.action) | set(b.algebra.module.action))
-    for letter in letters:
-        eps, s = letter
-        cols = {}
-        for da, na, db, nb in pairs:
-            out = {}
-            if eps == 0:
-                for s0 in range(0, s + 1):
-                    s1 = s - s0
-                    va = {na: 1} if s0 == 0 else ({} if na == "1" else a.algebra.module.act_word(((0, s0),), na))
-                    vb = {nb: 1} if s1 == 0 else ({} if nb == "1" else b.algebra.module.act_word(((0, s1),), nb))
-                    tower.add_scaled(out, tensor(va, vb), 1, p)
-            else:
-                va = {} if na == "1" else a.algebra.module.act_word(((1, 0),), na)
-                tower.add_scaled(out, tensor(va, {nb: 1}), 1, p)
-                vb = {} if nb == "1" else b.algebra.module.act_word(((1, 0),), nb)
-                sgn = -1 if (p != 2 and da % 2) else 1
-                tower.add_scaled(out, tensor({na: 1}, vb), sgn, p)
-            # the degree cut: images above D are not basis names
-            out = {k: v for k, v in out.items() if k in names}
-            if out:
-                cols[tname(na, nb)] = out
-        if cols:
-            action[letter] = cols
-    mod = FTUnstableModule(p, D, basis, action)
-    gens = tuple((tname(n, "1"), d) for n, d in a.generators) + tuple(
-        (tname("1", n), d) for n, d in b.generators
-    )
-    gm = {}
-    for da, na, db, nb in pairs:
-        parts = []
-        if na != "1":
-            parts += [(tname(x, "1"), e) for x, e in a.gen_monomials.get(na, ((na, 1),))]
-        if nb != "1":
-            parts += [(tname("1", x), e) for x, e in b.gen_monomials.get(nb, ((nb, 1),))]
-        gm[tname(na, nb)] = tuple(parts)
-    return SpaceModel(name, p, D, FTAlgebra(mod, prods), gens, gm)
+    classes = sorted((da + db, z) for z, (da, _, db, _) in split.items())
+    return _table_space(name, p, D, a.atoms + b.atoms, classes, letter, product)
 
 
 # ---------------------------------------------------------------------------
@@ -566,58 +511,37 @@ def adams_chart(X: SpaceModel, Y: SpaceModel, s_max, t_max, D, budget=500_000,
 
 
 def hom_set_count(X: SpaceModel, Y: SpaceModel):
-    """Cardinality of the set of unstable algebra maps H*X -> H*Y."""
-    p = X.p
-    gens = X.generators
-    if not gens:
-        return 1
-    cands = []
-    for gname, d in gens:
-        names = Y.algebra.graded_vs().basis.get(d, ())
-        vecs = [{}]
-        for nm in names:
-            vecs = [dict(v, **({nm: c} if c else {})) for v in vecs for c in range(p)]
-        cands.append(vecs)
-    import itertools as it
+    """Cardinality of the set of unstable-algebra maps H*X -> H*Y, atom by atom.
 
-    count = 0
-    for assignment in it.product(*cands):
-        gen_images = {g[0]: dict(v) for g, v in zip(gens, assignment)}
-        if _algebra_map_consistent(X, Y, gen_images):
-            count += 1
+    H*X is the tensor product of its atoms' algebras, the coproduct of
+    unstable algebras, so a map is one map per atom and the count is a
+    product over the atoms.  H*K(F_p, n) is free on its degree-n class, which
+    may go to any y in H^n Y.  H*S^n has one class, with no nonzero letter or
+    square, which may go to any y in H^n Y that every letter within D kills
+    and, when 2n <= D, whose square is 0; D = min(X.D, Y.D), where both
+    tables stop.  The point has no atom and contributes 1.
+    """
+    p, D, count = X.p, min(X.D, Y.D), 1
+    for kind, n in X.atoms:
+        names = Y.algebra.basis(n)
+        if kind == "k":
+            count *= p ** len(names)
+            continue
+        rows = {}  # (letter, class z) -> z-coordinates of its images of names: y is in their kernel
+        for L in [(0, s) for s in range(1, D + 1)] + ([(1, 0)] if p != 2 else []):
+            for j, x in enumerate(names if n + st.letter_degree(L, p) <= D else ()):
+                for z, c in Y.algebra.module.act_letter(L, x).items():
+                    rows.setdefault((L, z), [0] * len(names))[j] = c
+        kernel = tower.kernel_basis(list(rows.values()) or [[0] * len(names)], p)
+        if 2 * n > D:
+            count *= p ** len(kernel)
+            continue
+        squares_zero = 0  # and, when 2n <= D, whose square is 0: one by one
+        for coeffs in itertools.product(range(p), repeat=len(kernel)):
+            y = {x: sum(c * v[j] for c, v in zip(coeffs, kernel)) % p for j, x in enumerate(names)}
+            squares_zero += not Y.algebra.mul(y, y)
+        count *= squares_zero
     return count
-
-
-def _algebra_map_consistent(X: SpaceModel, Y: SpaceModel, gen_images):
-    """Check a generator assignment extends to an algebra map on the tables."""
-    p = X.p
-    val = {}
-    for d, nm in X.algebra.graded_vs().items():
-        gm = X.gen_monomials.get(nm)
-        if gm is None:
-            return False
-        vec = None
-        for g, e in gm:
-            gv = gen_images[g]
-            for _ in range(e):
-                vec = gv if vec is None else Y.algebra.mul(vec, gv)
-        val[nm] = vec if vec is not None else {}
-    # operations
-    for letter, cols in X.algebra.module.action.items():
-        for nm, col in cols.items():
-            lhs = {}
-            for n2, c in col.items():
-                tower.add_scaled(lhs, val[n2], c, p)
-            if lhs != Y.algebra.act_word((letter,), val[nm]):
-                return False
-    # products on table pairs
-    for (a, b), col in X.algebra.products.items():
-        lhs = {}
-        for n2, c in col.items():
-            tower.add_scaled(lhs, val[n2], c, p)
-        if lhs != Y.algebra.mul(val[a], val[b]):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

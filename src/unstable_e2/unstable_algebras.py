@@ -12,7 +12,7 @@ classes.
 Monomials are tuples ((polygen_index, exponent), ...) sorted by index;
 odd-degree polygens square to zero at odd primes.  All bases, action and
 multiplication are truncated at a fixed top degree D.  The bases are built
-at construction.  A letter on a polygen w(g) is the word (letter, w)
+on first use.  A letter on a polygen w(g) is the word (letter, w)
 resolved on g; P^s on a monomial y m' is the Cartan sum of P^k(y) P^(s-k)(m').
 Letters on polygens, P^s on monomials, and products of basis monomials are
 kept in per-instance tables filled on first use.  Each entry is a pure
@@ -22,7 +22,9 @@ D raises on every call and is never stored.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 
 from . import steenrod as st
 from .tower import add_scaled
@@ -50,8 +52,8 @@ class MonomialBasis:
         self.pg_degree = tuple(degrees)
         if any(a > b for a, b in zip(self.pg_degree, self.pg_degree[1:])):
             raise ValueError(f"letter degrees must not decrease: {self.pg_degree}")
-        self._basis = self._enumerate_basis()
         self._products = {}  # (m1, m2) -> mul_monomials(m1, m2), filled on first use
+        self._basis = None  # {degree: sorted monomials}, enumerated by the first basis()
 
     def _enumerate_basis(self):
         # letters are sorted by degree (checked at construction), so the scan
@@ -85,11 +87,28 @@ class MonomialBasis:
 
     def basis(self, d):
         """Ordered monomial basis in degree d (degree 0 is the unit)."""
+        if self._basis is None:
+            self._basis = self._enumerate_basis()
         return self._basis.get(d, ())
 
-    def hilbert(self, D=None):
-        D = self.D if D is None else D
-        return tuple(len(self.basis(d)) for d in range(0, D + 1))
+    def hilbert(self):
+        """Basis sizes in degrees 0..D, from the letter degrees alone.
+
+        A letter of degree d contributes 1/(1 - t^d), or 1 + t^d when d is
+        odd at odd p; m letters of degree d contribute the m-th power, whose
+        coefficients are binomial.  Nothing is enumerated.
+        """
+        series = [1] + [0] * self.D
+        for d in range(1, self.D + 1):
+            m = bisect.bisect_right(self.pg_degree, d) - bisect.bisect_left(self.pg_degree, d)
+            if not m:
+                continue
+            exterior = self.p != 2 and d % 2
+            power = [math.comb(m, j) if exterior else math.comb(m + j - 1, j)
+                     for j in range(self.D // d + 1)]
+            series = [sum(c * series[k - d * j] for j, c in enumerate(power[:k // d + 1]))
+                      for k in range(self.D + 1)]
+        return tuple(series)
 
     def monomial_degree(self, m):
         return sum(self.pg_degree[i] * e for i, e in m)
@@ -312,24 +331,16 @@ class FTAlgebra:
         self.p = module.p
         self.D = module.D
         # products: {(name1, name2): {name: coeff}} for name1 <= name2
-        self.products = {}
-        for (a, b), col in products.items():
-            key = (a, b) if a <= b else (b, a)
-            if a > b and self.p != 2:
-                da, db = module.degree_of[a], module.degree_of[b]
-                if (da * db) % 2:
-                    col = {n: (-c) % self.p for n, c in col.items()}
-            self.products[key] = {n: c % self.p for n, c in col.items() if c % self.p}
+        self.products = {key: {n: c % self.p for n, c in col.items() if c % self.p}
+                         for key, col in products.items()}
 
     def mul_names(self, a, b):
         da, db = self.module.degree_of[a], self.module.degree_of[b]
         if da + db > self.D:
             raise DegreeCapExceeded("product beyond truncation")
-        key, sign = ((a, b), 1) if a <= b else ((b, a), 1)
-        if a > b and self.p != 2 and (da * db) % 2:
-            sign = -1
-        col = self.products.get(key, {})
-        return {n: (sign * c) % self.p for n, c in col.items()}
+        sign = -1 if a > b and da * db % 2 else 1  # the Koszul sign of the swap
+        col = self.products.get((min(a, b), max(a, b)), {})
+        return {n: sign * c % self.p for n, c in col.items()}
 
     def mul(self, v1, v2):
         out = {}

@@ -11,10 +11,12 @@ and ranked densely, instead of the two-term descent complex, and the
 resolution's faces extended through the algebra on every monomial instead
 of relabelled on the degenerate ones, and its degeneracies extended through
 the algebra instead of read off the monomial keys (the simplicial
-identities and the extra degeneracy are checked on these), and the trace
-rule instead of Artin-Schreier solves for the death levels.  The dense
-adapters (``dense``, ``sparse``) let tests write maps as numpy literals, and
-``boundary_matrix`` holds a bar boundary whole, as the engine never does.
+identities and the extra degeneracy are checked on these), the trace
+rule instead of Artin-Schreier solves for the death levels, and a search
+over generator assignments instead of the atom-by-atom hom-set count.  The
+dense adapters (``dense``, ``sparse``) let tests write maps as numpy
+literals, and ``boundary_matrix`` holds a bar boundary whole, as the engine
+never does.
 """
 
 import functools
@@ -24,7 +26,7 @@ import math
 import numpy as np
 
 from unstable_e2 import tower
-from unstable_e2.unstable_algebras import extend_algebra_map
+from unstable_e2.unstable_algebras import FreeUnstableAlgebra, extend_algebra_map
 
 
 def dense(S):
@@ -487,17 +489,20 @@ def extra_degeneracy(res):
 
     Returns SparseMaps h[s], s < s_max: level s-1 -> level s on monomial
     bases (with h[0]: the base algebra -> level 0), which should satisfy d_last h = id
-    and d_i h = h d_i for i < last; only defined for free base cohomology.
+    and d_i h = h d_i for i < last; only defined for free base cohomology,
+    that of K<n> or a product of two, whose classes catalog_factorization
+    writes as monomials in the generator classes.
     """
     space = res.space
-    if not space.gen_monomials:
+    if not all(atom.startswith("k") for atom in space.name.lower().split("*")):
         raise ValueError("extra degeneracy needs a free base cohomology")
+    factors = catalog_factorization(space.name, space.p, space.D)
     # h0: base -> level 0, generator g -> [g], extended multiplicatively
     lvl0 = res.levels[0]
     images = {}
     for d, nm in res.V[0]:
         vec = {(): 1}
-        for g, e in space.gen_monomials[nm]:
+        for g, e in factors[nm]:
             gv = {((lvl0.pg_index[((), g)], 1),): 1}
             for _ in range(e):
                 vec = lvl0.mul(vec, gv)
@@ -719,3 +724,115 @@ def algebra_map_violations(source, target, images, letters=None):
             if lhs != rhs:
                 bad.append((letter, i, lhs, rhs))
     return bad
+
+
+# ---------------------------------------------------------------------------
+# the hom-set cell by brute force
+# ---------------------------------------------------------------------------
+#
+# The (0,0) cell of a chart counts the unstable-algebra maps H*X -> H*Y.  The
+# brute force below reads the generator classes of X off its catalog name,
+# tries every assignment of their images in H*Y (pruned degree by degree),
+# and keeps an assignment when the map it spans commutes with every letter on
+# every class (zero columns included) and with every product, within the
+# common truncation.  It knows nothing of atoms or of freeness.
+
+def catalog_factorization(name, p, D):
+    """{class: ((generator class, exponent), ...)} of the catalog space called name.
+
+    A K<n> class is a monomial of the free unstable algebra on one degree-n
+    class, named k<d>_<i> as the catalog names it, and its generator classes
+    are the polynomial generators; a sphere class is itself; a class a|b of
+    a product A*B joins the factorizations of a|1 and 1|b.
+    """
+    parts = []
+    for atom in name.lower().split("*"):
+        if atom.startswith("s"):
+            parts.append({atom: ((atom, 1),)})
+        elif atom.startswith("k"):
+            A = FreeUnstableAlgebra(p, [(f"i{atom[1:]}", int(atom[1:]))], D)
+            names = {m: f"k{d}_{i}" for d in range(1, D + 1) for i, m in enumerate(A.basis(d))}
+            parts.append({names[m]: tuple((names[((i, 1),)], e) for i, e in m) for m in names})
+        else:
+            parts.append({})
+    if len(parts) == 1:
+        return parts[0]
+    a, b = parts
+    left = {f"{x}|1": tuple((f"{g}|1", e) for g, e in f) for x, f in a.items()}
+    right = {f"1|{y}": tuple((f"1|{g}", e) for g, e in f) for y, f in b.items()}
+    both = {f"{x}|{y}": left[f"{x}|1"] + right[f"1|{y}"] for x in a for y in b}
+    return {**left, **right, **both}
+
+
+def _combine(col, values, p):
+    """sum of c * values[name] over a {name: c} column, reduced mod p, zeros dropped."""
+    out = {}
+    for name, c in col.items():
+        for key, v in values[name].items():
+            out[key] = (out.get(key, 0) + c * v) % p
+    return {k: v for k, v in out.items() if v}
+
+
+def hom_set_generators(X):
+    """The generator classes of the catalog space X, as (degree, class) pairs."""
+    factors = catalog_factorization(X.name, X.p, X.D)
+    return [(d, nm) for d, nm in X.algebra.graded_vs().items() if factors[nm] == ((nm, 1),)]
+
+
+def hom_set_assignments(X, Y):
+    """How many assignments of the generator classes of X into H*Y the brute force tries."""
+    return math.prod(X.p ** len(Y.algebra.basis(d)) for d, _ in hom_set_generators(X))
+
+
+def hom_set_brute_force(X, Y):
+    """The number of unstable-algebra maps H*X -> H*Y, truncated at min(X.D, Y.D).
+
+    The search runs up the degrees: at degree d it extends each partial
+    assignment that commutes below d by every choice of images of the
+    generator classes of degree d, and keeps those under which every letter
+    and every product landing in degree d commutes.  Every check lands in
+    the degree of its result, where all the classes it reads have values.
+    """
+    p, D = X.p, min(X.D, Y.D)
+    factors = catalog_factorization(X.name, p, X.D)
+    classes = [(d, nm) for d, nm in X.algebra.graded_vs().items() if d <= D]
+    letters = [(0, s) for s in range(1, D + 1)] + ([(1, 0)] if p != 2 else [])
+    degree = {(e, s): s if p == 2 else 2 * (p - 1) * s + e for e, s in letters}
+    by_degree = {}  # degree -> (classes, generator classes, checks landing there)
+    for i, (d, nm) in enumerate(classes):
+        by_degree.setdefault(d, ([], [], []))[0].append(nm)
+        if factors[nm] == ((nm, 1),):
+            by_degree[d][1].append(nm)
+        for letter in letters:
+            if d + degree[letter] <= D:
+                col = X.algebra.module.act_letter(letter, nm)
+                by_degree.setdefault(d + degree[letter], ([], [], []))[2].append((col, letter, nm, None))
+        for d2, nm2 in classes[i:]:
+            if d + d2 <= D:
+                col = X.algebra.mul_names(nm, nm2)
+                by_degree.setdefault(d + d2, ([], [], []))[2].append((col, None, nm, nm2))
+    states = [({}, {})]  # (generator images, class values) that commute so far
+    for d in sorted(by_degree):
+        names, gens, checks = by_degree[d]
+        targets = Y.algebra.basis(d) if gens else ()
+        choices = [{nm: c for nm, c in zip(targets, cs) if c}
+                   for cs in itertools.product(range(p), repeat=len(targets))]
+        grown = []
+        for image, val in states:
+            for images in itertools.product(choices, repeat=len(gens)):
+                new_image, new_val = {**image, **dict(zip(gens, images))}, dict(val)
+                for nm in names:
+                    vec = None
+                    for g, e in factors[nm]:
+                        for _ in range(e):
+                            vec = new_image[g] if vec is None else Y.algebra.mul(vec, new_image[g])
+                    new_val[nm] = vec
+                if all(
+                    _combine(col, new_val, p) == (
+                        Y.algebra.mul(new_val[a], new_val[b]) if letter is None
+                        else Y.algebra.act_word((letter,), new_val[a]))
+                    for col, letter, a, b in checks
+                ):
+                    grown.append((new_image, new_val))
+        states = grown
+    return len(states)

@@ -1,4 +1,7 @@
 import gc
+import hashlib
+import itertools
+import time
 
 import numpy as np
 import pytest
@@ -28,6 +31,8 @@ from oracles import (
     extra_degeneracy,
     full_degeneracies,
     full_faces,
+    hom_set_assignments,
+    hom_set_brute_force,
     kernel_normalized_dims,
     simplicial_identity_violations,
 )
@@ -94,6 +99,38 @@ def test_product_space_bockstein_at_odd_prime(name):
     assert mod.validate() == []
 
 
+CATALOG_ATOMS = ("S1", "S2", "S3", "S4", "K1", "K2", "K3", "point")
+
+
+def _canonical(x):
+    """Dicts as sorted item lists, so a digest reads contents and not insertion order."""
+    if isinstance(x, dict):
+        return sorted((_canonical(k), _canonical(v)) for k, v in x.items())
+    if isinstance(x, tuple):
+        return tuple(map(_canonical, x))
+    return x
+
+
+TABLE_DIGESTS = {
+    (2, 10): "6469f33364bfedaa88a76c29b56f4d0785973dd1a824fa4a1da4c1abf343272d",
+    (3, 14): "aa053cc82b391aff1af09c539524b41c777d44cf9f2faf811c5d71eaa3aa7812",
+    (5, 20): "c4241cde7909943e86f89dea0662aa41c8a1aa5e214d2b9af67964f32fd466ad",
+}
+
+
+@pytest.mark.parametrize("p,D", sorted(TABLE_DIGESTS))
+def test_catalog_tables_are_frozen(p, D):
+    # the basis (in order), action and product tables of every atom and every
+    # two-atom product, frozen as one sha256 per (p, D)
+    pairs = itertools.combinations_with_replacement(CATALOG_ATOMS, 2)
+    h = hashlib.sha256()
+    for name in CATALOG_ATOMS + tuple(f"{a}*{b}" for a, b in pairs):
+        space = builtin_space(name, p, D)
+        mod = space.algebra.module
+        h.update(repr(_canonical((mod.vs.basis, mod.action, space.algebra.products))).encode())
+    assert h.hexdigest() == TABLE_DIGESTS[(p, D)]
+
+
 def test_unknown_space():
     with pytest.raises(ValueError):
         builtin_space("T3", 2, 6)
@@ -107,7 +144,7 @@ def test_k_space_field_must_match_p():
         assert (mod.p, mod.D, mod.vs.basis, mod.action, K.algebra.products) == (
             mod1.p, mod1.D, mod1.vs.basis, mod1.action, K1.algebra.products
         )
-        assert (K.name, K.generators, K.gen_monomials) == (K1.name, K1.generators, K1.gen_monomials)
+        assert (K.name, K.atoms) == (K1.name, K1.atoms)
     with pytest.raises(ValueError, match="p = 3"):
         builtin_space("K(F_3,1)", 2, 6)
     with pytest.raises(ValueError, match="p = 2"):
@@ -201,6 +238,23 @@ def test_budget_exceeded():
     K1 = builtin_space("K1", 2, 8)
     with pytest.raises(BudgetExceeded):
         cotriple_resolution(K1, 3, 8, budget=40)
+
+
+def test_refused_level_basis_is_never_enumerated(monkeypatch):
+    # the budget is read off the level's Hilbert series, before its basis is built
+    levels = []
+
+    class Recorded(FreeUnstableAlgebra):
+        def __init__(self, *args):
+            super().__init__(*args)
+            levels.append(self)
+
+    monkeypatch.setattr(adams, "FreeUnstableAlgebra", Recorded)
+    with pytest.raises(BudgetExceeded, match="level 4"):
+        cotriple_resolution(builtin_space("S3", 2, 12), 5, 12, budget=5_000)
+    assert len(levels) == 4
+    assert levels[-1]._basis is None
+    assert all(level._basis is not None for level in levels[:-1])
 
 
 def test_chart_refuses_small_truncation():
@@ -440,6 +494,32 @@ def test_hom_set_counts():
     assert hom_set_count(S1, S1) == 2
     assert hom_set_count(K1, S1) == 2  # x -> 0 and x -> the degree-1 class
     assert hom_set_count(S2, builtin_space("point", p, 8)) == 1
+    # P^1 beta i2 != 0 in H^7 K(F_3, 2), so the degree-3 class maps only to 0
+    assert hom_set_count(builtin_space("S3", 3, 12), builtin_space("K2", 3, 12)) == 1
+    # Sq^1 (s1 x) = s1 x^2 and Sq^2 x^2 = x^4 kill every nonzero degree-2 image
+    assert hom_set_count(S2, builtin_space("S1*K1", p, 8)) == 1
+    # one free class of degree 3 and dim H^3 (K1*K1) = 4: 2^4 maps, counted
+    # without trying the 2^63 assignments of the table generators
+    K3, KK = builtin_space("K3", p, 12), builtin_space("K1*K1", p, 12)
+    start = time.perf_counter()
+    assert hom_set_count(K3, KK) == 16
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("p,D", [(2, 6), (2, 8), (3, 9), (3, 12)])
+def test_hom_set_count_matches_brute_force(p, D):
+    # every pair of catalog spaces built from S1-S4, K1, K2 and the point, and
+    # their two-atom products, whose brute force tries at most 3,000 assignments
+    atoms = ("S1", "S2", "S3", "S4", "K1", "K2", "point")
+    pairs = itertools.combinations_with_replacement(atoms, 2)
+    spaces = [builtin_space(name, p, D) for name in atoms + tuple(f"{a}*{b}" for a, b in pairs)]
+    checked = 0
+    for X in spaces:
+        for Y in spaces:
+            if hom_set_assignments(X, Y) <= 3_000:
+                assert hom_set_count(X, Y) == hom_set_brute_force(X, Y), (X.name, Y.name)
+                checked += 1
+    assert checked > 1_000
 
 
 def test_chart_emit_json_roundtrip_and_determinism():

@@ -54,6 +54,12 @@ def test_hilbert_against_partition_oracle():
             for w in admissible_words_a(2, wd, n - 1):
                 gen_degs.append(n + wd)
         assert partition_count_dims(gen_degs, D) == A.hilbert()
+    # the series read off the letter degrees counts the enumerated basis,
+    # exterior letters included at odd p
+    for p, gens, D in ((2, [("a", 1), ("b", 3)], 12), (3, [("a", 1), ("b", 2)], 14),
+                       (5, [("a", 2), ("b", 3)], 20)):
+        A = FreeUnstableAlgebra(p, gens, D)
+        assert A.hilbert() == tuple(len(A.basis(d)) for d in range(D + 1)), p
 
 
 def test_hilbert_monotone_in_generator_degree():
