@@ -449,16 +449,8 @@ def suspension_has_trivial_action(Y: SpaceModel):
     return not any(cols for cols in Y.algebra.module.action.values())
 
 
-def _chart_resolution(X: SpaceModel, Y: SpaceModel, s_max, t_max, D, budget, resolution):
-    """The resolution a chart on the window ranks, after the target and truncation checks.
-
-    The chart's complexes are per-degree complexes into F_p, summed over
-    the target's degrees, so a target with nontrivial operations is refused
-    when t_max >= 1.  Rows 0..s_max read cochain groups 0..s_max + 1:
-    V[0..s_max + 1] and the faces of levels 0..s_max, all held by
-    cotriple_resolution(X, s_max).  A caller's resolution must be one of X,
-    to that depth and degree.
-    """
+def _chart_window(Y: SpaceModel, t_max, D):
+    """A chart's target and truncation checks (see adams_chart); the degree it needs."""
     if t_max >= 1 and not suspension_has_trivial_action(Y):
         raise ChartError(
             f"a chart needs a trivially-acting suspension target for t >= 1; "
@@ -469,6 +461,14 @@ def _chart_resolution(X: SpaceModel, Y: SpaceModel, s_max, t_max, D, budget, res
         raise ChartError(
             f"truncation D={D} below the sufficiency bound t_max + top(H*Y) = {d_needed}"
         )
+    return d_needed
+
+
+def _chart_resolution(X: SpaceModel, s_max, d_needed, budget, resolution):
+    """cotriple_resolution(X, s_max) to degree d_needed, or the caller's, of X to that depth.
+
+    Chart rows 0..s_max read V[0..s_max + 1] and the faces of levels 0..s_max.
+    """
     if resolution is None:
         return cotriple_resolution(X, s_max, d_needed, budget)
     if resolution.space is not X:
@@ -488,9 +488,19 @@ def adams_chart(X: SpaceModel, Y: SpaceModel, s_max, t_max, D, budget=500_000,
     dim (Sigma^t H*Y)_d . H^s of the degree-d normalized complex; each
     degree's complex is built, d.d-checked and ranked once per chart.  That
     sum needs a trivially-acting target, so a target with nontrivial
-    operations is refused when t_max >= 1.
+    operations is refused when t_max >= 1.  The hom-set is counted before
+    the resolution is built: a size that is not a p-power (at odd p, an
+    even sphere's class must square to 0) is refused at no cost.
     """
-    res = _chart_resolution(X, Y, s_max, t_max, D, budget, resolution)
+    d_needed = _chart_window(Y, t_max, D)
+    count, r = hom_set_count(X, Y), 0
+    while X.p ** r < count:
+        r += 1
+    if X.p ** r != count:
+        raise ChartError(f"hom-set cardinality {count} of {X.name} -> {Y.name} at p = {X.p} "
+                         "is not a p-power: these maps form a set, not an F_p-vector space "
+                         "(y^2 = 0 is not a linear condition on y)")
+    res = _chart_resolution(X, s_max, d_needed, budget, resolution)
     targets = [suspension_target(Y, t) for t in range(1, t_max + 1)]
     H = {d: res.der_cochain_complex(d, s_max + 1).cohomology_dims(s_max)
          for d in sorted({d for M in targets for d in M.degrees()})}
@@ -500,12 +510,6 @@ def adams_chart(X: SpaceModel, Y: SpaceModel, s_max, t_max, D, budget=500_000,
             dim = sum(M.dim(d) * H[d][s] for d in M.degrees())
             if dim:
                 entries[(s, t)] = dim
-    count = hom_set_count(X, Y)
-    r = 0
-    while X.p ** r < count:
-        r += 1
-    if X.p ** r != count:
-        raise ChartError(f"hom-set cardinality {count} is not a p-power")
     entries[(0, 0)] = r
     return Chart(X.p, "adams", s_max, t_max, D, entries, fringe_set_size=count)
 

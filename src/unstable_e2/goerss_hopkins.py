@@ -38,6 +38,7 @@ from .adams import (
     ChartError,
     SpaceModel,
     _chart_resolution,
+    _chart_window,
     adams_chart,
     suspension_has_trivial_action,
     suspension_target,
@@ -114,7 +115,7 @@ def d1_saturation_report(X: SpaceModel, Y: SpaceModel, s_max, t_max, D,
     schedule is inconclusive, not a pass.  Like ``adams_chart``, it refuses a
     target with nontrivial operations when t_max >= 1.
     """
-    res = _chart_resolution(X, Y, s_max, t_max, D, budget, resolution)
+    res = _chart_resolution(X, s_max, _chart_window(Y, t_max, D), budget, resolution)
     report = {"entries": [], "pass": True, "inconclusive": False}
     if schedule_max <= 1:
         report["inconclusive"] = True

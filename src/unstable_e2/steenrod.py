@@ -11,7 +11,9 @@ times its right neighbour plus the intervening Bockstein.  Rewriting to
 the admissible basis applies the standard Adem relations.  Flavor "A"
 rewrites a word tail first: the tail's admissible terms u are reduced
 already, so (first letter,) + u can be inadmissible only at its front
-pair, and that word's admissible form is kept under it for reuse.  For
+pair, and that word's admissible form is kept under it for reuse.  The
+memo keeps one read-only form per distinct admissible value, shared by
+every word that rewrites to it, and one zero element per context.  For
 flavor "B" the same relations are used verbatim for all integer indices
 (binomials via Lucas), under a mandatory hard window on index size and
 word length; it keeps rewriting at the leftmost violation, because which
@@ -46,8 +48,10 @@ class BWindow:
 
 DEFAULT_B_WINDOW = BWindow()
 
-# the one memo entry of every word whose admissible form is 0
-_ZERO = MappingProxyType({})
+
+def _form_key(terms):
+    """The key under which the memo shares a form: a hash of its terms."""
+    return hash(frozenset(terms.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +221,12 @@ class AdemContext:
     """Memoized rewriting of words to the admissible basis.
 
     One context per (p, flavor, window); the memo table is read-mostly and
-    the rewrite itself is a pure function of the word.  Each inadmissible
-    letter pair's sorted Adem terms are computed once, in ``_pairs``, each
-    with a flag that says whether flavor-A normalization must run on it.
+    the rewrite itself is a pure function of the word.  ``_memo`` maps each
+    word to its form, a read-only ``OpElement`` kept once per distinct value
+    in ``_forms``; every word that rewrites to 0 maps to ``_zero``.  Each
+    inadmissible letter pair's sorted Adem terms are computed once, in
+    ``_pairs``, each with a flag that says whether flavor-A normalization
+    must run on it.
 
     The order of the steps depends on the flavor.  Flavor A rewrites the
     tail first and then applies one Adem relation at the front of each
@@ -237,7 +244,9 @@ class AdemContext:
             self.window = window or DEFAULT_B_WINDOW
         else:
             self.window = window
-        self._memo = {}
+        self._memo = {}  # word -> form
+        self._forms = {}  # _form_key(terms) -> form
+        self._zero = OpElement._homogeneous(p, flavor, {})
         self._pairs = {}  # (e1, a, e2, b) -> sorted [(replacement letters, coeff, normalize?)]
 
     def _check_window(self, word):
@@ -253,28 +262,41 @@ class AdemContext:
     def rewrite(self, word):
         """Admissible form of a word, as a mapping {admissible word: coeff mod p}.
 
-        The mapping is the memo's own entry: two words may share one, and
-        every word that rewrites to 0 shares one read-only empty entry.
-        Callers read it and never change it.
+        The read-only terms of the memo's form, shared by every word with an
+        equal form; every word that rewrites to 0 gets the zero element's.
         """
         word = tuple(word)
-        hit = self._memo.get(word)
-        if hit is not None:
-            return hit
-        if self.flavor == FLAVOR_A and len(word) > 2:  # shorter words have one pair
-            result = self._rewrite_tail_first(word)
-        else:
-            self._check_window(word)
-            i = _first_violation(word, self.p)
-            result = {word: 1} if i is None else self._apply_pair(word, i)
-        result = self._memo[word] = result or _ZERO
-        return result
+        form = self._memo.get(word)
+        if form is None:
+            if self.flavor == FLAVOR_A and len(word) > 2:  # shorter words have one pair
+                form = self._rewrite_tail_first(word)
+            else:
+                self._check_window(word)
+                i = _first_violation(word, self.p)
+                form = self._share({word: 1} if i is None else self._apply_pair(word, i))
+            self._memo[word] = form
+        return form.terms
+
+    def _share(self, terms):
+        """The memo's one form equal to terms; a key hit counts only when equal.
+
+        On a collision (hash(-1) == hash(-2), so flavor B meets them) the next key is probed."""
+        if not terms:
+            return self._zero
+        key = _form_key(terms)
+        form = self._forms.get(key)
+        while form is not None and form.terms != terms:
+            key += 1
+            form = self._forms.get(key)
+        if form is None:
+            form = self._forms[key] = OpElement._homogeneous(self.p, self.flavor, terms)
+        return form
 
     def _rewrite_tail_first(self, word):
         """Flavor A: rewrite word[1:], then each (word[0],) + admissible term.
 
         Such a word can violate admissibility only at its front pair; its
-        admissible form is memoized under it too.
+        admissible form is memoized under it too.  Returns the word's form.
         """
         p, memo = self.p, self._memo
         head = word[0]
@@ -285,12 +307,11 @@ class AdemContext:
             front = memo.get(w)
             if front is None:
                 (_, a), (e2, b) = head, u[0]
-                front = {w: 1} if a >= p * b + e2 else self._apply_pair(w, 0)
-                front = memo[w] = front or _ZERO
+                front = memo[w] = self._share({w: 1} if a >= p * b + e2 else self._apply_pair(w, 0))
             if len(tail) == 1 and c == 1:
                 return front
-            add_scaled(result, front, c, p)
-        return result
+            add_scaled(result, front.terms, c, p)
+        return self._share(result)
 
     def _apply_pair(self, word, i):
         """Replace the pair word[i], word[i + 1] by its Adem terms and rewrite each."""
@@ -333,9 +354,9 @@ def get_context(p, flavor, window=None):
 class OpElement:
     """Homogeneous F_p-linear combination of same-flavor words; a value.
 
-    terms is a read-only mapping {word: nonzero coeff mod p}.  It may be a
-    view of an Adem memo entry (see ``adem_rewrite``), so arithmetic builds
-    new elements and never changes one.
+    terms is a read-only mapping {word: nonzero coeff mod p}.  An element
+    may be an Adem memo's shared form (see ``adem_rewrite``), so arithmetic
+    builds new elements and never changes one.
     """
 
     __slots__ = ("p", "flavor", "terms")
@@ -399,18 +420,21 @@ class OpElement:
 def adem_rewrite(x, window=None):
     """Rewrite an OpElement into the admissible basis.
 
-    The result's terms are read-only.  For one word with coefficient 1 they
-    are a view of the rewrite memo's own entry, shared and never copied.
+    The result's terms are read-only.  For one word with coefficient 1 the
+    result is the rewrite memo's shared form itself, so it allocates nothing:
+    equal forms are one object, and every zero word gives the context's one
+    zero element.
     """
     if not isinstance(x, OpElement):
         raise TypeError("adem_rewrite expects an OpElement")
     ctx = get_context(x.p, x.flavor, window)
     if len(x.terms) == 1:
-        # the memo entry itself: its terms are already reduced and nonzero
         ((w, c),) = x.terms.items()
         r = ctx.rewrite(w)
-        terms = r if c == 1 else {w2: c * c2 % x.p for w2, c2 in r.items()}
-        return OpElement._homogeneous(x.p, x.flavor, terms)
+        if c == 1 or not r:
+            return ctx._memo[w]
+        # the memo's terms are already reduced and nonzero
+        return OpElement._homogeneous(x.p, x.flavor, {w2: c * c2 % x.p for w2, c2 in r.items()})
     out = {}
     for w, c in x.terms.items():
         add_scaled(out, ctx.rewrite(w), c, x.p)

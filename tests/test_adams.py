@@ -506,6 +506,21 @@ def test_hom_set_counts():
     assert time.perf_counter() - start < 1.0
 
 
+def test_non_p_power_hom_set_is_refused_before_the_build(monkeypatch):
+    # y = a s + b t in H^2 (S2*S2) at p = 3 squares to 2ab st, so 2p - 1 = 5
+    # maps: a set, not a vector space, refused before any resolution exists
+    def build(*args, **kw):
+        raise AssertionError("cotriple_resolution called")
+
+    monkeypatch.setattr(adams, "cotriple_resolution", build)
+    X, Y = builtin_space("S2", 3, 8), builtin_space("S2*S2", 3, 8)
+    with pytest.raises(ChartError, match=r"cardinality 5 of S2 -> S2\*S2 at p = 3 is not a p-power"):
+        adams_chart(X, Y, 1, 0, 8)
+    # the target and truncation checks still come first
+    with pytest.raises(ChartError, match="truncation D=3"):
+        adams_chart(X, Y, 1, 0, 3)
+
+
 @pytest.mark.parametrize("p,D", [(2, 6), (2, 8), (3, 9), (3, 12)])
 def test_hom_set_count_matches_brute_force(p, D):
     # every pair of catalog spaces built from S1-S4, K1, K2 and the point, and

@@ -313,4 +313,65 @@ def test_one_word_rewrite_scales_the_memo_entry():
     for c in (1, 2, 4):
         x = adem_rewrite(OpElement(3, FLAVOR_A, {word: c}))
         assert x.terms == {w: c * v % 3 for w, v in entry.items()}
-        assert x.terms is not entry and all(x.terms.values())
+        with pytest.raises(TypeError):
+            x.terms[((0, 3),)] = 1
+        assert entry == {((0, 2), (1, 0)): 1, ((1, 2),): 1}
+        if c % 3 == 1:
+            # the memo's shared form itself, not a fresh wrapper
+            assert adem_rewrite(OpElement(3, FLAVOR_A, {word: 1})) is x
+        else:
+            assert x.terms is not entry
+        assert all(x.terms.values())
+
+
+def _sweep(ctx, words):
+    for word in words:
+        try:
+            ctx.rewrite(word)
+        except WindowExhausted:
+            pass
+
+
+def _flavor_b_words():
+    letters = [(0, s) for s in range(-3, 5)]
+    for n in range(1, 4):
+        yield from itertools.product(letters, repeat=n)
+
+
+def _sweeps():
+    for p in (2, 3):
+        yield st.AdemContext(p, FLAVOR_A), list(_normalized_words(p, 3, 8))
+    yield st.AdemContext(2, FLAVOR_B, BWindow(K=6, L=4)), list(_flavor_b_words())
+
+
+def test_memo_keeps_one_form_per_distinct_value():
+    for ctx, words in _sweeps():
+        _sweep(ctx, words)
+        forms = list(ctx._memo.values())
+        objects = {id(f) for f in forms}
+        values = {frozenset(f.terms.items()) for f in forms}
+        assert len(objects) == len(values) < len(forms), (ctx.p, ctx.flavor)
+        assert any(f is ctx._zero for f in forms)
+
+
+def test_zero_words_map_to_the_one_zero_element():
+    for ctx, words in _sweeps():
+        _sweep(ctx, words)
+        zeros = [w for w, f in ctx._memo.items() if f.is_zero()]
+        assert zeros and all(ctx._memo[w] is ctx._zero for w in zeros)
+    for p, w in ((2, ((0, 1), (0, 1))), (3, ((0, 1), (0, 1))), (2, ((0, 2), (0, 2)))):
+        x = OpElement(p, FLAVOR_A, {w: 1})
+        assert adem_rewrite(x) is adem_rewrite(x)
+    ctx = st.get_context(2, FLAVOR_A)
+    assert adem_rewrite(OpElement(2, FLAVOR_A, {((0, 1), (0, 1)): 1})) is ctx._zero
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_colliding_form_keys_keep_every_form_exact(p, monkeypatch):
+    # every form shares one key: a hit must be checked for equality
+    monkeypatch.setattr(st, "_form_key", lambda terms: 0)
+    ctx = st.AdemContext(p, FLAVOR_A)
+    words = list(_normalized_words(p, 3, 8))
+    _sweep(ctx, words)
+    for word in words:
+        assert ctx._memo[word].terms == leftmost_adem_rewrite(word, p), word
