@@ -1,10 +1,10 @@
 """Cotriple resolutions of space cohomologies and the unstable Adams E2 chart.
 
-The catalog spaces (the point, S^n, K(F_p, n) and products of two) are
-tabulated by one rule from their classes, a letter rule and a product rule,
-and each records its atoms, the sphere and K(F_p, n) factors.  The chart's
-(0,0) cell, the set of unstable-algebra maps H*X -> H*Y, is counted atom by
-atom.
+A catalog space (the point, S^n, K(F_p, n) or a product of two) is one
+SpaceModel, which holds its classes, its letter and product tables and its
+atoms, the sphere and K(F_p, n) factors; one rule tabulates every space from
+its classes, a letter rule and a product rule.  The chart's (0,0) cell, the
+set of unstable-algebra maps H*X -> H*Y, is counted atom by atom.
 
 The resolution iterates the free unstable algebra monad on the reduced
 cohomology of a space: level s is free on the full monomial basis of level
@@ -41,18 +41,15 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
 from . import steenrod as st
 from . import tower
 from .derivations import BudgetExceeded, CochainComplex
-from .unstable_algebras import (
-    FTAlgebra,
-    FreeUnstableAlgebra,
-    extend_algebra_map,
-)
-from .unstable_modules import FTUnstableModule, GradedVS
+from .unstable_algebras import DegreeCapExceeded, FreeUnstableAlgebra, extend_algebra_map
+from .unstable_modules import GradedVS
 
 
 class ChartError(Exception):
@@ -65,33 +62,108 @@ class ChartError(Exception):
 
 @dataclass
 class SpaceModel:
-    """Reduced mod-p cohomology of a catalog space, tabulated up to degree D.
+    """Reduced mod-p cohomology of a catalog space as an unstable algebra, up to degree D.
 
-    atoms lists the space's factors, ("sphere", n) or ("k", n), one each (the
-    point has none): H*X is the tensor product of their algebras.
+    The one table class: vs lists the classes by degree; action maps a
+    letter (eps, i) to its nonzero columns {class: {class: coeff}}, and
+    products maps each pair (x, y), x <= y by name, with |x| + |y| <= D to
+    their product {class: coeff} (the unit is implicit).  At odd p the
+    tables hold the Bockstein (1, 0) and the P^i (0, i); beta P^i acts as
+    beta after P^i.  atoms lists the space's factors, ("sphere", n) or
+    ("k", n), one each (the point has none): H*X is the tensor product of
+    their algebras.  act_word and mul read and return vectors {class: coeff}.
     """
 
     name: str
     p: int
     D: int
-    algebra: FTAlgebra
     atoms: tuple
+    vs: GradedVS
+    action: dict
+    products: dict
+
+    def __post_init__(self):
+        self.degree_of = {x: d for d, x in self.vs.items()}
+
+    def basis(self, d):
+        return self.vs.basis.get(d, ())
 
     def top_degree(self):
-        degs = self.algebra.graded_vs().degrees()
-        return max(degs) if degs else 0
+        return max(self.vs.degrees(), default=0)
+
+    def act_letter(self, letter, x):
+        eps, i = letter
+        if self.p == 2 and eps:
+            raise ValueError("no Bockstein at p = 2")
+        if eps == 0 and i == 0:
+            return {x: 1}
+        if eps and i:
+            return self.act_word(((1, 0), (0, i)), {x: 1})
+        return dict(self.action.get(letter, {}).get(x, {}))
+
+    def act_word(self, word, vec):
+        for letter in reversed(word):
+            out = {}
+            for x, c in vec.items():
+                tower.add_scaled(out, self.act_letter(letter, x), c, self.p)
+            vec = out
+        return vec
+
+    def mul_names(self, x, y):
+        dx, dy = self.degree_of[x], self.degree_of[y]
+        if dx + dy > self.D:
+            raise DegreeCapExceeded("product beyond truncation")
+        sign = -1 if x > y and dx * dy % 2 else 1  # the Koszul sign of the swap
+        col = self.products.get((min(x, y), max(x, y)), {})
+        return {z: sign * c % self.p for z, c in col.items()}
+
+    def mul(self, v1, v2):
+        out = {}
+        for x, c1 in v1.items():
+            for y, c2 in v2.items():
+                tower.add_scaled(out, self.mul_names(x, y), c1 * c2, self.p)
+        return out
+
+    def validate(self):
+        """Instability plus every Adem relation instance within the window."""
+        problems = []
+        p = self.p
+        for letter, cols in self.action.items():
+            e = (2 * letter[1] + letter[0]) if p != 2 else letter[1]
+            for x in cols:
+                if e > self.degree_of[x] and cols[x]:
+                    problems.append(("instability", letter, x))
+        letters = sorted(self.action)
+        for e1, a in letters:
+            for e2, b in letters:
+                if a >= p * b + e2:
+                    continue  # admissible adjacency, nothing to check
+                repl = st._adem_pair(e1, a, e2, b, p, st.FLAVOR_A)
+                for d, x in self.vs.items():
+                    if d + st.word_degree(((e1, a), (e2, b)), p) > self.D:
+                        continue
+                    lhs = self.act_word(((e1, a), (e2, b)), {x: 1})
+                    rhs = {}
+                    for key, c in repl.items():
+                        w = st.normalize_word_a(key, p)
+                        if w is not None:
+                            tower.add_scaled(rhs, self.act_word(w, {x: 1}), c, p)
+                    if lhs != rhs:
+                        problems.append(("adem", (e1, a, e2, b), x, lhs, rhs))
+        return problems
+
+
+_ATOM = re.compile(r"s(\d+)|sphere\(\s*(\d+)\s*\)|k(\d+)|k\(f_?(p|\d+)\s*,\s*(\d+)\s*\)")
 
 
 def builtin_space(name, p, D):
     """Catalog: sphere(n) as S<n>, K(F_p,n) as K<n>, point, products A*B of two."""
     text = name.strip().lower()
     for sep in ("*", "x"):
-        if sep in text and not text.startswith("k("):
-            parts = text.split(sep)
-            if len(parts) == 2 and all(_parse_atom(q) for q in parts):
-                a = _atom_space(_parse_atom(parts[0]), p, D)
-                b = _atom_space(_parse_atom(parts[1]), p, D)
-                return _product_space(a, b, name, p, D)
+        parts = text.split(sep)
+        if len(parts) == 2 and all(_parse_atom(q) for q in parts):
+            a, b = (_atom_space(_parse_atom(q), p, D) for q in parts)
+            return _product_space(a, b, name, p, D)
     atom = _parse_atom(text)
     if atom is None:
         raise ValueError(f"unknown space {name!r}")
@@ -99,20 +171,17 @@ def builtin_space(name, p, D):
 
 
 def _parse_atom(text):
-    """(kind, n, q): q is the field order named by K(F_q,n), None for the working prime."""
-    text = text.strip().lower()
+    """(kind, n, q), or None: q is the field order named by K(F_q,n), None for the working prime."""
+    text = text.strip()
     if text in ("point", "pt", "*"):
         return ("point", 0, None)
-    if text.startswith("s") and text[1:].isdigit():
-        return ("sphere", int(text[1:]), None)
-    if text.startswith("k") and text[1:].isdigit():
-        return ("k", int(text[1:]), None)
-    if text.startswith("k(f") and text.endswith(")"):
-        q, _, n = text[3:-1].lstrip("_").partition(",")
-        return ("k", int(n), None if q == "p" else int(q))
-    if text.startswith("sphere(") and text.endswith(")"):
-        return ("sphere", int(text[7:-1]), None)
-    return None
+    m = _ATOM.fullmatch(text)
+    if m is None:
+        return None
+    s, sphere, k, q, n = m.groups()
+    if s or sphere:
+        return ("sphere", int(s or sphere), None)
+    return ("k", int(k or n), None if q in (None, "p") else int(q))
 
 
 def _table_space(name, p, D, atoms, classes, letter, product):
@@ -121,8 +190,9 @@ def _table_space(name, p, D, atoms, classes, letter, product):
     classes lists (degree, name) in basis order; letter(letter, x) and
     product(x, y) give a letter's image of a class and the product of two
     classes as {name: coeff}.  Every letter and every product x <= y (by
-    name) that stays within degree D is tabulated; a letter with no nonzero
-    column is left out.
+    name) that stays within degree D is tabulated, products reduced mod p
+    with zeros dropped; a letter's zero columns are left out, and a letter
+    with no nonzero column is left out too.
     """
     basis = {}
     for d, x in classes:
@@ -130,12 +200,12 @@ def _table_space(name, p, D, atoms, classes, letter, product):
     action = {}
     for L in [(0, s) for s in range(1, D + 1)] + ([(1, 0)] if p != 2 else []):
         cols = {x: letter(L, x) for d, x in classes if d + st.letter_degree(L, p) <= D}
-        if any(cols.values()):
+        cols = {x: col for x, col in cols.items() if col}
+        if cols:
             action[L] = cols
-    products = {(x, y): product(x, y)
+    products = {(x, y): {z: c % p for z, c in product(x, y).items() if c % p}
                 for dx, x in classes for dy, y in classes if x <= y and dx + dy <= D}
-    algebra = FTAlgebra(FTUnstableModule(p, D, basis, action), products)
-    return SpaceModel(name, p, D, algebra, atoms)
+    return SpaceModel(name, p, D, atoms, GradedVS(p, basis), action, products)
 
 
 def _atom_space(atom, p, D):
@@ -175,18 +245,17 @@ def _k_space(n, p, D):
 def _product_space(a: SpaceModel, b: SpaceModel, name, p, D):
     """The Kunneth tensor product of two catalog spaces, its classes named x|y (1 the unit)."""
     split = {}  # class x|y -> (degree of x, x, degree of y, y)
-    for da, x in [(0, "1"), *a.algebra.graded_vs().items()]:
-        for db, y in [(0, "1"), *b.algebra.graded_vs().items()]:
+    for da, x in [(0, "1"), *a.vs.items()]:
+        for db, y in [(0, "1"), *b.vs.items()]:
             if "1" in (x, y) or da + db <= D:
                 split[f"{x}|{y}"] = (da, x, db, y)
     del split["1|1"]
-    A, B = a.algebra.module, b.algebra.module
 
     def tensor(u, v, sign=1):
         return {f"{x}|{y}": sign * cx * cy for x, cx in u.items() for y, cy in v.items()}
 
     def mul(space, x, y):
-        return {y: 1} if x == "1" else {x: 1} if y == "1" else space.algebra.mul_names(x, y)
+        return {y: 1} if x == "1" else {x: 1} if y == "1" else space.mul_names(x, y)
 
     def letter(L, z):
         da, x, _, y = split[z]
@@ -196,10 +265,10 @@ def _product_space(a: SpaceModel, b: SpaceModel, name, p, D):
             terms = [((0, k), (0, L[1] - k), 1) for k in range(L[1] + 1)]
         out = {}
         for La, Lb, c in terms:
-            tower.add_scaled(out, tensor(A.act_letter(La, x), B.act_letter(Lb, y)), c, p)
+            tower.add_scaled(out, tensor(a.act_letter(La, x), b.act_letter(Lb, y)), c, p)
         return out
 
-    def product(z1, z2):  # FTAlgebra reduces the coefficients mod p
+    def product(z1, z2):  # _table_space reduces the coefficients mod p
         (_, x1, db1, y1), (da2, x2, _, y2) = split[z1], split[z2]
         return tensor(mul(a, x1, x2), mul(b, y1, y2), -1 if db1 * da2 % 2 else 1)
 
@@ -216,7 +285,8 @@ class CotripleResolution:
 
     V[s] lists the generators of level s as (degree, key) pairs; V[s+1] is
     the full monomial basis of level s < s_max, and of the top level only
-    its nondegenerate part, which is all a chart reads.  face_full[s][i] is
+    its nondegenerate part, which is all a chart reads (the top level's
+    enumerated basis is released once that part is kept).  face_full[s][i] is
     the SparseMap of the i-th face from level s to level s-1 on monomial
     bases (columns are V[s+1], rows V[s]); it holds the columns a chart
     reads, each extended through the algebra, and None in every other
@@ -234,7 +304,7 @@ class CotripleResolution:
         if D > space.D:
             raise ChartError(f"space tables stop at degree {space.D}, need {D}")
         self.levels = []
-        self.V = [sorted((d, nm) for d, nm in space.algebra.graded_vs().items() if d <= D)]
+        self.V = [sorted((d, nm) for d, nm in space.vs.items() if d <= D)]
         self._vidx = [{key: i for i, (_, key) in enumerate(self.V[0])}]
         self.nondegenerate = [list(range(len(self.V[0])))]
         masks = [0] * len(self.V[0])
@@ -268,7 +338,8 @@ class CotripleResolution:
             self.nondegenerate.append([vi for vi, mask in enumerate(masks) if not mask])
             if not top:  # the top level is indexed by position only
                 self._vidx.append({key: i for i, (_, key) in enumerate(self.V[s + 1])})
-        del masks, pg_masks  # the top level's, which its faces do not read
+        del masks, pg_masks  # the top level's, which its faces do not read,
+        self.levels[-1]._basis = None  # nor its enumeration: they extend V[s_max + 1] by name
         self.face_full = []
         self._build_faces()
 
@@ -342,7 +413,7 @@ class CotripleResolution:
             maps = []
             for i in range(0, s + 1):
                 if i == 0:
-                    target = self.space.algebra if s == 0 else self.levels[s - 1]
+                    target = self.space if s == 0 else self.levels[s - 1]
                     gen_images = {key: {key: 1} for key in keys}
                 else:
                     prev = self.face_full[s - 1][i - 1]
@@ -439,14 +510,14 @@ class Chart:
 def suspension_target(Y: SpaceModel, t):
     """Sigma^t of the unreduced cohomology of Y, as a graded vector space."""
     basis = {t: ("u",)}
-    for d, nm in Y.algebra.graded_vs().items():
+    for d, nm in Y.vs.items():
         basis.setdefault(d + t, ())
         basis[d + t] = basis[d + t] + (nm,)
     return GradedVS(Y.p, basis)
 
 
 def suspension_has_trivial_action(Y: SpaceModel):
-    return not any(cols for cols in Y.algebra.module.action.values())
+    return not any(Y.action.values())
 
 
 def _chart_window(Y: SpaceModel, t_max, D):
@@ -527,14 +598,14 @@ def hom_set_count(X: SpaceModel, Y: SpaceModel):
     """
     p, D, count = X.p, min(X.D, Y.D), 1
     for kind, n in X.atoms:
-        names = Y.algebra.basis(n)
+        names = Y.basis(n)
         if kind == "k":
             count *= p ** len(names)
             continue
         rows = {}  # (letter, class z) -> z-coordinates of its images of names: y is in their kernel
         for L in [(0, s) for s in range(1, D + 1)] + ([(1, 0)] if p != 2 else []):
             for j, x in enumerate(names if n + st.letter_degree(L, p) <= D else ()):
-                for z, c in Y.algebra.module.act_letter(L, x).items():
+                for z, c in Y.act_letter(L, x).items():
                     rows.setdefault((L, z), [0] * len(names))[j] = c
         kernel = tower.kernel_basis(list(rows.values()) or [[0] * len(names)], p)
         if 2 * n > D:
@@ -543,7 +614,7 @@ def hom_set_count(X: SpaceModel, Y: SpaceModel):
         squares_zero = 0  # and, when 2n <= D, whose square is 0: one by one
         for coeffs in itertools.product(range(p), repeat=len(kernel)):
             y = {x: sum(c * v[j] for c, v in zip(coeffs, kernel)) % p for j, x in enumerate(names)}
-            squares_zero += not Y.algebra.mul(y, y)
+            squares_zero += not Y.mul(y, y)
         count *= squares_zero
     return count
 

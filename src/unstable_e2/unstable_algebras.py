@@ -28,7 +28,7 @@ import math
 
 from . import steenrod as st
 from .tower import add_scaled
-from .unstable_modules import FTUnstableModule, _gen_pairs, polygen_words
+from .unstable_modules import _gen_pairs, polygen_words
 
 
 class DegreeCapExceeded(Exception):
@@ -316,60 +316,14 @@ class FreeUnstableAlgebra(MonomialBasis):
 
 
 # ---------------------------------------------------------------------------
-# finite-type algebras (module + product tables)
-# ---------------------------------------------------------------------------
-
-class FTAlgebra:
-    """Finite-type unstable algebra: an FT module plus sparse product tables.
-
-    Products are stored on reduced basis pairs; the unit is implicit.  Used
-    for built-in space cohomologies at the bottom of resolutions.
-    """
-
-    def __init__(self, module: FTUnstableModule, products):
-        self.module = module
-        self.p = module.p
-        self.D = module.D
-        # products: {(name1, name2): {name: coeff}} for name1 <= name2
-        self.products = {key: {n: c % self.p for n, c in col.items() if c % self.p}
-                         for key, col in products.items()}
-
-    def mul_names(self, a, b):
-        da, db = self.module.degree_of[a], self.module.degree_of[b]
-        if da + db > self.D:
-            raise DegreeCapExceeded("product beyond truncation")
-        sign = -1 if a > b and da * db % 2 else 1  # the Koszul sign of the swap
-        col = self.products.get((min(a, b), max(a, b)), {})
-        return {n: sign * c % self.p for n, c in col.items()}
-
-    def mul(self, v1, v2):
-        out = {}
-        for a, c1 in v1.items():
-            for b, c2 in v2.items():
-                add_scaled(out, self.mul_names(a, b), c1 * c2, self.p)
-        return out
-
-    def act_word(self, word, vec):
-        out = {}
-        for n, c in vec.items():
-            add_scaled(out, self.module.act_word(word, n), c, self.p)
-        return out
-
-    def basis(self, d):
-        return self.module.vs.basis.get(d, ())
-
-    def graded_vs(self):
-        return self.module.vs
-
-
-# ---------------------------------------------------------------------------
 # algebra maps
 # ---------------------------------------------------------------------------
 
 def extend_algebra_map(source: FreeUnstableAlgebra, target, gen_images, monomials=None):
     """Multiplicative, operation-compatible extension of generator images.
 
-    target implements mul/act_word over dict-vectors; gen_images maps each
+    target (a FreeUnstableAlgebra or a catalog space's adams.SpaceModel)
+    implements mul/act_word over dict-vectors; gen_images maps each
     module generator name of the source to a target vector.  Returns a dict
     {source basis monomial: target vector} on the given source basis
     monomials, or on every reduced one when monomials is None.  A polygen's

@@ -1,4 +1,4 @@
-"""Finite-type unstable modules and windowed free modules.
+"""Free unstable modules, their admissible bases, and windowed free modules.
 
 Free modules over the classical algebra have basis all admissible words of
 excess at most the generator degree applied to generators; over the
@@ -16,6 +16,9 @@ is materialized per degree on windows, each column built by act_free (the
 one action of a word on a free module) on a generator: the first map sends
 a basis word w.x to w.x - (w.P^0).x, the quotient interprets index-0
 letters as the identity and kills words with negative indices.
+
+GradedVS, named basis elements per degree, lists the generators of free
+modules and the classes of a catalog space (adams.SpaceModel).
 """
 
 from __future__ import annotations
@@ -335,78 +338,3 @@ def _stabilized_coker_dim(V, window, d, p, L):
             return r, True
         prev = r
     return prev, False
-
-
-# ---------------------------------------------------------------------------
-# finite-type modules with explicit action tables
-# ---------------------------------------------------------------------------
-
-class FTUnstableModule:
-    """Finite-type unstable module over the classical algebra, degrees <= D.
-
-    Action tables map a single-letter operation and a basis name to a linear
-    combination of basis names; words act by composing letters.  At odd p
-    the tables hold the Bockstein (1, 0) and the P^i (0, i); a letter
-    beta P^i (1, i), i >= 1, acts as beta after P^i.
-    """
-
-    def __init__(self, p, D, basis, action):
-        self.p = p
-        self.D = D
-        self.vs = GradedVS(p, basis)
-        self.degree_of = {n: d for d, n in self.vs.items()}
-        # action: {(eps, i): {name: {name2: coeff}}}
-        self.action = {
-            letter: {n: dict(col) for n, col in cols.items() if col}
-            for letter, cols in action.items()
-        }
-
-    def act_letter(self, letter, name):
-        eps, i = letter
-        if self.p == 2 and eps:
-            raise ValueError("no Bockstein at p = 2")
-        if eps == 0 and i == 0:
-            return {name: 1}
-        if eps and i:
-            return self.act_word(((1, 0), (0, i)), name)
-        col = self.action.get((eps, i), {}).get(name, {})
-        return dict(col)
-
-    def act_word(self, word, name):
-        cur = {name: 1}
-        for letter in reversed(word):
-            nxt = {}
-            for n, c in cur.items():
-                tower.add_scaled(nxt, self.act_letter(letter, n), c, self.p)
-            cur = nxt
-        return cur
-
-    def validate(self):
-        """Instability plus every Adem relation instance within the window."""
-        problems = []
-        p = self.p
-        for letter, cols in self.action.items():
-            e = (2 * letter[1] + letter[0]) if p != 2 else letter[1]
-            for name in cols:
-                if e > self.degree_of[name] and cols[name]:
-                    problems.append(("instability", letter, name))
-        letters = sorted(self.action)
-        for e1, a in letters:
-            for e2, b in letters:
-                if a >= p * b + e2:
-                    continue  # admissible adjacency, nothing to check
-                repl = st._adem_pair(e1, a, e2, b, p, st.FLAVOR_A)
-                for d, name in self.vs.items():
-                    dtot = d + st.word_degree(((e1, a), (e2, b)), p)
-                    if dtot > self.D:
-                        continue
-                    lhs = self.act_word(((e1, a), (e2, b)), name)
-                    rhs = {}
-                    for key, c in repl.items():
-                        w = st.normalize_word_a(key, p)
-                        if w is None:
-                            continue
-                        tower.add_scaled(rhs, self.act_word(w, name), c, p)
-                    if lhs != rhs:
-                        problems.append(("adem", (e1, a, e2, b), name, lhs, rhs))
-        return problems

@@ -396,7 +396,7 @@ def full_faces(res):
         maps = []
         for i in range(s + 1):
             if i == 0:
-                target = res.space.algebra if s == 0 else res.levels[s - 1]
+                target = res.space if s == 0 else res.levels[s - 1]
                 gen_images = {key: {key: 1} for _, key in res.V[s]}
             else:
                 target = res.levels[s - 1]
@@ -776,12 +776,12 @@ def _combine(col, values, p):
 def hom_set_generators(X):
     """The generator classes of the catalog space X, as (degree, class) pairs."""
     factors = catalog_factorization(X.name, X.p, X.D)
-    return [(d, nm) for d, nm in X.algebra.graded_vs().items() if factors[nm] == ((nm, 1),)]
+    return [(d, nm) for d, nm in X.vs.items() if factors[nm] == ((nm, 1),)]
 
 
 def hom_set_assignments(X, Y):
     """How many assignments of the generator classes of X into H*Y the brute force tries."""
-    return math.prod(X.p ** len(Y.algebra.basis(d)) for d, _ in hom_set_generators(X))
+    return math.prod(X.p ** len(Y.basis(d)) for d, _ in hom_set_generators(X))
 
 
 def hom_set_brute_force(X, Y):
@@ -795,7 +795,7 @@ def hom_set_brute_force(X, Y):
     """
     p, D = X.p, min(X.D, Y.D)
     factors = catalog_factorization(X.name, p, X.D)
-    classes = [(d, nm) for d, nm in X.algebra.graded_vs().items() if d <= D]
+    classes = [(d, nm) for d, nm in X.vs.items() if d <= D]
     letters = [(0, s) for s in range(1, D + 1)] + ([(1, 0)] if p != 2 else [])
     degree = {(e, s): s if p == 2 else 2 * (p - 1) * s + e for e, s in letters}
     by_degree = {}  # degree -> (classes, generator classes, checks landing there)
@@ -805,16 +805,16 @@ def hom_set_brute_force(X, Y):
             by_degree[d][1].append(nm)
         for letter in letters:
             if d + degree[letter] <= D:
-                col = X.algebra.module.act_letter(letter, nm)
+                col = X.act_letter(letter, nm)
                 by_degree.setdefault(d + degree[letter], ([], [], []))[2].append((col, letter, nm, None))
         for d2, nm2 in classes[i:]:
             if d + d2 <= D:
-                col = X.algebra.mul_names(nm, nm2)
+                col = X.mul_names(nm, nm2)
                 by_degree.setdefault(d + d2, ([], [], []))[2].append((col, None, nm, nm2))
     states = [({}, {})]  # (generator images, class values) that commute so far
     for d in sorted(by_degree):
         names, gens, checks = by_degree[d]
-        targets = Y.algebra.basis(d) if gens else ()
+        targets = Y.basis(d) if gens else ()
         choices = [{nm: c for nm, c in zip(targets, cs) if c}
                    for cs in itertools.product(range(p), repeat=len(targets))]
         grown = []
@@ -825,14 +825,80 @@ def hom_set_brute_force(X, Y):
                     vec = None
                     for g, e in factors[nm]:
                         for _ in range(e):
-                            vec = new_image[g] if vec is None else Y.algebra.mul(vec, new_image[g])
+                            vec = new_image[g] if vec is None else Y.mul(vec, new_image[g])
                     new_val[nm] = vec
                 if all(
                     _combine(col, new_val, p) == (
-                        Y.algebra.mul(new_val[a], new_val[b]) if letter is None
-                        else Y.algebra.act_word((letter,), new_val[a]))
+                        Y.mul(new_val[a], new_val[b]) if letter is None
+                        else Y.act_word((letter,), new_val[a]))
                     for col, letter, a, b in checks
                 ):
                     grown.append((new_image, new_val))
         states = grown
     return len(states)
+
+
+# ---------------------------------------------------------------------------
+# the algebra laws of a catalog space's tables
+# ---------------------------------------------------------------------------
+
+def table_law_violations(space):
+    """Where a catalog space's letter and product tables break an algebra law.
+
+    Read off space.vs, space.action and space.products alone, on every pair
+    and triple of classes within degree D:
+    - the Cartan formula P^s(xy) = sum_k P^k(x) P^(s-k)(y) (Sq^s at p = 2);
+    - at odd p, the Leibniz rule beta(xy) = beta(x) y + (-1)^|x| x beta(y);
+    - graded commutativity: a table holds x y for x <= y by name and y x is
+      (-1)^(|x||y|) x y, so at odd p an odd class must square to 0;
+    - associativity (x y) z = x (y z).
+    """
+    p, D = space.p, space.D
+    deg = {x: d for d, x in space.vs.items()}
+    classes = sorted(deg, key=lambda x: (deg[x], x))
+    letters = [(0, s) for s in range(1, D + 1)] + ([(1, 0)] if p != 2 else [])
+    ldeg = {L: L[1] if p == 2 else 2 * (p - 1) * L[1] + L[0] for L in letters}
+
+    def total(terms):
+        out = {}
+        for c, vec in terms:
+            for z, v in vec.items():
+                out[z] = (out.get(z, 0) + c * v) % p
+        return {z: v for z, v in out.items() if v}
+
+    def letter(L, x):
+        return {x: 1} if L == (0, 0) else space.action.get(L, {}).get(x, {})
+
+    @functools.cache
+    def pair(x, y):
+        col = space.products[min(x, y), max(x, y)]
+        return {z: -c % p for z, c in col.items()} if x > y and deg[x] * deg[y] % 2 else col
+
+    def mul(u, v):
+        return total([(a * b, pair(x, y)) for x, a in u.items() for y, b in v.items()])
+
+    problems = []
+    for x in classes:
+        for y in classes:
+            if deg[x] + deg[y] > D:
+                break
+            xy = pair(x, y)
+            if p != 2 and x == y and deg[x] % 2 and xy:
+                problems.append(("commutativity", x))
+            for L in letters:
+                if deg[x] + deg[y] + ldeg[L] > D:
+                    continue
+                if L[0]:
+                    law, parts = "leibniz", [(1, mul(letter(L, x), {y: 1})),
+                                             ((-1) ** deg[x], mul({x: 1}, letter(L, y)))]
+                else:
+                    law, parts = "cartan", [(1, mul(letter((0, k), x), letter((0, L[1] - k), y)))
+                                            for k in range(L[1] + 1)]
+                if total([(c, letter(L, z)) for z, c in xy.items()]) != total(parts):
+                    problems.append((law, L, x, y))
+            for z in classes:
+                if deg[x] + deg[y] + deg[z] > D:
+                    break
+                if mul(xy, {z: 1}) != mul({x: 1}, mul({y: 1}, {z: 1})):
+                    problems.append(("associativity", x, y, z))
+    return problems

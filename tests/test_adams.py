@@ -35,37 +35,36 @@ from oracles import (
     hom_set_brute_force,
     kernel_normalized_dims,
     simplicial_identity_violations,
+    table_law_violations,
 )
 
 
 def test_sphere_space():
     S2 = builtin_space("S2", 2, 6)
-    vs = S2.algebra.graded_vs()
-    assert dict(vs.basis) == {2: ("s2",)}
+    assert dict(S2.vs.basis) == {2: ("s2",)}
     # all positive operations vanish, the square vanishes
-    assert S2.algebra.module.action == {}
-    assert S2.algebra.mul_names("s2", "s2") == {}
-    assert S2.algebra.module.validate() == []
+    assert S2.action == {}
+    assert S2.mul_names("s2", "s2") == {}
+    assert S2.validate() == []
 
 
 def test_k_space_tables():
     K1 = builtin_space("K1", 2, 6)
-    assert [len(K1.algebra.basis(d)) for d in range(1, 7)] == [1] * 6
-    x = K1.algebra.graded_vs().basis[1][0]
-    x2 = K1.algebra.graded_vs().basis[2][0]
-    assert K1.algebra.module.act_word(((0, 1),), x) == {x2: 1}
-    assert K1.algebra.module.validate() == []
+    assert [len(K1.basis(d)) for d in range(1, 7)] == [1] * 6
+    (x,), (x2,) = K1.basis(1), K1.basis(2)
+    assert K1.act_word(((0, 1),), {x: 1}) == {x2: 1}
+    assert K1.validate() == []
     K2 = builtin_space("K2", 2, 7)
-    dims = [len(K2.algebra.graded_vs().basis.get(d, ())) for d in range(0, 8)]
+    dims = [len(K2.basis(d)) for d in range(0, 8)]
     assert dims == [0, 0, 1, 1, 1, 2, 2, 2]
-    assert K2.algebra.module.validate() == []
+    assert K2.validate() == []
 
 
 @pytest.mark.parametrize("p,n,D", [(3, 1, 12), (3, 2, 14), (3, 3, 15), (5, 1, 20)])
 def test_k_space_beta_power_matches_free_algebra(p, n, D):
     # the tables hold beta and the P^i; beta P^i on K(F_p, n) must be the
     # free algebra's, read through the names the tables give its monomials
-    mod = builtin_space(f"K{n}", p, D).algebra.module
+    K = builtin_space(f"K{n}", p, D)
     A = FreeUnstableAlgebra(p, [(f"i{n}", n)], D)
     names, count = {}, {}
     for d, m in A.reduced_basis_items():
@@ -75,28 +74,27 @@ def test_k_space_beta_power_matches_free_algebra(p, n, D):
     for d, m in A.reduced_basis_items():
         for i in range(1, (D - d - 1) // (2 * (p - 1)) + 1):
             want = {names[x]: c for x, c in A.act_letter(1, i, {m: 1}).items()}
-            assert mod.act_letter((1, i), names[m]) == want, (names[m], i)
+            assert K.act_letter((1, i), names[m]) == want, (names[m], i)
             nonzero += bool(want)
     assert nonzero
 
 
 def test_product_space_kunneth():
     T = builtin_space("S1*S1", 2, 6)
-    vs = T.algebra.graded_vs()
-    assert [len(vs.basis.get(d, ())) for d in (1, 2)] == [2, 1]
-    a, b = vs.basis[1]
-    assert T.algebra.mul_names(a, b) == {vs.basis[2][0]: 1}
-    assert T.algebra.mul_names(a, a) == {}
-    assert T.algebra.module.validate() == []
+    assert [len(T.basis(d)) for d in (1, 2)] == [2, 1]
+    a, b = T.basis(1)
+    assert T.mul_names(a, b) == {T.basis(2)[0]: 1}
+    assert T.mul_names(a, a) == {}
+    assert T.validate() == []
 
 
 @pytest.mark.parametrize("name", ["K1*K1", "K1*S1"])
 def test_product_space_bockstein_at_odd_prime(name):
     # beta acts on a tensor by the Koszul-signed Leibniz rule; a wrong sign on
     # the a (x) beta b term makes beta beta (x (x) x) nonzero on K1*K1
-    mod = builtin_space(name, 3, 6).algebra.module
-    assert mod.action[(1, 0)]
-    assert mod.validate() == []
+    space = builtin_space(name, 3, 6)
+    assert space.action[(1, 0)]
+    assert space.validate() == []
 
 
 CATALOG_ATOMS = ("S1", "S2", "S3", "S4", "K1", "K2", "K3", "point")
@@ -126,29 +124,49 @@ def test_catalog_tables_are_frozen(p, D):
     h = hashlib.sha256()
     for name in CATALOG_ATOMS + tuple(f"{a}*{b}" for a, b in pairs):
         space = builtin_space(name, p, D)
-        mod = space.algebra.module
-        h.update(repr(_canonical((mod.vs.basis, mod.action, space.algebra.products))).encode())
+        h.update(repr(_canonical((space.vs.basis, space.action, space.products))).encode())
+        assert space.validate() == [], name
     assert h.hexdigest() == TABLE_DIGESTS[(p, D)]
 
 
+@pytest.mark.parametrize("p,D", sorted(TABLE_DIGESTS))
+def test_catalog_tables_obey_the_algebra_laws(p, D):
+    # the Cartan formula, the Koszul-signed Bockstein Leibniz rule, graded
+    # commutativity and associativity, read off the tables of every atom and
+    # two-atom product of the frozen catalog
+    pairs = itertools.combinations_with_replacement(CATALOG_ATOMS, 2)
+    for name in CATALOG_ATOMS + tuple(f"{a}*{b}" for a, b in pairs):
+        assert table_law_violations(builtin_space(name, p, D)) == [], name
+
+
+def _tables(space):
+    return space.p, space.D, space.vs.basis, space.action, space.products
+
+
 def test_unknown_space():
-    with pytest.raises(ValueError):
-        builtin_space("T3", 2, 6)
+    # a malformed atom is an unknown space, never a bare int() error
+    for name in ("T3", "sphere(x)", "K(F_x,1)", "k(f_2,)", "K(F_2,1)*", "S1*S1*S1", "S1*T3"):
+        with pytest.raises(ValueError, match=r"^unknown space '"):
+            builtin_space(name, 2, 6)
 
 
 def test_k_space_field_must_match_p():
     K1 = builtin_space("K1", 2, 6)
     for spelling in ("K(F_2,1)", "K(F2,1)", "K(F_p,1)"):
         K = builtin_space(spelling, 2, 6)
-        mod, mod1 = K.algebra.module, K1.algebra.module
-        assert (mod.p, mod.D, mod.vs.basis, mod.action, K.algebra.products) == (
-            mod1.p, mod1.D, mod1.vs.basis, mod1.action, K1.algebra.products
-        )
+        assert _tables(K) == _tables(K1)
         assert (K.name, K.atoms) == (K1.name, K1.atoms)
+    # a K(F_p,n) factor is spelled either way inside a product, on either side
+    for spelling, name in [("K(F_2,1)*S1", "K1*S1"), ("K(F_2,1)xS1", "K1*S1"),
+                           ("S1*K(F_p,1)", "S1*K1"), ("K(F_2,1)*K(F_2,1)", "K1*K1")]:
+        X, Y = builtin_space(spelling, 2, 6), builtin_space(name, 2, 6)
+        assert _tables(X) == _tables(Y) and X.atoms == Y.atoms, spelling
     with pytest.raises(ValueError, match="p = 3"):
         builtin_space("K(F_3,1)", 2, 6)
     with pytest.raises(ValueError, match="p = 2"):
         builtin_space("K(F_2,2)", 3, 8)
+    with pytest.raises(ValueError, match="p = 3"):
+        builtin_space("S1*K(F_3,1)", 2, 6)
 
 
 def test_simplicial_identities_smax3():
@@ -255,6 +273,19 @@ def test_refused_level_basis_is_never_enumerated(monkeypatch):
     assert len(levels) == 4
     assert levels[-1]._basis is None
     assert all(level._basis is not None for level in levels[:-1])
+
+
+def test_top_level_basis_is_released_after_the_build():
+    # the top level is enumerated only to keep its nondegenerate monomials,
+    # whose faces are extended by name, so its basis goes after the build
+    X, Y = builtin_space("S3", 2, 10), builtin_space("S1", 2, 10)
+    res, deeper = cotriple_resolution(X, 3, 10), cotriple_resolution(X, 4, 10)
+    assert res.levels[-1]._basis is None
+    assert all(level._basis is not None for level in res.levels[:-1])
+    assert deeper.levels[3]._basis is not None
+    chart = adams_chart(X, Y, 3, 7, 10, resolution=res)
+    assert chart.entries == adams_chart(X, Y, 3, 7, 10, resolution=deeper).entries
+    assert any(t for s, t in chart.entries if s == 3)
 
 
 def test_chart_refuses_small_truncation():

@@ -173,10 +173,13 @@ def test_nontrivially_acting_target_exit_codes(capsys):
     assert code == 2 and out == "" and "K1" in err
 
 
-def test_bad_space_exit_code():
-    code, _ = run(["adams-chart", "--X", "NOPE", "--Y", "S1", "--smax", "1",
-                   "--tmax", "2", "--D", "6"])
-    assert code == 2
+def test_bad_space_exit_code(capsys):
+    # a malformed atom is an unknown space too, not a bare int() error
+    for name in ("NOPE", "sphere(x)", "K(F_x,1)", "k(f_2,)"):
+        code, out = run(["adams-chart", "--X", name, "--Y", "S1", "--smax", "1",
+                         "--tmax", "2", "--D", "6"])
+        err = capsys.readouterr().err
+        assert code == 2 and out == "" and err == f"error: unknown space '{name}'\n"
 
 
 def test_non_prime_p_exit_code(capsys):

@@ -122,11 +122,10 @@ def test_gh_chart_tower_level_recorded():
 
 def test_product_space_odd_p_kunneth_sign():
     T = builtin_space("S1*S3", 3, 6)
-    vs = T.algebra.graded_vs()
-    a = [n for n in vs.basis[1]][0]
-    b = [n for n in vs.basis[3] if n != a][0]
-    ab = T.algebra.mul_names(a, b)
-    ba = T.algebra.mul_names(b, a)
+    a = [n for n in T.basis(1)][0]
+    b = [n for n in T.basis(3) if n != a][0]
+    ab = T.mul_names(a, b)
+    ba = T.mul_names(b, a)
     # odd-degree classes anticommute at p = 3
     assert ab and ba
     (n1, c1), = ab.items()

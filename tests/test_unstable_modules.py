@@ -5,8 +5,8 @@ import pytest
 
 from unstable_e2 import steenrod as st
 from unstable_e2 import tower, unstable_modules
+from unstable_e2.adams import SpaceModel
 from unstable_e2.unstable_modules import (
-    FTUnstableModule,
     GradedVS,
     ModWindow,
     act_free,
@@ -203,8 +203,13 @@ def test_exactness_degenerate_window():
         assert not cell["saturated"]
 
 
+def _table(p, D, basis, action):
+    """A space's tables with no products and no atoms, as validate() reads them."""
+    return SpaceModel("table", p, D, (), GradedVS(p, basis), action, {})
+
+
 def _sample_module():
-    return FTUnstableModule(
+    return _table(
         2, 4,
         {1: ("x",), 2: ("x2",), 3: ("x3",), 4: ("x4",)},
         {
@@ -217,7 +222,7 @@ def _sample_module():
 def test_ft_module_validate_catches_adem_violation():
     good = _sample_module()
     assert good.validate() == []
-    bad = FTUnstableModule(
+    bad = _table(
         2, 4,
         {1: ("x",), 2: ("x2",), 3: ("x3",)},
         {(0, 1): {"x": {"x2": 1}, "x2": {"x3": 1}}},  # Sq1 Sq1 x != 0
@@ -226,7 +231,7 @@ def test_ft_module_validate_catches_adem_violation():
 
 
 def test_ft_module_validate_catches_instability():
-    bad = FTUnstableModule(2, 4, {1: ("x",), 4: ("y",)}, {(0, 3): {"x": {"y": 1}}})
+    bad = _table(2, 4, {1: ("x",), 4: ("y",)}, {(0, 3): {"x": {"y": 1}}})
     assert any(kind == "instability" for kind, *_ in bad.validate())
 
 
