@@ -47,7 +47,7 @@ from functools import cached_property
 
 from . import steenrod as st
 from . import tower
-from .derivations import BudgetExceeded, CochainComplex
+from .derivations import DEFAULT_BUDGET, BudgetExceeded, CochainComplex
 from .unstable_algebras import DegreeCapExceeded, FreeUnstableAlgebra, extend_algebra_map
 from .unstable_modules import GradedVS
 
@@ -296,7 +296,7 @@ class CotripleResolution:
     degeneracies G and degen_full are built on first use; no chart reads them.
     """
 
-    def __init__(self, space: SpaceModel, s_max, D, budget=500_000):
+    def __init__(self, space: SpaceModel, s_max, D, budget=DEFAULT_BUDGET):
         self.space = space
         self.p = space.p
         self.s_max = s_max
@@ -484,7 +484,7 @@ class CotripleResolution:
         return self._vidx[s + 1][inner]
 
 
-def cotriple_resolution(space: SpaceModel, s_max, D, budget=500_000):
+def cotriple_resolution(space: SpaceModel, s_max, D, budget=DEFAULT_BUDGET):
     return CotripleResolution(space, s_max, D, budget)
 
 
@@ -551,7 +551,7 @@ def _chart_resolution(X: SpaceModel, s_max, d_needed, budget, resolution):
     return resolution
 
 
-def adams_chart(X: SpaceModel, Y: SpaceModel, s_max, t_max, D, budget=500_000,
+def adams_chart(X: SpaceModel, Y: SpaceModel, s_max, t_max, D, budget=DEFAULT_BUDGET,
                 resolution=None):
     """The unstable Adams E2 chart on the window, plus the (0,0) hom-set cell.
 

@@ -24,7 +24,7 @@ from .adams import (
     chart_emit,
     chart_from_json,
 )
-from .derivations import bar_homology_check, descent_verify
+from .derivations import DEFAULT_BUDGET, bar_homology_check, descent_verify
 from .goerss_hopkins import compare_charts, d1_saturation_report, gh_chart
 from .unstable_modules import GradedVS, ModWindow, exactness_report, free_a_basis, free_b_basis_window
 
@@ -38,7 +38,7 @@ class RunConfig:
     window_L: int = 8
     window_K: int = 8
     tower_max: int = 3
-    budget: int = 500_000
+    budget: int = DEFAULT_BUDGET
     format: str = "json"
     out: str = None
 

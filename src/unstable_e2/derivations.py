@@ -35,6 +35,9 @@ class BudgetExceeded(Exception):
     """A resolution or a bar window outgrew the configured basis-size budget."""
 
 
+DEFAULT_BUDGET = 500_000  # basis elements a resolution or the bar windows may hold
+
+
 class CochainComplex:
     """Finite cochain complex of F_p vector spaces; d.d = 0 checked at build.
 
@@ -125,8 +128,8 @@ def descent_verify(V0: GradedVS, M0: GradedVS, p=2, start_level=1, max_level=tow
         by an Artin-Schreier witness.
     1 - frobenius is block-diagonal, so both are read from its one-coordinate
     block: the inverse pair is checked once per level, and cokernel row ri
-    dies where block row ri mod (block cokernel rank) has its witness, but
-    no earlier than one level up.
+    dies where block row ri mod (block cokernel rank) has its witness,
+    always above the start level (a row is no value of 1 - frobenius there).
     Failures are reported, never raised.  A class with no witness anywhere
     in the chain fails (b) without refuting it (a nonzero-trace b needs an
     extension of degree p, and only p = 2 and 3 divide the chain's degrees):
@@ -165,8 +168,7 @@ def descent_verify(V0: GradedVS, M0: GradedVS, p=2, start_level=1, max_level=tow
             levels = [lvl for lvl, _ in tower.cokernel_witnesses(p, k)]
             for d, cell in two["degrees"].items():
                 for ri in range(cell["D1"]):
-                    lvl = levels[ri % len(levels)]
-                    death = None if lvl is None else max(k + 1, lvl)
+                    death = levels[ri % len(levels)]
                     if death is None:
                         missing = True
                     elif death > max_level:
@@ -316,7 +318,7 @@ class BarWindow:
             yield col
 
 
-def bar_homology_check(n, D, s_max=3, L=3, p=2, budget=500_000):
+def bar_homology_check(n, D, s_max=3, L=3, p=2, budget=DEFAULT_BUDGET):
     """Homology of the windowed bar construction, with a saturation flag.
 
     Verifies: homology in degrees <= D is concentrated in simplicial degree

@@ -43,13 +43,14 @@ from .adams import (
     suspension_has_trivial_action,
     suspension_target,
 )
+from .derivations import DEFAULT_BUDGET
 
 
 # ---------------------------------------------------------------------------
 # the chart
 # ---------------------------------------------------------------------------
 
-def gh_chart(X: SpaceModel, Y: SpaceModel, s_max, t_max, D, level=2, budget=500_000,
+def gh_chart(X: SpaceModel, Y: SpaceModel, s_max, t_max, D, level=2, budget=DEFAULT_BUDGET,
              resolution=None):
     """The second-pipeline E2 chart, computed at a chain level and re-checked one deeper.
 
@@ -104,7 +105,7 @@ def compare_charts(a: Chart, b: Chart):
 
 
 def d1_saturation_report(X: SpaceModel, Y: SpaceModel, s_max, t_max, D,
-                         schedule_max=3, budget=500_000, resolution=None):
+                         schedule_max=3, budget=DEFAULT_BUDGET, resolution=None):
     """Death witnesses for every positive two-term cokernel class, per level and t.
 
     For each resolution level s and each t whose cochain group is nonzero

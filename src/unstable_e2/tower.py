@@ -3,13 +3,15 @@
 The chain is F_p = L1 < L2 < L3 < L4 with level k of degree k! over F_p,
 so every level embeds in the next (k! divides (k+1)!).  The union of the
 chain is a constructive stand-in for an algebraic closure: any element
-algebraic of degree dividing 24 lives at some level.  Defining polynomials
-are read from a frozen table.  A level's multiplication and frobenius
-matrix are its only polynomial arithmetic: they verify its table entry
-(frobenius^n fixes x and only F_p is fixed, Berlekamp's criterion), and
-they find each chain embedding, by a scan of the upper level's copy of the
-lower field for a root of the lower polynomial, once per run, cached as
-immutable tuples.
+algebraic of degree dividing 24 lives at some level.  A value in the chain
+is a coordinate tuple at a named level, over the basis 1, x, ..., x^(k!-1)
+of F_p[x]/(f), f read from a frozen table.  A level's multiplication and
+frobenius matrix are its only polynomial arithmetic: they verify its table
+entry (frobenius^n fixes x and only F_p is fixed, Berlekamp's criterion),
+and they find each chain embedding, by a scan of the upper level's copy of
+the lower field for a root of the lower polynomial, once per run, cached as
+immutable tuples.  Frobenius and the embeddings act on coordinates as
+matrices, and artin_schreier_solve takes a level and coordinates.
 
 The descent facts about 1 - frobenius live here too, on one coordinate
 block: its kernel and cokernel and the Artin-Schreier witness of each
@@ -364,67 +366,6 @@ class FieldLevel:
         return tuple(zip(*(self.pow_coords(e, self.p ** k) for e in units)))
 
 
-class TowerElem:
-    """Element of one level of the chain; immutable."""
-
-    __slots__ = ("tower", "level", "coords")
-
-    def __init__(self, tower, level, coords):
-        self.tower = tower
-        self.level = level
-        self.coords = tuple(int(c) % tower.p for c in coords)
-
-    def _lift(self, other):
-        if not isinstance(other, TowerElem):
-            other = self.tower.scalar(other)
-        if other.level == self.level:
-            return self, other
-        k = max(self.level, other.level)
-        return self.tower.embed(self, k), self.tower.embed(other, k)
-
-    def __add__(self, other):
-        a, b = self._lift(other)
-        p = self.tower.p
-        return TowerElem(self.tower, a.level, tuple((x + y) % p for x, y in zip(a.coords, b.coords)))
-
-    def __sub__(self, other):
-        a, b = self._lift(other)
-        p = self.tower.p
-        return TowerElem(self.tower, a.level, tuple((x - y) % p for x, y in zip(a.coords, b.coords)))
-
-    def __neg__(self):
-        p = self.tower.p
-        return TowerElem(self.tower, self.level, tuple((-x) % p for x in self.coords))
-
-    def __mul__(self, other):
-        a, b = self._lift(other)
-        fl = self.tower.field(a.level)
-        return TowerElem(self.tower, a.level, fl.mul_coords(a.coords, b.coords))
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __pow__(self, e):
-        fl = self.tower.field(self.level)
-        return TowerElem(self.tower, self.level, fl.pow_coords(self.coords, e))
-
-    def __eq__(self, other):
-        if not isinstance(other, TowerElem):
-            other = self.tower.scalar(other)
-        a, b = self._lift(other)
-        return a.coords == b.coords
-
-    def __hash__(self):
-        x = self.tower.reduce_to_minimal_level(self)
-        return hash((x.level, x.coords))
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coords)
-
-    def __repr__(self):
-        return f"TowerElem(p={self.tower.p}, level={self.level}, {self.coords})"
-
-
 class FieldTower:
     """The fixed chain F_p < F_{p^2} < F_{p^6} < F_{p^24} with cached embeddings."""
 
@@ -440,34 +381,6 @@ class FieldTower:
         if k not in self._levels:
             self._levels[k] = FieldLevel(self.p, k)
         return self._levels[k]
-
-    def zero(self, level=1):
-        return TowerElem(self, level, (0,) * self.field(level).degree)
-
-    def one(self, level=1):
-        return TowerElem(self, level, (1,) + (0,) * (self.field(level).degree - 1))
-
-    def scalar(self, c, level=1):
-        return TowerElem(self, level, (int(c),) + (0,) * (self.field(level).degree - 1))
-
-    def gen(self, level):
-        """The class of x at the given level (a root of that level's polynomial)."""
-        fl = self.field(level)
-        coords = [0] * fl.degree
-        if fl.degree == 1:
-            # f = x, so the generator is 0; level 1 is plain F_p
-            return TowerElem(self, level, coords)
-        coords[1] = 1
-        return TowerElem(self, level, coords)
-
-    def elements(self, level):
-        """Deterministic enumeration of the whole level (small levels only)."""
-        fl = self.field(level)
-        if self.p ** fl.degree > 1 << 20:
-            raise ValueError("level too large to enumerate")
-        # reversed, so that coordinate 0 turns fastest
-        for idx in itertools.product(range(self.p), repeat=fl.degree):
-            yield TowerElem(self, level, idx[::-1])
 
     # -- embeddings ---------------------------------------------------------
 
@@ -513,47 +426,28 @@ class FieldTower:
             self._embed_comp[key] = tuple(zip(*cols))
         return self._embed_comp[key]
 
-    def embed(self, x, k):
-        if x.level == k:
-            return x
-        if x.level > k:
-            y = self.reduce_to_minimal_level(x)
-            if y.level > k:
-                raise ValueError(f"element of level {x.level} does not lie in level {k}")
-            return self.embed(y, k)
-        return TowerElem(self, k, _matvec(self.embedding_matrix(x.level, k), x.coords, self.p))
+    def artin_schreier_solve(self, level, b):
+        """Solve x - x^p = b, for b given by its coordinates at the given level.
 
-    def reduce_to_minimal_level(self, x):
-        """Rewrite x at the smallest chain level containing it."""
-        for j in range(1, x.level):
-            M = self.embedding_matrix(j, x.level)
-            v = solve(M, x.coords, self.p)
-            if v is not None:
-                return TowerElem(self, j, v)
-        return x
-
-    # -- the named operations ------------------------------------------------
-
-    def frobenius(self, x):
-        """x -> x^p at the same level."""
-        fl = self.field(x.level)
-        return TowerElem(self, x.level, _matvec(fl.frobenius_matrix, x.coords, self.p))
-
-    def artin_schreier_solve(self, b):
-        """Solve x - x^p = b at the minimal chain level that contains a solution.
-
+        Returns (coords, k): a solution's coordinates at the lowest chain
+        level k that holds one.  b is first rewritten at the lowest level
+        that contains it, so k does not depend on the level b is given at.
         Raises TowerExhausted when no level of the chain works (the solution
         always exists in the union; the chain is finite).
         """
-        b = self.reduce_to_minimal_level(b)
-        for k in range(b.level, MAX_LEVEL + 1):
-            fl = self.field(k)
-            bk = self.embed(b, k)
-            v = solve(fl.one_minus_frobenius, bk.coords, self.p)
+        p = self.p
+        for j in range(1, level):
+            v = solve(self.embedding_matrix(j, level), b, p)
             if v is not None:
-                return TowerElem(self, k, v), k
+                level, b = j, v
+                break
+        for k in range(level, MAX_LEVEL + 1):
+            bk = b if k == level else _matvec(self.embedding_matrix(level, k), b, p)
+            x = solve(self.field(k).one_minus_frobenius, bk, p)
+            if x is not None:
+                return x, k
         raise TowerExhausted(
-            f"x - x^p = b has no solution at levels <= {MAX_LEVEL} (p={self.p})"
+            f"x - x^p = b has no solution at levels <= {MAX_LEVEL} (p={p})"
         )
 
 
@@ -593,8 +487,8 @@ def cokernel_witnesses(p, level):
     out = []
     for row in semilinear_kernel_cokernel(p, level)[1]:
         try:
-            x, lvl = tw.artin_schreier_solve(TowerElem(tw, level, row))
-            out.append((lvl, x.coords))
+            x, lvl = tw.artin_schreier_solve(level, row)
+            out.append((lvl, x))
         except TowerExhausted:
             out.append((None, None))
     return tuple(out)

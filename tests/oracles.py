@@ -494,9 +494,9 @@ def extra_degeneracy(res):
     writes as monomials in the generator classes.
     """
     space = res.space
-    if not all(atom.startswith("k") for atom in space.name.lower().split("*")):
+    if not space.atoms or any(kind != "k" for kind, _ in space.atoms):
         raise ValueError("extra degeneracy needs a free base cohomology")
-    factors = catalog_factorization(space.name, space.p, space.D)
+    factors = catalog_factorization(space)
     # h0: base -> level 0, generator g -> [g], extended multiplicatively
     lvl0 = res.levels[0]
     images = {}
@@ -737,31 +737,35 @@ def algebra_map_violations(source, target, images, letters=None):
 # every class (zero columns included) and with every product, within the
 # common truncation.  It knows nothing of atoms or of freeness.
 
-def catalog_factorization(name, p, D):
-    """{class: ((generator class, exponent), ...)} of the catalog space called name.
+def catalog_factorization(space):
+    """{class: ((generator class, exponent), ...)} of a catalog space, read off its atoms.
 
     A K<n> class is a monomial of the free unstable algebra on one degree-n
     class, named k<d>_<i> as the catalog names it, and its generator classes
-    are the polynomial generators; a sphere class is itself; a class a|b of
-    a product A*B joins the factorizations of a|1 and 1|b.
+    are the polynomial generators; a sphere class is itself; a class x|y of
+    a product A*B joins the factorizations of x|1 and 1|y.  A point factor
+    has no atom, so the one atom of a space serves either side.
     """
-    parts = []
-    for atom in name.lower().split("*"):
-        if atom.startswith("s"):
-            parts.append({atom: ((atom, 1),)})
-        elif atom.startswith("k"):
-            A = FreeUnstableAlgebra(p, [(f"i{atom[1:]}", int(atom[1:]))], D)
-            names = {m: f"k{d}_{i}" for d in range(1, D + 1) for i, m in enumerate(A.basis(d))}
-            parts.append({names[m]: tuple((names[((i, 1),)], e) for i, e in m) for m in names})
-        else:
-            parts.append({})
-    if len(parts) == 1:
-        return parts[0]
-    a, b = parts
-    left = {f"{x}|1": tuple((f"{g}|1", e) for g, e in f) for x, f in a.items()}
-    right = {f"1|{y}": tuple((f"1|{g}", e) for g, e in f) for y, f in b.items()}
-    both = {f"{x}|{y}": left[f"{x}|1"] + right[f"1|{y}"] for x in a for y in b}
-    return {**left, **right, **both}
+    p, D = space.p, space.D
+
+    def atom_factors(kind, n):
+        if kind == "sphere":
+            return {f"s{n}": ((f"s{n}", 1),)}
+        A = FreeUnstableAlgebra(p, [(f"i{n}", n)], D)
+        names = {m: f"k{d}_{i}" for d in range(1, D + 1) for i, m in enumerate(A.basis(d))}
+        return {names[m]: tuple((names[((i, 1),)], e) for i, e in m) for m in names}
+
+    atoms = [atom_factors(*atom) for atom in space.atoms]
+    sides = atoms if len(atoms) == 2 else atoms * 2
+    out = {}
+    for _, z in space.vs.items():
+        parts = z.split("|")
+        out[z] = tuple(
+            ("|".join(g if j == i else "1" for j in range(len(parts))), e)
+            for i, (x, factors) in enumerate(zip(parts, sides)) if x != "1"
+            for g, e in factors[x]
+        )
+    return out
 
 
 def _combine(col, values, p):
@@ -775,7 +779,7 @@ def _combine(col, values, p):
 
 def hom_set_generators(X):
     """The generator classes of the catalog space X, as (degree, class) pairs."""
-    factors = catalog_factorization(X.name, X.p, X.D)
+    factors = catalog_factorization(X)
     return [(d, nm) for d, nm in X.vs.items() if factors[nm] == ((nm, 1),)]
 
 
@@ -794,7 +798,7 @@ def hom_set_brute_force(X, Y):
     the degree of its result, where all the classes it reads have values.
     """
     p, D = X.p, min(X.D, Y.D)
-    factors = catalog_factorization(X.name, p, X.D)
+    factors = catalog_factorization(X)
     classes = [(d, nm) for d, nm in X.vs.items() if d <= D]
     letters = [(0, s) for s in range(1, D + 1)] + ([(1, 0)] if p != 2 else [])
     degree = {(e, s): s if p == 2 else 2 * (p - 1) * s + e for e, s in letters}

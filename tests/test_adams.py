@@ -555,10 +555,14 @@ def test_non_p_power_hom_set_is_refused_before_the_build(monkeypatch):
 @pytest.mark.parametrize("p,D", [(2, 6), (2, 8), (3, 9), (3, 12)])
 def test_hom_set_count_matches_brute_force(p, D):
     # every pair of catalog spaces built from S1-S4, K1, K2 and the point, and
-    # their two-atom products, whose brute force tries at most 3,000 assignments
+    # their two-atom products, whose brute force tries at most 3,000 assignments;
+    # the oracle reads atoms, not names, so other spellings of K1*S1 count too
     atoms = ("S1", "S2", "S3", "S4", "K1", "K2", "point")
     pairs = itertools.combinations_with_replacement(atoms, 2)
-    spaces = [builtin_space(name, p, D) for name in atoms + tuple(f"{a}*{b}" for a, b in pairs)]
+    k1 = "K(F_2,1)" if p == 2 else "K(F_p,1)"
+    spellings = (f"{k1}*S1", f"S1*{k1}", "K1xS1", "sphere(1)*K1")
+    names = atoms + tuple(f"{a}*{b}" for a, b in pairs) + spellings
+    spaces = [builtin_space(name, p, D) for name in names]
     checked = 0
     for X in spaces:
         for Y in spaces:

@@ -145,11 +145,11 @@ def _reference_death_level(tw, level, ncoords, row, max_level):
     m = tw.field(level).degree
     solved = []
     for c in range(ncoords):
-        x = tower.TowerElem(tw, level, row[c * m : (c + 1) * m])
-        if x.is_zero():
+        x = row[c * m : (c + 1) * m]
+        if not any(x):
             continue
         try:
-            solved.append(tw.artin_schreier_solve(x)[1])
+            solved.append(tw.artin_schreier_solve(level, x)[1])
         except tower.TowerExhausted:
             return None
     for k in range(level + 1, max_level + 1):

@@ -20,45 +20,68 @@ from unstable_e2.tower import (
 from oracles import F16, dense, sparse, trace_rule_death_level
 
 
+def _unit(m, i=0):
+    """Coordinate vector i at a level of degree m: 1 for i = 0, x for i = 1 (0 at level 1)."""
+    return tuple(int(j == i) for j in range(m))
+
+
+def _add(u, v, p, c=1):
+    """u + c v over F_p."""
+    return tuple((a + c * b) % p for a, b in zip(u, v))
+
+
+def _apply(M, v, p):
+    """The matrix M (rows) on the coordinates v: frobenius, or an embedding."""
+    return tuple(sum(a * x for a, x in zip(row, v)) % p for row in M)
+
+
+def _up(tw, j, k, v):
+    """The coordinates v of level j moved to level k >= j."""
+    return v if j == k else _apply(tw.embedding_matrix(j, k), v, tw.p)
+
+
+def _as_residual(fl, x):
+    """x - x^p at the level fl, by the level's own multiplication."""
+    return _add(x, fl.pow_coords(x, fl.p), fl.p, -1)
+
+
+def _solves(tw, level, b, x, lvl):
+    """Whether x at level lvl solves x - x^p = b for b at level, compared at the higher one."""
+    top = max(level, lvl)
+    return _up(tw, lvl, top, _as_residual(tw.field(lvl), x)) == _up(tw, level, top, b)
+
+
 def test_frobenius_fixes_prime_field():
     tw = get_tower(2)
     for k in (1, 2, 3):
-        one = tw.one(k)
-        assert tw.frobenius(one) == one
-        assert tw.frobenius(tw.zero(k)) == tw.zero(k)
+        fl = tw.field(k)
+        one, zero = _unit(fl.degree), (0,) * fl.degree
+        assert _apply(fl.frobenius_matrix, one, 2) == one
+        assert _apply(fl.frobenius_matrix, zero, 2) == zero
 
 
 def test_frobenius_omega():
-    tw = get_tower(2)
-    w = tw.gen(2)
-    assert (w * w + w + tw.one(2)).is_zero()
-    assert tw.frobenius(w) == w + tw.one(2)
+    fl = get_tower(2).field(2)
+    w, one = _unit(2, 1), _unit(2)
+    assert _add(_add(fl.mul_coords(w, w), w, 2), one, 2) == (0, 0)
+    assert _apply(fl.frobenius_matrix, w, 2) == _add(w, one, 2)
 
 
 def test_frobenius_order_exhaustive_level2():
-    tw = get_tower(2)
-    for x in tw.elements(2):
-        y = x
-        for _ in range(2):
-            y = tw.frobenius(y)
-        assert y == x
+    F = get_tower(2).field(2).frobenius_matrix
+    for x in itertools.product(range(2), repeat=2):
+        assert _apply(F, _apply(F, x, 2), 2) == x
 
 
 def test_frobenius_order_level3():
-    tw = get_tower(2)
-    x = tw.gen(3)
-    y = x
+    F = get_tower(2).field(3).frobenius_matrix
+    x = _unit(6, 1)
+    orbit = [x]
     for _ in range(6):
-        y = tw.frobenius(y)
-    assert y == x
+        orbit.append(_apply(F, orbit[-1], 2))
+    assert orbit[6] == x
     # no smaller power of frobenius fixes the generator
-    y = x
-    fixed_early = False
-    for i in range(1, 6):
-        y = tw.frobenius(y)
-        if y == x:
-            fixed_early = True
-    assert not fixed_early
+    assert x not in orbit[1:6]
 
 
 def test_frobenius_is_pth_power():
@@ -66,43 +89,45 @@ def test_frobenius_is_pth_power():
         tw = get_tower(p)
         rng = random.Random(p)
         for k in (1, 2, 3):
-            m = tw.field(k).degree
+            fl = tw.field(k)
             for _ in range(20):
-                lam = tower.TowerElem(tw, k, tuple(rng.randrange(p) for _ in range(m)))
-                assert tw.frobenius(lam) == lam ** p
+                lam = tuple(rng.randrange(p) for _ in range(fl.degree))
+                assert _apply(fl.frobenius_matrix, lam, p) == fl.pow_coords(lam, p)
 
 
 def test_embed_commutes_with_frobenius():
     for p in (2, 3):
         tw = get_tower(p)
         for k in (1, 2, 3):
-            x = tw.gen(k) + tw.one(k)
-            assert tw.frobenius(tw.embed(x, k + 1)) == tw.embed(tw.frobenius(x), k + 1)
+            lo, hi = tw.field(k), tw.field(k + 1)
+            x = _add(_unit(lo.degree, 1), _unit(lo.degree), p)
+            assert _apply(hi.frobenius_matrix, _up(tw, k, k + 1, x), p) == _up(
+                tw, k, k + 1, _apply(lo.frobenius_matrix, x, p))
 
 
 def test_embed_composes():
     tw = get_tower(2)
-    x = tw.gen(2)
-    assert tw.embed(x, 4) == tw.embed(tw.embed(x, 3), 4)
+    x = _unit(2, 1)
+    assert _up(tw, 2, 4, x) == _up(tw, 3, 4, _up(tw, 2, 3, x))
     # field operations preserved
-    y = x * x + tw.one(2)
-    assert tw.embed(x, 3) * tw.embed(x, 3) + tw.one(3) == tw.embed(y, 3)
+    y = _add(tw.field(2).mul_coords(x, x), _unit(2), 2)
+    x3 = _up(tw, 2, 3, x)
+    assert _add(tw.field(3).mul_coords(x3, x3), _unit(6), 2) == _up(tw, 2, 3, y)
 
 
 def test_artin_schreier_zero():
-    tw = get_tower(2)
-    x, lvl = tw.artin_schreier_solve(tw.zero(1))
-    assert lvl == 1 and x.is_zero()
+    x, lvl = get_tower(2).artin_schreier_solve(1, (0,))
+    assert lvl == 1 and not any(x)
 
 
 def test_artin_schreier_b_one():
     tw = get_tower(2)
-    x, lvl = tw.artin_schreier_solve(tw.one(1))
+    x, lvl = tw.artin_schreier_solve(1, (1,))
     assert lvl == 2
-    assert x - x * x == tw.one(2)
+    assert _as_residual(tw.field(2), x) == _unit(2)
     # x is omega or omega + 1
-    w = tw.gen(2)
-    assert x in (w, w + tw.one(2))
+    w = _unit(2, 1)
+    assert x in (w, _add(w, _unit(2), 2))
 
 
 def test_artin_schreier_omega_lands_at_level_four():
@@ -112,10 +137,10 @@ def test_artin_schreier_omega_lands_at_level_four():
     omega16 = [x for x in f4 if x not in (0, 1)][0]
     assert F16.artin_schreier_solutions(omega16)  # solvable in F_16
     tw = get_tower(2)
-    w = tw.gen(2)
-    x, lvl = tw.artin_schreier_solve(w)
+    w = _unit(2, 1)
+    x, lvl = tw.artin_schreier_solve(2, w)
     assert lvl == 4
-    assert x - x * x == tw.embed(w, 4)
+    assert _as_residual(tw.field(4), x) == _up(tw, 2, 4, w)
 
 
 def test_artin_schreier_random_substitution():
@@ -125,9 +150,35 @@ def test_artin_schreier_random_substitution():
     for level in (1, 2, 3):
         m = tw.field(level).degree
         for _ in range(1000):
-            b = tower.TowerElem(tw, level, tuple(random.randrange(2) for _ in range(m)))
-            x, lvl = tw.artin_schreier_solve(b)
-            assert x - x ** 2 == tw.embed(b, lvl)
+            b = tuple(random.randrange(2) for _ in range(m))
+            x, lvl = tw.artin_schreier_solve(level, b)
+            assert _solves(tw, level, b, x, lvl)
+
+
+def _as_level(tw, level, b):
+    """The level artin_schreier_solve returns for b at the given level, or None."""
+    try:
+        x, lvl = tw.artin_schreier_solve(level, b)
+    except TowerExhausted:
+        return None
+    assert _solves(tw, level, b, x, lvl)
+    return lvl
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_artin_schreier_level_does_not_depend_on_where_b_is_given(p):
+    # b is rewritten at the lowest level holding it before the search starts
+    tw = get_tower(p)
+    if p == 2:  # 1 given at level 3 dies at level 2, as it does given at level 1
+        assert _as_level(tw, 3, _up(tw, 1, 3, (1,))) == 2
+    rng = random.Random(p)
+    for j in (1, 2, 3):
+        m = tw.field(j).degree
+        rand = [tuple(rng.randrange(p) for _ in range(m)) for _ in range(4)]
+        for b in [_unit(m), _unit(m, 1), *rand]:
+            want = _as_level(tw, j, b)
+            for k in range(j + 1, tower.MAX_LEVEL + 1):
+                assert _as_level(tw, k, _up(tw, j, k, b)) == want, (p, j, k, b)
 
 
 def test_kernel_of_one_minus_frobenius_every_level():
@@ -151,9 +202,7 @@ def test_cached_block_arrays_are_read_only():
 
 def test_cokernel_saturation_from_level_one():
     # a level-1 cokernel class dies at level 2 (p | 2!/1!)
-    tw = get_tower(2)
-    b = tw.one(1)
-    x, lvl = tw.artin_schreier_solve(b)
+    x, lvl = get_tower(2).artin_schreier_solve(1, (1,))
     assert lvl == 2
 
 
@@ -261,17 +310,12 @@ def test_level_two_class_dies_at_level_four_not_three():
     # the trace obstruction: a level-2 class with nonzero trace survives the
     # odd-degree step to level 3 and only dies at level 4
     tw = get_tower(2)
-    w = tw.gen(2)  # trace 1 over F_2
-    x, lvl = tw.artin_schreier_solve(w)
+    w = _unit(2, 1)  # trace 1 over F_2
+    x, lvl = tw.artin_schreier_solve(2, w)
     assert lvl == 4
     # explicit: no solution at level 3
-    from unstable_e2.tower import solve
-    import numpy as np
-
-    fl = tw.field(3)
-    M = (np.eye(6, dtype=np.int64) - fl.frobenius_matrix) % 2
-    b3 = tw.embed(w, 3)
-    assert solve(M, np.array(b3.coords), 2) is None
+    M = (np.eye(6, dtype=np.int64) - tw.field(3).frobenius_matrix) % 2
+    assert solve(M, np.array(_up(tw, 2, 3, w)), 2) is None
 
 
 def _mobius(n):
