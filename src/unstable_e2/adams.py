@@ -294,6 +294,7 @@ class CotripleResolution:
     that no degeneracy hits (all of V[0] and V[s_max + 1]): the generators
     cochains live on, decided at every level by one mask rule.  The
     degeneracies G and degen_full are built on first use; no chart reads them.
+    The build leaves each level's memo tables empty; later callers refill them.
     """
 
     def __init__(self, space: SpaceModel, s_max, D, budget=DEFAULT_BUDGET):
@@ -395,7 +396,8 @@ class CotripleResolution:
         the bottom up, extends exactly its read columns through the algebra
         (face 0 evaluates a generator as an element, face i >= 1 is face
         i - 1 of the level below on the generators); every other column is
-        None.
+        None.  Only level s's faces read level s - 1's tables, so those are
+        emptied once they are built, and the top level's after the last face.
         """
         p = self.p
         stack, needed = [], set()  # (read columns of V[s + 1], their generator keys), top down
@@ -425,6 +427,9 @@ class CotripleResolution:
                     cols[vi] = {rows[key]: c % p for key, c in images[m].items() if c % p}
                 maps.append(tower.SparseMap(len(self.V[s]), cols, p))
             self.face_full.append(maps)
+            for level in self.levels[max(s - 1, 0) : s + (s == self.s_max)]:  # s - 1, and the top
+                for memo in (level._op_memo, level._power_memo, level._products):
+                    memo.clear()
 
     @cached_property
     def degen_full(self):

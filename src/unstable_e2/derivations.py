@@ -127,7 +127,7 @@ def descent_verify(V0: GradedVS, M0: GradedVS, p=2, start_level=1, max_level=tow
     (b) every D^1 class at a finite level dies at a deeper level, recorded
         by an Artin-Schreier witness.
     1 - frobenius is block-diagonal, so both are read from its one-coordinate
-    block: the inverse pair is checked once per level, and cokernel row ri
+    block: the inverse pair is cached per (p, level), and cokernel row ri
     dies where block row ri mod (block cokernel rank) has its witness,
     always above the start level (a row is no value of 1 - frobenius there).
     Failures are reported, never raised.  A class with no witness anywhere

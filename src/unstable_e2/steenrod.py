@@ -12,14 +12,15 @@ the admissible basis applies the standard Adem relations.  Flavor "A"
 rewrites a word tail first: the tail's admissible terms u are reduced
 already, so (first letter,) + u can be inadmissible only at its front
 pair, and that word's admissible form is kept under it for reuse.  The
-memo keeps one read-only form per distinct admissible value, shared by
-every word that rewrites to it, and one zero element per context.  For
-flavor "B" the same relations are used verbatim for all integer indices
-(binomials via Lucas), under a mandatory hard window on index size and
-word length; it keeps rewriting at the leftmost violation, because which
-words leave the window depends on the order of the steps.  Correctness at
-p = 2 is anchored by the polynomial-action oracle `act_polynomial` rather
-than by trusting the transcription of the relations.
+memo keeps only words the rewrite reads again (a longer word asked for
+from outside is not stored), one read-only form per distinct admissible
+value, shared by every word that rewrites to it, and one zero element per
+context.  For flavor "B" the same relations are used verbatim for all
+integer indices (binomials via Lucas), under a mandatory hard window on
+index size and word length; it keeps every word, rewriting at the leftmost
+violation, because which words leave the window depends on that order.
+Correctness at p = 2 is anchored by the polynomial-action oracle
+`act_polynomial` rather than by trusting the transcription of the relations.
 """
 
 from __future__ import annotations
@@ -222,11 +223,13 @@ class AdemContext:
 
     One context per (p, flavor, window); the memo table is read-mostly and
     the rewrite itself is a pure function of the word.  ``_memo`` maps each
-    word to its form, a read-only ``OpElement`` kept once per distinct value
-    in ``_forms``; every word that rewrites to 0 maps to ``_zero``.  Each
-    inadmissible letter pair's sorted Adem terms are computed once, in
-    ``_pairs``, each with a flag that says whether flavor-A normalization
-    must run on it.
+    word the rewrite reads again to its form, a read-only ``OpElement`` kept
+    once per distinct value in ``_forms``; every word that rewrites to 0
+    maps to ``_zero``.  In flavor A those are the words of at most two
+    letters and the tails, fronts and Adem replacement words the recursion
+    meets; a longer word asked for from outside gets its form unstored.  Each
+    inadmissible pair's sorted Adem terms are computed once, in ``_pairs``,
+    each with a flag that says whether flavor-A normalization must run on it.
 
     The order of the steps depends on the flavor.  Flavor A rewrites the
     tail first and then applies one Adem relation at the front of each
@@ -265,17 +268,22 @@ class AdemContext:
         The read-only terms of the memo's form, shared by every word with an
         equal form; every word that rewrites to 0 gets the zero element's.
         """
-        word = tuple(word)
+        return self._form(tuple(word), keep=False).terms
+
+    def _form(self, word, keep=True):
+        """The word's shared form, stored unless it is a flavor-A word of 3+ letters not kept."""
         form = self._memo.get(word)
         if form is None:
             if self.flavor == FLAVOR_A and len(word) > 2:  # shorter words have one pair
                 form = self._rewrite_tail_first(word)
+                if not keep:
+                    return form
             else:
                 self._check_window(word)
                 i = _first_violation(word, self.p)
                 form = self._share({word: 1} if i is None else self._apply_pair(word, i))
             self._memo[word] = form
-        return form.terms
+        return form
 
     def _share(self, terms):
         """The memo's one form equal to terms; a key hit counts only when equal.
@@ -300,7 +308,7 @@ class AdemContext:
         """
         p, memo = self.p, self._memo
         head = word[0]
-        tail = self.rewrite(word[1:])
+        tail = self._form(word[1:]).terms
         result = {}
         for u, c in tail.items():
             w = (head,) + u
@@ -333,7 +341,7 @@ class AdemContext:
                 new = normalize_word_a(new, p)
                 if new is None:
                     continue
-            add_scaled(result, self.rewrite(new), c, p)
+            add_scaled(result, self._form(new).terms, c, p)
         return result
 
 
@@ -430,11 +438,12 @@ def adem_rewrite(x, window=None):
     ctx = get_context(x.p, x.flavor, window)
     if len(x.terms) == 1:
         ((w, c),) = x.terms.items()
-        r = ctx.rewrite(w)
-        if c == 1 or not r:
-            return ctx._memo[w]
+        form = ctx._form(w, keep=False)
+        if c == 1 or not form.terms:
+            return form
         # the memo's terms are already reduced and nonzero
-        return OpElement._homogeneous(x.p, x.flavor, {w2: c * c2 % x.p for w2, c2 in r.items()})
+        terms = {w2: c * c2 % x.p for w2, c2 in form.terms.items()}
+        return OpElement._homogeneous(x.p, x.flavor, terms)
     out = {}
     for w, c in x.terms.items():
         add_scaled(out, ctx.rewrite(w), c, x.p)

@@ -462,9 +462,9 @@ def get_tower(p):
 #
 # Coordinatewise 1 - frobenius on (F_{p^{k!}})^n is block-diagonal with n
 # copies of one m x m block (m = k!), so its kernel, cokernel, witnesses and
-# inverse pair are facts about that block and are worked out here, the first
-# three once per (p, level); callers that need the n-coordinate rows tile
-# the block rows across the coordinates.
+# inverse pair are facts about that block and are worked out here, each
+# once per (p, level); callers that need the n-coordinate rows tile the
+# block rows across the coordinates.
 
 @functools.lru_cache(maxsize=None)
 def semilinear_kernel_cokernel(p, level):
@@ -494,6 +494,7 @@ def cokernel_witnesses(p, level):
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=None)
 def base_slot_inverse_pair(p, level):
     """Whether the base-field slot and the kernel of 1 - frobenius are inverse.
 

@@ -446,6 +446,23 @@ def test_faces_match_full_extension(p, X, s_max, D):
     assert 0 < held < sum(len(F.cols) for maps in full for F in maps)
 
 
+@pytest.mark.parametrize("p,X,s_max,D", [(2, "S2", 3, 10), (3, "S3", 2, 12)])
+def test_level_memos_are_released_after_the_build(p, X, s_max, D):
+    # once level s's faces exist no later face targets level s - 1, so the
+    # build empties every level's tables; each entry is a pure function of
+    # its key, and faces rebuilt through the algebra refill them on demand
+    res = cotriple_resolution(builtin_space(X, p, D), s_max, D)
+    for level in res.levels:
+        assert not (level._op_memo or level._power_memo or level._products)
+    held = 0
+    for maps, full in zip(res.face_full, full_faces(res)):
+        for F, ref in zip(maps, full):
+            for col, ref_col in zip(F.cols, ref.cols):
+                assert col is None or col == ref_col
+                held += col is not None
+    assert held and any(level._power_memo and level._products for level in res.levels)
+
+
 def _read_sets(res):
     """Per level s, the face columns a chart reads, found without _build_faces.
 

@@ -130,6 +130,8 @@ def test_descent_inverse_pair_check_is_live(monkeypatch):
         shifted[:, -1] = 1
         return shifted, cok
 
+    # the pair is cached per (p, level); run it uncached on the patched kernel
+    monkeypatch.setattr(tower, "base_slot_inverse_pair", tower.base_slot_inverse_pair.__wrapped__)
     monkeypatch.setattr(tower, "semilinear_kernel_cokernel", shifted_kernel)
     rep = descent_verify(V0, M0, p=2, start_level=2, max_level=3)
     assert rep["pass_dims"] and not rep["pass_inverse_pair"] and not rep["pass"]

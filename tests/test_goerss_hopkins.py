@@ -35,6 +35,8 @@ def test_gh_fails_loudly_on_non_base_form_kernel(monkeypatch):
         ker[0, m - 1] = 1
         return ker, np.zeros((0, m), dtype=np.int64)
 
+    # the pair is cached per (p, level); run it uncached on the patched kernel
+    monkeypatch.setattr(tower, "base_slot_inverse_pair", tower.base_slot_inverse_pair.__wrapped__)
     monkeypatch.setattr(tower, "semilinear_kernel_cokernel", shifted_kernel)
     S2 = builtin_space("S2", 2, 6)
     S1 = builtin_space("S1", 2, 6)

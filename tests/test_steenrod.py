@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -374,4 +375,43 @@ def test_colliding_form_keys_keep_every_form_exact(p, monkeypatch):
     words = list(_normalized_words(p, 3, 8))
     _sweep(ctx, words)
     for word in words:
-        assert ctx._memo[word].terms == leftmost_adem_rewrite(word, p), word
+        assert ctx.rewrite(word) == leftmost_adem_rewrite(word, p), word
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_memo_keeps_only_the_words_the_rewrite_reads_again(p, monkeypatch):
+    # an outside query of a word longer than two letters is rewritten from
+    # the kept tails, fronts and Adem replacement words, and is not stored
+    ctx = st.AdemContext(p, FLAVOR_A)
+    reached, runs = set(), collections.Counter()  # words the recursion asks for; rewrites per word
+    form, tail_first = st.AdemContext._form, st.AdemContext._rewrite_tail_first
+
+    def traced_form(self, word, keep=True):
+        if keep:
+            reached.add(word)
+        return form(self, word, keep)
+
+    def traced_tail_first(self, word):
+        runs[word] += 1
+        out = tail_first(self, word)
+        reached.update((word[0],) + u for u in self._memo[word[1:]].terms)  # the fronts
+        return out
+
+    monkeypatch.setattr(st.AdemContext, "_form", traced_form)
+    monkeypatch.setattr(st.AdemContext, "_rewrite_tail_first", traced_tail_first)
+    words = [w for w in _normalized_words(p, 4, 8) if len(w) >= 3]
+    swept = set(words)
+    first = [ctx.rewrite(w) for w in words]
+    for word, terms in zip(words, first):
+        assert terms == leftmost_adem_rewrite(word, p), word
+    long_keys = {w for w in ctx._memo if len(w) >= 3}
+    assert long_keys <= reached and swept - long_keys
+    # a word the recursion reaches is stored, so it is rewritten once; a
+    # swept word once more at most, when its outside query came first
+    assert all(n <= 1 + (w in swept) for w, n in runs.items())
+    # a second sweep reads the kept words: no new entry, no Adem pair rewritten
+    size = len(ctx._memo)
+    monkeypatch.setattr(st.AdemContext, "_apply_pair", lambda *a: pytest.fail("Adem pair rewritten"))
+    second = [ctx.rewrite(w) for w in words]
+    assert len(ctx._memo) == size
+    assert all(a is b for a, b in zip(first, second))
