@@ -124,34 +124,6 @@ class SpaceModel:
                 tower.add_scaled(out, self.mul_names(x, y), c1 * c2, self.p)
         return out
 
-    def validate(self):
-        """Instability plus every Adem relation instance within the window."""
-        problems = []
-        p = self.p
-        for letter, cols in self.action.items():
-            e = (2 * letter[1] + letter[0]) if p != 2 else letter[1]
-            for x in cols:
-                if e > self.degree_of[x] and cols[x]:
-                    problems.append(("instability", letter, x))
-        letters = sorted(self.action)
-        for e1, a in letters:
-            for e2, b in letters:
-                if a >= p * b + e2:
-                    continue  # admissible adjacency, nothing to check
-                repl = st._adem_pair(e1, a, e2, b, p, st.FLAVOR_A)
-                for d, x in self.vs.items():
-                    if d + st.word_degree(((e1, a), (e2, b)), p) > self.D:
-                        continue
-                    lhs = self.act_word(((e1, a), (e2, b)), {x: 1})
-                    rhs = {}
-                    for key, c in repl.items():
-                        w = st.normalize_word_a(key, p)
-                        if w is not None:
-                            tower.add_scaled(rhs, self.act_word(w, {x: 1}), c, p)
-                    if lhs != rhs:
-                        problems.append(("adem", (e1, a, e2, b), x, lhs, rhs))
-        return problems
-
 
 _ATOM = re.compile(r"s(\d+)|sphere\(\s*(\d+)\s*\)|k(\d+)|k\(f_?(p|\d+)\s*,\s*(\d+)\s*\)")
 
@@ -184,6 +156,11 @@ def _parse_atom(text):
     return ("k", int(k or n), None if q in (None, "p") else int(q))
 
 
+def _table_letters(p, D):
+    """The letters a table holds within degree D: P^1..P^D (Sq^s at p = 2), and beta at odd p."""
+    return [(0, s) for s in range(1, D + 1)] + ([(1, 0)] if p != 2 else [])
+
+
 def _table_space(name, p, D, atoms, classes, letter, product):
     """The one table rule: a catalog space from its classes and its two rules.
 
@@ -198,7 +175,7 @@ def _table_space(name, p, D, atoms, classes, letter, product):
     for d, x in classes:
         basis.setdefault(d, []).append(x)
     action = {}
-    for L in [(0, s) for s in range(1, D + 1)] + ([(1, 0)] if p != 2 else []):
+    for L in _table_letters(p, D):
         cols = {x: letter(L, x) for d, x in classes if d + st.letter_degree(L, p) <= D}
         cols = {x: col for x, col in cols.items() if col}
         if cols:
@@ -608,7 +585,7 @@ def hom_set_count(X: SpaceModel, Y: SpaceModel):
             count *= p ** len(names)
             continue
         rows = {}  # (letter, class z) -> z-coordinates of its images of names: y is in their kernel
-        for L in [(0, s) for s in range(1, D + 1)] + ([(1, 0)] if p != 2 else []):
+        for L in _table_letters(p, D):
             for j, x in enumerate(names if n + st.letter_degree(L, p) <= D else ()):
                 for z, c in Y.act_letter(L, x).items():
                     rows.setdefault((L, z), [0] * len(names))[j] = c

@@ -87,7 +87,7 @@ def _emit(data: bytes, cfg: RunConfig):
 
 
 def cmd_adem(args, cfg):
-    elem, p = st.parse_word_text(args.word, p=args.p or cfg.p)
+    elem, p = st.parse_word_text(args.word, p=cfg.p)
     window = None
     if elem.flavor == st.FLAVOR_B:
         window = st.BWindow(K=cfg.window_K * 8 + 64, L=cfg.window_L + 8)

@@ -1,20 +1,20 @@
 """Cochain complexes, the descent complex, and the windowed bar construction.
 
 Derivations out of a free unstable algebra into a square-zero module with
-trivial action are free on the module generators (``der_free_basis``), so
-every cochain group is a plain Hom of graded vector spaces; the structure
-maps carry all the content.  ``CochainComplex`` holds such a complex and its
-cohomology; the cotriple resolution's complex is assembled in ``adams``.
-The levelwise two-term complex induced by x -> x - P^0 x computes the same
-derived derivations after base change to a chain level, and its kernel and
-cokernel are frobenius-semilinear data over the field chain.  That renders
-the descent isomorphism checkable: kernels match classical derivation
-spaces with an explicit inverse pair of maps, and every finite-level
-cokernel class acquires an Artin-Schreier death witness at a deeper chain
-level.  The 1 - frobenius block, its kernel and cokernel and its witnesses
-are computed once per (p, level) in ``tower``, which also checks the
-inverse pair on the block; this module tiles them across the coordinates
-of each degree.
+trivial action are free on the module generators, Hom(V0, M0) in matching
+degrees, so every cochain group is a plain Hom of graded vector spaces; the
+structure maps carry all the content.  ``CochainComplex`` holds such a
+complex and its cohomology; the cotriple resolution's complex is assembled
+in ``adams``.  The levelwise two-term complex induced by x -> x - P^0 x
+computes the same derived derivations after base change to a chain level,
+as one 1 - frobenius block per coordinate of Hom(V0, M0), and its kernel
+and cokernel are frobenius-semilinear data over the field chain.  That
+renders the descent isomorphism checkable: kernels match classical
+derivation spaces with an explicit inverse pair of maps, and every
+finite-level cokernel class acquires an Artin-Schreier death witness at a
+deeper chain level.  The block, its kernel and cokernel, its witnesses and
+the inverse pair are computed once per (p, level) in ``tower``;
+``descent_verify`` counts them over the coordinates of each degree.
 
 Cochain differentials are ``tower.SparseMap``s, bar boundaries are streamed
 column by column, and each complex is ranked once with clearing.
@@ -74,50 +74,6 @@ class CochainComplex:
 # the two-term descent complex
 # ---------------------------------------------------------------------------
 
-def der_free_basis(W: GradedVS, M: GradedVS):
-    """Basis of derivations out of the free algebra on W into M: matching-degree pairs."""
-    out = []
-    for d, w in W.items():
-        for m in M.basis.get(d, ()):
-            out.append((d, w, m))
-    return tuple(out)
-
-
-def descent_two_term(V0: GradedVS, M0: GradedVS, level, p=2):
-    """Kernel/cokernel F_p data of the frobenius-twisted endomorphism on Hom(V, M).
-
-    This is the two-term complex computing the derived derivations of the
-    algebra-side free object after base change to the chain level: the map
-    induced by x -> x - P^0 x acts on a derivation's coordinates as
-    1 - frobenius.  Returns per-degree D^0/D^1 dimensions plus the raw
-    kernel/cokernel bases per degree.
-    """
-    report = {"p": p, "level": level, "degrees": {}, "D0_total": 0, "D1_total": 0}
-    for d in sorted(set(V0.degrees()) | set(M0.degrees())):
-        n = V0.dim(d) * M0.dim(d)
-        if n == 0:
-            continue
-        ker, cok = (_tile(block, n) for block in tower.semilinear_kernel_cokernel(p, level))
-        report["degrees"][d] = {
-            "coords": n,
-            "D0": len(ker),
-            "D1": len(cok),
-            "kernel": ker,
-            "cokernel": cok,
-        }
-        report["D0_total"] += len(ker)
-        report["D1_total"] += len(cok)
-    return report
-
-
-def _tile(block, n):
-    """Rows of the block-diagonal matrix with n copies of block (np.kron(eye(n), block))."""
-    return tuple(
-        (0,) * (i * len(row)) + tuple(row) + (0,) * ((n - 1 - i) * len(row))
-        for i in range(n) for row in block
-    )
-
-
 def descent_verify(V0: GradedVS, M0: GradedVS, p=2, start_level=1, max_level=tower.MAX_LEVEL):
     """Checkable form of the descent theorem on (V0, M0).
 
@@ -126,10 +82,13 @@ def descent_verify(V0: GradedVS, M0: GradedVS, p=2, start_level=1, max_level=tow
         maps (both composites are identity matrices).
     (b) every D^1 class at a finite level dies at a deeper level, recorded
         by an Artin-Schreier witness.
-    1 - frobenius is block-diagonal, so both are read from its one-coordinate
-    block: the inverse pair is cached per (p, level), and cokernel row ri
-    dies where block row ri mod (block cokernel rank) has its witness,
-    always above the start level (a row is no value of 1 - frobenius there).
+    1 - frobenius is block-diagonal, one block per coordinate, so both are
+    counted off the block: D^0 = classical . rank(ker) and D^1 = classical .
+    rank(coker), so the dimensions match exactly when rank(ker) = 1 or there
+    is no coordinate; the inverse pair is cached per (p, level); and in each
+    degree, class i . rank(coker) + r (copy i of block cokernel row r) dies
+    where row r has its witness, always above the start level (a row is no
+    value of 1 - frobenius there).
     Failures are reported, never raised.  A class with no witness anywhere
     in the chain fails (b) without refuting it (a nonzero-trace b needs an
     extension of degree p, and only p = 2 and 3 divide the chain's degrees):
@@ -139,13 +98,11 @@ def descent_verify(V0: GradedVS, M0: GradedVS, p=2, start_level=1, max_level=tow
     """
     if start_level > max_level:
         raise ValueError(f"descent levels {start_level}..{max_level} hold no level to check")
-    classical = der_free_basis(V0, M0)
-    classical_by_deg = {}
-    for d, _, _ in classical:
-        classical_by_deg[d] = classical_by_deg.get(d, 0) + 1
+    coords = [(d, V0.dim(d) * M0.dim(d)) for d in V0.degrees() if M0.dim(d)]
+    classical = sum(n for _, n in coords)
     report = {
         "p": p,
-        "classical_dim": len(classical),
+        "classical_dim": classical,
         "levels": {},
         "witnesses": [],
         "pass_dims": True,
@@ -154,20 +111,19 @@ def descent_verify(V0: GradedVS, M0: GradedVS, p=2, start_level=1, max_level=tow
     }
     missing = late = False
     for k in range(start_level, max_level + 1):
-        two = descent_two_term(V0, M0, k, p)
-        dims_ok = all(
-            cell["D0"] == classical_by_deg.get(d, 0) for d, cell in two["degrees"].items()
-        ) and two["D0_total"] == len(classical)
-        report["levels"][k] = {"D0": two["D0_total"], "D1": two["D1_total"], "dims_ok": dims_ok}
-        report["pass_dims"] = report["pass_dims"] and dims_ok
-        if not two["degrees"]:
+        if not classical:
+            report["levels"][k] = {"D0": 0, "D1": 0, "dims_ok": True}
             continue
+        ker, cok = tower.semilinear_kernel_cokernel(p, k)
+        dims_ok = len(ker) == 1
+        report["levels"][k] = {"D0": classical * len(ker), "D1": classical * len(cok), "dims_ok": dims_ok}
+        report["pass_dims"] = report["pass_dims"] and dims_ok
         if not tower.base_slot_inverse_pair(p, k):
             report["pass_inverse_pair"] = False
         if k == start_level:
             levels = [lvl for lvl, _ in tower.cokernel_witnesses(p, k)]
-            for d, cell in two["degrees"].items():
-                for ri in range(cell["D1"]):
+            for d, n in coords:
+                for ri in range(n * len(cok)):
                     death = levels[ri % len(levels)]
                     if death is None:
                         missing = True

@@ -113,18 +113,17 @@ def d1_saturation_report(X: SpaceModel, Y: SpaceModel, s_max, t_max, D,
     cokernel of the two-term complex at chain level 1 is nonzero;
     each representative must become a boundary at some level within the
     schedule, witnessed by an Artin-Schreier solution.  An exhausted
-    schedule is inconclusive, not a pass.  Like ``adams_chart``, it refuses a
-    target with nontrivial operations when t_max >= 1.
+    schedule is inconclusive, not a pass, and a schedule of one level or
+    less is reported so before the resolution is built.  Like
+    ``adams_chart``, it refuses a target with nontrivial operations when
+    t_max >= 1.
     """
-    res = _chart_resolution(X, s_max, _chart_window(Y, t_max, D), budget, resolution)
-    report = {"entries": [], "pass": True, "inconclusive": False}
+    d_needed = _chart_window(Y, t_max, D)
     if schedule_max <= 1:
-        report["inconclusive"] = True
-        report["pass"] = False
-        report["reason"] = (
-            f"schedule max {schedule_max} cannot witness deaths from level 1"
-        )
-        return report
+        reason = f"schedule max {schedule_max} cannot witness deaths from level 1"
+        return {"entries": [], "pass": False, "inconclusive": True, "reason": reason}
+    res = _chart_resolution(X, s_max, d_needed, budget, resolution)
+    report = {"entries": [], "pass": True, "inconclusive": False}
     witnesses = tower.cokernel_witnesses(X.p, 1)
     for t in range(1, t_max + 1):
         M = suspension_target(Y, t)

@@ -307,13 +307,6 @@ class FreeUnstableAlgebra(MonomialBasis):
             vec = self.act_letter(eps, s, vec)
         return vec
 
-    def act(self, op, vec):
-        """Action of an OpElement (flavor A) on a dict-vector."""
-        out = {}
-        for w, oc in op.terms.items():
-            add_scaled(out, self.act_word(w, vec), oc, self.p)
-        return out
-
 
 # ---------------------------------------------------------------------------
 # algebra maps

@@ -203,16 +203,13 @@ def _gen_pairs(gens):
     return sorted((name, deg) for name, deg in gens)
 
 
-def act_free(p, flavor, op, elt, gen_degrees, window=None):
+def act_free(ctx, op_terms, elt, gen_degrees):
     """Action on a free module: rewrite composed words, drop excess violations.
 
-    elt is a dict {(word, genname): coeff}; op an OpElement of the same flavor.
+    ctx is the Adem context (st.get_context) of the op's flavor, op_terms
+    its {word: coeff}, elt a dict {(word, genname): coeff}; a window looks
+    ctx up once for all its columns.
     """
-    return _act_free(st.get_context(p, flavor, window), op.terms, elt, gen_degrees)
-
-
-def _act_free(ctx, op_terms, elt, gen_degrees):
-    """act_free in a given Adem context, for op terms {word: coeff}; a window looks ctx up once."""
     p, out = ctx.p, {}
     for (w, g), c in elt.items():
         n = gen_degrees[g]
@@ -245,7 +242,7 @@ def one_minus_p0_window(V, window, d, p=2, length_cap=None):
     gen_degrees = dict(_gen_pairs(V))
     cols = []
     for w, g in src:
-        image = _act_free(ctx, {w + ((0, 0),): 1}, {((), g): 1}, gen_degrees)
+        image = act_free(ctx, {w + ((0, 0),): 1}, {((), g): 1}, gen_degrees)
         for key in image:
             assert key in tgt_index, f"rewrite left the window: {key}"
         col = {tgt_index[(w, g)]: 1}
@@ -271,8 +268,8 @@ def quotient_q_window(V, window, d, p=2, length_cap=None):
         if any(s < 0 for _, s in w):
             cols.append({})
             continue
-        # _act_free normalizes w, as OpElement.from_word would
-        image = _act_free(ctx, {w: 1}, {((), g): 1}, gen_degrees)
+        # act_free normalizes w, as OpElement.from_word would
+        image = act_free(ctx, {w: 1}, {((), g): 1}, gen_degrees)
         cols.append({tgt_index[key]: c for key, c in image.items()})
     return tower.SparseMap(len(tgt), cols, p), src, tgt
 

@@ -855,7 +855,12 @@ def table_law_violations(space):
     - at odd p, the Leibniz rule beta(xy) = beta(x) y + (-1)^|x| x beta(y);
     - graded commutativity: a table holds x y for x <= y by name and y x is
       (-1)^(|x||y|) x y, so at odd p an odd class must square to 0;
-    - associativity (x y) z = x (y z).
+    - associativity (x y) z = x (y z);
+    - instability: a table letter of excess e (s for Sq^s, 2s + eps for
+      beta^eps P^s) kills every class of degree < e;
+    - each Adem relation on an inadmissible pair of table letters, applied
+      to every class, by _adem_relation and _normalize.
+    A product missing from the table reads as 0.
     """
     p, D = space.p, space.D
     deg = {x: d for d, x in space.vs.items()}
@@ -875,13 +880,36 @@ def table_law_violations(space):
 
     @functools.cache
     def pair(x, y):
-        col = space.products[min(x, y), max(x, y)]
+        col = space.products.get((min(x, y), max(x, y)), {})
         return {z: -c % p for z, c in col.items()} if x > y and deg[x] * deg[y] % 2 else col
 
     def mul(u, v):
         return total([(a * b, pair(x, y)) for x, a in u.items() for y, b in v.items()])
 
+    def act(word, x):
+        """A word of letters (eps, s) on x, rightmost first; beta P^s is beta after P^s."""
+        vec = {x: 1}
+        for eps, s in reversed(word):
+            for L in [(0, s)] * bool(s) + [(1, 0)] * eps:
+                vec = total([(c, letter(L, z)) for z, c in vec.items()])
+        return vec
+
     problems = []
+    for L, cols in space.action.items():
+        for x, col in cols.items():
+            if col and (L[1] if p == 2 else 2 * L[1] + L[0]) > deg[x]:
+                problems.append(("instability", L, x))
+    for first in sorted(space.action):
+        for second in sorted(space.action):
+            if first[1] >= p * second[1] + second[0]:
+                continue  # admissible, nothing to check
+            relation = [(_normalize(w), c) for w, c in _adem_relation(first, second, p)]
+            for x in classes:
+                if deg[x] + ldeg[first] + ldeg[second] > D:
+                    continue
+                rhs = total([(c, act(w, x)) for w, c in relation if w is not None])
+                if act((first, second), x) != rhs:
+                    problems.append(("adem", first, second, x))
     for x in classes:
         for y in classes:
             if deg[x] + deg[y] > D:

@@ -45,7 +45,7 @@ def test_sphere_space():
     # all positive operations vanish, the square vanishes
     assert S2.action == {}
     assert S2.mul_names("s2", "s2") == {}
-    assert S2.validate() == []
+    assert table_law_violations(S2) == []
 
 
 def test_k_space_tables():
@@ -53,11 +53,11 @@ def test_k_space_tables():
     assert [len(K1.basis(d)) for d in range(1, 7)] == [1] * 6
     (x,), (x2,) = K1.basis(1), K1.basis(2)
     assert K1.act_word(((0, 1),), {x: 1}) == {x2: 1}
-    assert K1.validate() == []
+    assert table_law_violations(K1) == []
     K2 = builtin_space("K2", 2, 7)
     dims = [len(K2.basis(d)) for d in range(0, 8)]
     assert dims == [0, 0, 1, 1, 1, 2, 2, 2]
-    assert K2.validate() == []
+    assert table_law_violations(K2) == []
 
 
 @pytest.mark.parametrize("p,n,D", [(3, 1, 12), (3, 2, 14), (3, 3, 15), (5, 1, 20)])
@@ -85,7 +85,7 @@ def test_product_space_kunneth():
     a, b = T.basis(1)
     assert T.mul_names(a, b) == {T.basis(2)[0]: 1}
     assert T.mul_names(a, a) == {}
-    assert T.validate() == []
+    assert table_law_violations(T) == []
 
 
 @pytest.mark.parametrize("name", ["K1*K1", "K1*S1"])
@@ -94,7 +94,7 @@ def test_product_space_bockstein_at_odd_prime(name):
     # the a (x) beta b term makes beta beta (x (x) x) nonzero on K1*K1
     space = builtin_space(name, 3, 6)
     assert space.action[(1, 0)]
-    assert space.validate() == []
+    assert table_law_violations(space) == []
 
 
 CATALOG_ATOMS = ("S1", "S2", "S3", "S4", "K1", "K2", "K3", "point")
@@ -125,15 +125,14 @@ def test_catalog_tables_are_frozen(p, D):
     for name in CATALOG_ATOMS + tuple(f"{a}*{b}" for a, b in pairs):
         space = builtin_space(name, p, D)
         h.update(repr(_canonical((space.vs.basis, space.action, space.products))).encode())
-        assert space.validate() == [], name
     assert h.hexdigest() == TABLE_DIGESTS[(p, D)]
 
 
 @pytest.mark.parametrize("p,D", sorted(TABLE_DIGESTS))
 def test_catalog_tables_obey_the_algebra_laws(p, D):
     # the Cartan formula, the Koszul-signed Bockstein Leibniz rule, graded
-    # commutativity and associativity, read off the tables of every atom and
-    # two-atom product of the frozen catalog
+    # commutativity, associativity, instability and the Adem relations, read
+    # off the tables of every atom and two-atom product of the frozen catalog
     pairs = itertools.combinations_with_replacement(CATALOG_ATOMS, 2)
     for name in CATALOG_ATOMS + tuple(f"{a}*{b}" for a, b in pairs):
         assert table_law_violations(builtin_space(name, p, D)) == [], name

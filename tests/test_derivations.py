@@ -13,8 +13,6 @@ from unstable_e2.derivations import (
     BudgetExceeded,
     CochainComplex,
     bar_homology_check,
-    der_free_basis,
-    descent_two_term,
     descent_verify,
 )
 from unstable_e2.unstable_algebras import FreeUnstableAlgebra, MonomialBasis
@@ -50,37 +48,49 @@ def test_two_term_on_isomorphism_is_contractible():
 
 
 def test_der_free_dimensions():
+    # derivations out of a free algebra are free on matching-degree pairs
     W = GradedVS.single(2, 3, "w")
-    assert der_free_basis(W, GradedVS.single(2, 3, "m")) == ((3, "w", "m"),)
-    assert der_free_basis(W, GradedVS.single(2, 5, "m")) == ()
+    assert descent_verify(W, GradedVS.single(2, 3, "m"), max_level=1)["classical_dim"] == 1
+    assert descent_verify(W, GradedVS.single(2, 5, "m"), max_level=1)["classical_dim"] == 0
     # several generators, shifted target
     W2 = GradedVS(2, {1: ("a",), 2: ("b",)})
     M = GradedVS(2, {1: ("m1",), 2: ("m2", "m2x")})
-    assert der_free_basis(W2, M) == ((1, "a", "m1"), (2, "b", "m2"), (2, "b", "m2x"))
+    assert descent_verify(W2, M, max_level=1)["classical_dim"] == 3
 
 
 def test_descent_two_term_examples():
     V0 = GradedVS.single(2, 3, "v")
     M0 = GradedVS.single(2, 3, "m")
-    rep = descent_two_term(V0, M0, 1)
-    assert rep["D0_total"] == 1
-    rep0 = descent_two_term(GradedVS(2, {}), M0, 1)
-    assert rep0["D0_total"] == 0 and rep0["D1_total"] == 0
+    levels = descent_verify(V0, M0, max_level=3)["levels"]
     for k in (1, 2, 3):
-        r = descent_two_term(V0, M0, k)
-        assert r["D0_total"] == 1 and r["D1_total"] == 1
+        assert levels[k]["D0"] == 1 and levels[k]["D1"] == 1
+    empty = descent_verify(GradedVS(2, {}), M0, max_level=1)["levels"]
+    assert empty[1]["D0"] == 0 and empty[1]["D1"] == 0
+
+
+def _check_against_bar(V0, M0, levels, p=2):
+    rep = descent_verify(V0, M0, p=p, max_level=max(levels))
+    for lvl in levels:
+        dims = two_term_bar_der_cohomology(V0, M0, lvl, 3, p)
+        assert dims[0] == rep["levels"][lvl]["D0"]
+        assert dims[1] == rep["levels"][lvl]["D1"]
+        assert dims[2] == dims[3] == 0
 
 
 def test_descent_two_term_no_higher_terms():
     # the complex has two terms: D^s for s >= 2 vanishes structurally;
     # the bar-assembled version must agree
-    V0, M0 = GradedVS.single(2, 2), GradedVS.single(2, 2)
-    for lvl in (1, 2):
-        dims = two_term_bar_der_cohomology(V0, M0, lvl, 3)
-        two = descent_two_term(V0, M0, lvl)
-        assert dims[0] == two["D0_total"]
-        assert dims[1] == two["D1_total"]
-        assert dims[2] == dims[3] == 0
+    _check_against_bar(GradedVS.single(2, 2), GradedVS.single(2, 2), (1, 2))
+
+
+@pytest.mark.parametrize("p, V0, M0, levels", [
+    (3, GradedVS.single(3, 4), GradedVS.single(3, 4), (1, 2, 3)),
+    # two coordinates: D^0 and D^1 are two copies of the block's
+    (2, GradedVS(2, {2: ("a", "b")}), GradedVS.single(2, 2), (1, 2)),
+    (3, GradedVS(3, {1: ("a",), 4: ("b",)}), GradedVS(3, {1: ("m",), 4: ("n",)}), (1, 2)),
+], ids=["p3-n1", "p2-n2", "p3-n2"])
+def test_descent_matches_the_bar_assembled_complex(p, V0, M0, levels):
+    _check_against_bar(V0, M0, levels, p)
 
 
 def test_descent_verify_single_classes():
@@ -112,10 +122,23 @@ def test_descent_verify_random_instances():
             return GradedVS(2, {d: tuple(v) for d, v in basis.items()})
 
         V0, M0 = rand_vs("v"), rand_vs("m")
-        classical = len(der_free_basis(V0, M0))
+        classical = sum(1 for d, _ in V0.items() for _ in M0.basis.get(d, ()))
         rep = descent_verify(V0, M0, p=2, max_level=2)
         assert rep["pass"], (dict(V0.basis), dict(M0.basis))
         assert rep["classical_dim"] == classical
+
+
+def test_descent_dims_check_is_live(monkeypatch):
+    # a block kernel of rank 2 doubles D^0 past the classical dimension;
+    # with no coordinate there is nothing to mismatch
+    V0 = M0 = GradedVS.single(2, 4)
+    real = tower.semilinear_kernel_cokernel
+    monkeypatch.setattr(tower, "semilinear_kernel_cokernel", lambda p, level: (
+        real(p, level)[0] * 2, real(p, level)[1]))
+    rep = descent_verify(V0, M0, p=2, max_level=2)
+    assert [rep["levels"][k]["D0"] for k in (1, 2)] == [2, 2]
+    assert not rep["levels"][1]["dims_ok"] and not rep["pass_dims"] and not rep["pass"]
+    assert descent_verify(GradedVS(2, {}), M0, p=2, max_level=2)["pass_dims"]
 
 
 def test_descent_inverse_pair_check_is_live(monkeypatch):
@@ -160,6 +183,12 @@ def _reference_death_level(tw, level, ncoords, row, max_level):
     return None
 
 
+def _tiled_cokernel(p, level, n):
+    """Cokernel rows of 1 - frobenius on n coordinates: n copies of the block's, in order."""
+    block = np.array(tower.semilinear_kernel_cokernel(p, level)[1], dtype=np.int64)
+    return np.kron(np.eye(n, dtype=np.int64), block).tolist()
+
+
 def test_descent_witnesses_match_per_coordinate_reference():
     rng = random.Random(2024)
 
@@ -176,12 +205,12 @@ def test_descent_witnesses_match_per_coordinate_reference():
                 V0, M0 = rand_vs(p, "v"), rand_vs(p, "m")
                 max_level = rng.randint(start, tower.MAX_LEVEL)
                 rep = descent_verify(V0, M0, p=p, start_level=start, max_level=max_level)
-                want = [
-                    {"degree": d, "rep": ri,
-                     "death_level": _reference_death_level(tw, start, cell["coords"], row, max_level)}
-                    for d, cell in descent_two_term(V0, M0, start, p)["degrees"].items()
-                    for ri, row in enumerate(cell["cokernel"])
-                ]
+                want = []
+                for d in sorted(set(V0.degrees()) & set(M0.degrees())):
+                    n = V0.dim(d) * M0.dim(d)
+                    for ri, row in enumerate(_tiled_cokernel(p, start, n)):
+                        death = _reference_death_level(tw, start, n, row, max_level)
+                        want.append({"degree": d, "rep": ri, "death_level": death})
                 assert rep["witnesses"] == want
 
 

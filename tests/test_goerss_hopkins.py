@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from unstable_e2 import tower
+from unstable_e2 import adams, tower
 from unstable_e2.adams import (
     Chart,
     ChartError,
@@ -108,7 +108,13 @@ def test_saturation_entries_are_the_nonzero_cochain_groups():
     assert len(rep["entries"]) == len(groups) == 11 and sum(groups.values()) == 56
 
 
-def test_saturation_inconclusive_when_schedule_short():
+def test_saturation_inconclusive_when_schedule_short(monkeypatch):
+    # a schedule of one level witnesses nothing: it is refused before the
+    # resolution is built
+    def no_resolution(*args):
+        raise AssertionError("built a resolution for a schedule that witnesses nothing")
+
+    monkeypatch.setattr(adams, "cotriple_resolution", no_resolution)
     S2 = builtin_space("S2", 2, 6)
     S1 = builtin_space("S1", 2, 6)
     rep = d1_saturation_report(S2, S1, 1, 2, D=6, schedule_max=1)

@@ -10,6 +10,7 @@ from unstable_e2.unstable_algebras import (
     MonomialBasis,
     extend_algebra_map,
 )
+from unstable_e2.tower import add_scaled
 from unstable_e2.unstable_modules import GradedVS, admissible_words_a, free_a_basis
 
 from oracles import algebra_map_violations, gen_vector, partition_count_dims
@@ -180,7 +181,9 @@ def test_act_word_matches_op_composition():
             st.OpElement(2, st.FLAVOR_A, {(w1,): 1}),
             st.OpElement(2, st.FLAVOR_A, {(w2,): 1}),
         )
-        rhs = A.act(op, av)
+        rhs = {}  # the op acts term by term
+        for w, c in op.terms.items():
+            add_scaled(rhs, A.act_word(w, av), c, 2)
         assert lhs == rhs
 
 
