@@ -4,7 +4,9 @@ A catalog space (the point, S^n, K(F_p, n) or a product of two) is one
 SpaceModel, which holds its classes, its letter and product tables and its
 atoms, the sphere and K(F_p, n) factors; one rule tabulates every space from
 its classes, a letter rule and a product rule.  The chart's (0,0) cell, the
-set of unstable-algebra maps H*X -> H*Y, is counted atom by atom.
+set of unstable-algebra maps H*X -> H*Y, is counted atom by atom.  SpaceModel
+and Chart are plain classes, as is every record of the package: none imports
+dataclasses, which would load inspect and its parsers into every process.
 
 The resolution iterates the free unstable algebra monad on the reduced
 cohomology of a space: level s is free on the full monomial basis of level
@@ -42,7 +44,6 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import steenrod as st
@@ -60,7 +61,6 @@ class ChartError(Exception):
 # built-in space catalog
 # ---------------------------------------------------------------------------
 
-@dataclass
 class SpaceModel:
     """Reduced mod-p cohomology of a catalog space as an unstable algebra, up to degree D.
 
@@ -74,16 +74,10 @@ class SpaceModel:
     their algebras.  act_word and mul read and return vectors {class: coeff}.
     """
 
-    name: str
-    p: int
-    D: int
-    atoms: tuple
-    vs: GradedVS
-    action: dict
-    products: dict
-
-    def __post_init__(self):
-        self.degree_of = {x: d for d, x in self.vs.items()}
+    def __init__(self, name, p, D, atoms, vs: GradedVS, action, products):
+        self.name, self.p, self.D, self.atoms = name, p, D, atoms
+        self.vs, self.action, self.products = vs, action, products
+        self.degree_of = {x: d for d, x in vs.items()}
 
     def basis(self, d):
         return self.vs.basis.get(d, ())
@@ -474,16 +468,18 @@ def cotriple_resolution(space: SpaceModel, s_max, D, budget=DEFAULT_BUDGET):
 # charts
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Chart:
-    p: int
-    kind: str  # "adams" | "gh"
-    s_max: int
-    t_max: int
-    D: int
-    entries: dict  # {(s, t): dim}, plus (0, 0) for the hom-set cell
-    fringe_set_size: int | None = None
-    tower_level: int | None = None
+    """An E2 chart: kind "adams" or "gh", entries {(s, t): dim}, (0, 0) the hom-set cell."""
+
+    def __init__(self, p, kind, s_max, t_max, D, entries, fringe_set_size=None, tower_level=None):
+        self.p, self.kind, self.s_max, self.t_max, self.D = p, kind, s_max, t_max, D
+        self.entries, self.fringe_set_size, self.tower_level = entries, fringe_set_size, tower_level
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __repr__(self):
+        return f"Chart({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     def dim(self, s, t):
         return self.entries.get((s, t), 0)
@@ -639,19 +635,32 @@ def _chart_json(chart: Chart):
     return (json.dumps(doc, separators=(",", ":")) + "\n").encode()
 
 
+def _json_int(value, field, optional=False):
+    """value if it is an int (not a bool), or None where optional; else ChartError naming field."""
+    if type(value) is not int and not (optional and value is None):
+        raise ChartError(f"chart JSON field {field} must be an integer, not {value!r}")
+    return value
+
+
 def chart_from_json(data):
+    """The Chart that chart_emit(chart, "json") wrote; a missing or mistyped field is a ChartError."""
     doc = json.loads(data)
     entries = {}
     set_size = None
     try:
-        for e in doc["entries"]:
-            entries[(e["s"], e["t"])] = e["dim"]
+        if doc["kind"] not in ("adams", "gh"):
+            raise ChartError(f"chart JSON field kind must be 'adams' or 'gh', not {doc['kind']!r}")
+        for i, e in enumerate(doc["entries"]):
+            s, t, dim = (_json_int(e[k], f"entries[{i}].{k}") for k in ("s", "t", "dim"))
+            entries[(s, t)] = dim
             if e.get("fringe"):
-                set_size = e.get("set_size")
+                set_size = _json_int(e.get("set_size"), f"entries[{i}].set_size", optional=True)
+        window = doc["window"]
         return Chart(
-            doc["p"], doc["kind"], doc["window"]["s_max"], doc["window"]["t_max"],
-            doc["D"], entries, fringe_set_size=set_size,
-            tower_level=doc.get("tower_level"),
+            _json_int(doc["p"], "p"), doc["kind"], _json_int(window["s_max"], "window.s_max"),
+            _json_int(window["t_max"], "window.t_max"), _json_int(doc["D"], "D"), entries,
+            fringe_set_size=set_size,
+            tower_level=_json_int(doc.get("tower_level"), "tower_level", optional=True),
         )
     except KeyError as e:
         raise ChartError(f"chart JSON has no field {e.args[0]!r}") from None

@@ -1,9 +1,10 @@
 """Command-line surface: every computation behind one deterministic entry point.
 
 Exit codes: 0 = pass, 1 = a check reported failure, 2 = error or an
-inconclusive schedule.  Configuration comes from defaults, then an optional
-JSON config file, then flags (flags win).  Outputs are byte-identical
-across runs with the same configuration.
+inconclusive schedule.  Configuration (a RunConfig, whose FIELDS are the
+config keys and the flags' dests) comes from defaults, then an optional JSON
+config file, then flags (flags win).  Outputs are byte-identical across runs
+with the same configuration.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
 
 from . import steenrod as st
 from . import tower
@@ -29,18 +29,15 @@ from .goerss_hopkins import compare_charts, d1_saturation_report, gh_chart
 from .unstable_modules import GradedVS, ModWindow, exactness_report, free_a_basis, free_b_basis_window
 
 
-@dataclass
 class RunConfig:
-    p: int = 2
-    D: int = 10
-    s_max: int = 2
-    t_max: int = 6
-    window_L: int = 8
-    window_K: int = 8
-    tower_max: int = 3
-    budget: int = DEFAULT_BUDGET
-    format: str = "json"
-    out: str = None
+    FIELDS = ("p", "D", "s_max", "t_max", "window_L", "window_K", "tower_max", "budget",
+              "format", "out")
+
+    def __init__(self, p=2, D=10, s_max=2, t_max=6, window_L=8, window_K=8, tower_max=3,
+                 budget=DEFAULT_BUDGET, format="json", out=None):
+        self.p, self.D, self.s_max, self.t_max = p, D, s_max, t_max
+        self.window_L, self.window_K, self.tower_max = window_L, window_K, tower_max
+        self.budget, self.format, self.out = budget, format, out
 
     def validate(self):
         for f in ("p", "D", "s_max", "t_max", "window_L", "window_K", "tower_max", "budget"):
@@ -64,16 +61,15 @@ def _load_config(args):
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError(f"config file must hold a JSON object, not {type(data).__name__}")
-        names = [f.name for f in fields(RunConfig)]
-        unknown = sorted(set(data) - set(names))
+        unknown = sorted(set(data) - set(RunConfig.FIELDS))
         if unknown:
-            raise ValueError(f"unknown config keys {unknown}; the keys are {' '.join(names)}")
+            raise ValueError(f"unknown config keys {unknown}; the keys are {' '.join(RunConfig.FIELDS)}")
         for k, v in data.items():
             setattr(cfg, k, v)
-    for f in fields(RunConfig):  # each flag's dest is its field's name
-        v = getattr(args, f.name)
+    for name in RunConfig.FIELDS:  # each flag's dest is its field's name
+        v = getattr(args, name)
         if v is not None:
-            setattr(cfg, f.name, v)
+            setattr(cfg, name, v)
     cfg.validate()
     return cfg
 

@@ -30,8 +30,6 @@ criterion 10.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from . import tower
 from .adams import (
     Chart,
@@ -75,8 +73,8 @@ def gh_chart(X: SpaceModel, Y: SpaceModel, s_max, t_max, D, level=2, budget=DEFA
             raise AssertionError(
                 f"kernel of 1 - frobenius at chain level {k} is not the base-field slot"
             )
-    return replace(adams_chart(X, Y, s_max, t_max, D, budget, resolution),
-                   kind="gh", tower_level=level + 1)
+    a = adams_chart(X, Y, s_max, t_max, D, budget, resolution)
+    return Chart(a.p, "gh", a.s_max, a.t_max, a.D, a.entries, a.fringe_set_size, level + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ Correctness at p = 2 is anchored by the polynomial-action oracle
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 from types import MappingProxyType
 
 from .tower import add_scaled
@@ -39,12 +39,10 @@ class WindowExhausted(Exception):
     """Flavor-B rewriting left the configured index/length window."""
 
 
-@dataclass(frozen=True)
-class BWindow:
+class BWindow(namedtuple("BWindow", "K L", defaults=(200, 64))):
     """Hard bounds for flavor-B rewriting: indices in [-K, K], length <= L."""
 
-    K: int = 200
-    L: int = 64
+    __slots__ = ()
 
 
 DEFAULT_B_WINDOW = BWindow()

@@ -39,8 +39,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import os
 import sys
-from importlib import resources
 
 MAX_LEVEL = 4
 
@@ -273,16 +273,16 @@ def complex_ranks(maps, p):
 # ---------------------------------------------------------------------------
 
 def _poly_table():
-    text = resources.files("unstable_e2.data").joinpath("defining_polys.txt").read_text()
     table = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [int(x) for x in line.split()]
-        p, deg, coeffs = parts[0], parts[1], parts[2:]
-        assert len(coeffs) == deg + 1 and coeffs[-1] == 1
-        table[(p, deg)] = tuple(coeffs)
+    with open(os.path.join(os.path.dirname(__file__), "data", "defining_polys.txt")) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = [int(x) for x in line.split()]
+            p, deg, coeffs = parts[0], parts[1], parts[2:]
+            assert len(coeffs) == deg + 1 and coeffs[-1] == 1
+            table[(p, deg)] = tuple(coeffs)
     return table
 
 

@@ -23,20 +23,17 @@ modules and the classes of a catalog space (adams.SpaceModel).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from operator import itemgetter
 
 from . import steenrod as st
 from . import tower
 
 
-@dataclass(frozen=True)
-class ModWindow:
+class ModWindow(namedtuple("ModWindow", "D L K")):
     """Window for flavor-B module data: degree cap, word length cap, index floor."""
 
-    D: int
-    L: int
-    K: int
+    __slots__ = ()
 
     def rewrite_window(self):
         # indices may grow while rewriting, lengths never do (flavor B), and the
@@ -235,8 +232,8 @@ def one_minus_p0_window(V, window, d, p=2, length_cap=None):
     F_p with rows indexed by the target window basis.
     """
     L = window.L if length_cap is None else length_cap
-    src = free_b_basis_window(V, d, replace(window, L=L), p)
-    tgt = free_b_basis_window(V, d, replace(window, L=L + 1), p)
+    src = free_b_basis_window(V, d, window._replace(L=L), p)
+    tgt = free_b_basis_window(V, d, window._replace(L=L + 1), p)
     tgt_index = {b: i for i, b in enumerate(tgt)}
     ctx = st.get_context(p, st.FLAVOR_B, window.rewrite_window())
     gen_degrees = dict(_gen_pairs(V))
@@ -258,7 +255,7 @@ def quotient_q_window(V, window, d, p=2, length_cap=None):
     then rewrite in the classical algebra and filter by excess.
     """
     L = window.L if length_cap is None else length_cap
-    src = free_b_basis_window(V, d, replace(window, L=L), p)
+    src = free_b_basis_window(V, d, window._replace(L=L), p)
     tgt = free_a_basis(V, d, p)
     tgt_index = {b: i for i, b in enumerate(tgt)}
     ctx = st.get_context(p, st.FLAVOR_A)
@@ -322,7 +319,7 @@ def _stabilized_coker_dim(V, window, d, p, L):
     non-increasing in j, and two consecutive equal values are the
     saturation witness.  Returns (rank, saturated).
     """
-    tgt1 = free_b_basis_window(V, d, replace(window, L=L + 1), p)
+    tgt1 = free_b_basis_window(V, d, window._replace(L=L + 1), p)
     if not tgt1:
         return 0, True
     prev = None

@@ -598,6 +598,17 @@ def test_chart_emit_json_roundtrip_and_determinism():
     assert chart_emit(ch, "json") == blob  # repeated emission is byte-identical
 
 
+def test_chart_value_equality_and_repr():
+    ch = Chart(2, "adams", 1, 2, 5, {(0, 0): 0, (0, 2): 1}, fringe_set_size=1)
+    assert ch == Chart(2, "adams", 1, 2, 5, {(0, 0): 0, (0, 2): 1}, 1)
+    assert ch == chart_from_json(chart_emit(ch, "json"))
+    assert ch != Chart(2, "gh", 1, 2, 5, {(0, 0): 0, (0, 2): 1}, 1, tower_level=3)
+    assert repr(ch) == ("Chart(p=2, kind='adams', s_max=1, t_max=2, D=5, "
+                        "entries={(0, 0): 0, (0, 2): 1}, fringe_set_size=1, tower_level=None)")
+    with pytest.raises(TypeError):
+        hash(ch)  # a chart holds a dict: it is a mutable value, not a key
+
+
 def test_chart_emit_empty_and_single_dot():
     ch = Chart(2, "adams", 1, 2, 5, {})
     for fmt in ("json", "svg", "ascii"):

@@ -253,6 +253,48 @@ def test_bad_config_file_exit_code(tmp_path, config, message):
     assert r.stderr.startswith("error: ") and message in r.stderr
 
 
+def test_unknown_config_key_lists_every_key_in_order(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"smax": 1}))
+    code, out = run(["kn-dims", "--n", "1", "--config", str(cfg)])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == (
+        "error: unknown config keys ['smax']; the keys are "
+        "p D s_max t_max window_L window_K tower_max budget format out\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        # a string p or s_max used to read as a window mismatch of two equal windows
+        (lambda d: d.update(p="2"), "p"),
+        (lambda d: d["window"].update(s_max="1"), "window.s_max"),
+        # a string dim used to be reported as a differing cell, exit 1
+        (lambda d: d["entries"][-1].update(dim="x"), "entries[3].dim"),
+        # a boolean dim used to pass as 1
+        (lambda d: d["entries"][-1].update(dim=True), "entries[3].dim"),
+        (lambda d: d["entries"][0].update(set_size=1.0), "entries[0].set_size"),
+        (lambda d: d.update(tower_level="3"), "tower_level"),
+        (lambda d: d.update(kind="chart"), "kind"),
+    ],
+    ids=["p-string", "s_max-string", "dim-string", "dim-bool", "set_size-float",
+         "tower_level-string", "kind-unknown"],
+)
+def test_compare_refuses_mistyped_chart_fields(tmp_path, capsys, edit, field):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    code, _ = run(["adams-chart", "--X", "S2", "--Y", "S1", "--smax", "1", "--tmax", "2",
+                   "--D", "6", "--out", str(a)])
+    doc = json.loads(a.read_text())
+    assert code == 0 and doc["entries"][-1] == {"s": 1, "t": 2, "dim": 1}
+    edit(doc)
+    b.write_text(json.dumps(doc))
+    code, out = run(["compare", str(a), str(b)])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: chart JSON field {field} must be "), err
+
+
 def test_bar_check_degree_zero_exit_code(capsys):
     for n in ("0", "-1"):
         code, out = run(["bar-check", "--n", n])

@@ -128,6 +128,17 @@ def test_gh_chart_tower_level_recorded():
     assert g.kind == "gh" and g.tower_level == 3
 
 
+def test_gh_chart_on_a_prebuilt_resolution_leaves_the_adams_chart_alone():
+    S2 = builtin_space("S2", 2, 6)
+    S1 = builtin_space("S1", 2, 6)
+    res = cotriple_resolution(S2, 1, 4)
+    g = gh_chart(S2, S1, 1, 3, D=6, level=2, resolution=res)
+    a = adams_chart(S2, S1, 1, 3, D=6, resolution=res)
+    assert (g.kind, g.tower_level) == ("gh", 3)
+    assert (a.kind, a.tower_level) == ("adams", None)
+    assert (g.entries, g.fringe_set_size) == (a.entries, a.fringe_set_size)
+
+
 def test_product_space_odd_p_kunneth_sign():
     T = builtin_space("S1*S3", 3, 6)
     a = [n for n in T.basis(1)][0]

@@ -190,6 +190,16 @@ def test_window_exhaustion():
         adem_rewrite(OpElement(2, FLAVOR_B, {((0, 5), (0, 0)): 1}), small)
 
 
+def test_bwindow_is_an_immutable_keyed_value():
+    assert BWindow() == BWindow(K=200, L=64) == st.DEFAULT_B_WINDOW
+    w = BWindow(L=5, K=9)
+    assert (w.K, w.L) == (9, 5) and w == BWindow(9, 5) and repr(w) == "BWindow(K=9, L=5)"
+    with pytest.raises(AttributeError):
+        w.L = 6
+    # equal windows are one key: they share one Adem context and its memo
+    assert st.get_context(2, FLAVOR_B, BWindow(K=9, L=5)) is st.get_context(2, FLAVOR_B, w)
+
+
 def test_parse_and_format():
     x, p = parse_word_text("A:Sq[1,1]")
     assert format_element(adem_rewrite(x)) == "0"

@@ -98,6 +98,22 @@ def test_free_b_window_examples():
     assert free_b_basis_window([("x", 3)], 3, w0) == (((), "x"),)
 
 
+def test_mod_window_is_an_immutable_value():
+    w = ModWindow(K=7, D=6, L=3)
+    assert (w.D, w.L, w.K) == (6, 3, 7) and w == ModWindow(6, 3, 7)
+    assert repr(w) == "ModWindow(D=6, L=3, K=7)"
+    with pytest.raises(AttributeError):
+        w.L = 4
+    assert w.rewrite_window() == st.BWindow(K=2 * 7 + 2 * 6 + 16, L=2 * 3 + 4)
+
+
+def test_exactness_report_leaves_the_callers_window_unchanged():
+    # the report reads longer and shorter copies of the window, never edits it
+    w = ModWindow(D=4, L=2, K=4)
+    rep = exactness_report(GradedVS.single(2, 1), w)
+    assert w == ModWindow(D=4, L=2, K=4) and rep["window"] is w
+
+
 def test_window_monotone():
     # enlarging the window only adds basis elements
     small = set(admissible_words_b(2, 0, 2, 3, 2))
