@@ -22,15 +22,15 @@ Nothing in the package needs numpy; the test suite and the benchmark do.
 
 __version__ = "0.1.0"
 
-from .adams import adams_chart, builtin_space, chart_emit, cotriple_resolution
+from .adams import CotripleResolution, adams_chart, builtin_space, chart_emit
 from .goerss_hopkins import compare_charts, d1_saturation_report, gh_chart
 
 __all__ = [
+    "CotripleResolution",
     "adams_chart",
     "builtin_space",
     "chart_emit",
     "compare_charts",
-    "cotriple_resolution",
     "d1_saturation_report",
     "gh_chart",
 ]

@@ -460,10 +460,6 @@ class CotripleResolution:
         return self._vidx[s + 1][inner]
 
 
-def cotriple_resolution(space: SpaceModel, s_max, D, budget=DEFAULT_BUDGET):
-    return CotripleResolution(space, s_max, D, budget)
-
-
 # ---------------------------------------------------------------------------
 # charts
 # ---------------------------------------------------------------------------
@@ -513,33 +509,17 @@ def _chart_window(Y: SpaceModel, t_max, D):
     return d_needed
 
 
-def _chart_resolution(X: SpaceModel, s_max, d_needed, budget, resolution):
-    """cotriple_resolution(X, s_max) to degree d_needed, or the caller's, of X to that depth.
-
-    Chart rows 0..s_max read V[0..s_max + 1] and the faces of levels 0..s_max.
-    """
-    if resolution is None:
-        return cotriple_resolution(X, s_max, d_needed, budget)
-    if resolution.space is not X:
-        raise ChartError(f"resolution is of {resolution.space.name}, not of {X.name}")
-    if resolution.D < d_needed:
-        raise ChartError(f"resolution stops at degree {resolution.D}, need {d_needed}")
-    if resolution.s_max < s_max:
-        raise ChartError(f"resolution holds {resolution.s_max + 1} levels, need {s_max + 1}")
-    return resolution
-
-
-def adams_chart(X: SpaceModel, Y: SpaceModel, s_max, t_max, D, budget=DEFAULT_BUDGET,
-                resolution=None):
+def adams_chart(X: SpaceModel, Y: SpaceModel, s_max, t_max, D, budget=DEFAULT_BUDGET):
     """The unstable Adams E2 chart on the window, plus the (0,0) hom-set cell.
 
     Cell (s, t) is the sum over the degrees d of Sigma^t H*Y of
     dim (Sigma^t H*Y)_d . H^s of the degree-d normalized complex; each
     degree's complex is built, d.d-checked and ranked once per chart.  That
     sum needs a trivially-acting target, so a target with nontrivial
-    operations is refused when t_max >= 1.  The hom-set is counted before
-    the resolution is built: a size that is not a p-power (at odd p, an
-    even sphere's class must square to 0) is refused at no cost.
+    operations is refused when t_max >= 1.  The chart builds levels 0..s_max
+    of X to degree t_max + top(H*Y), and none at t_max = 0, after counting
+    the hom-set: a size that is not a p-power (at odd p, an even sphere's
+    class must square to 0) is refused at no cost.
     """
     d_needed = _chart_window(Y, t_max, D)
     count, r = hom_set_count(X, Y), 0
@@ -549,8 +529,8 @@ def adams_chart(X: SpaceModel, Y: SpaceModel, s_max, t_max, D, budget=DEFAULT_BU
         raise ChartError(f"hom-set cardinality {count} of {X.name} -> {Y.name} at p = {X.p} "
                          "is not a p-power: these maps form a set, not an F_p-vector space "
                          "(y^2 = 0 is not a linear condition on y)")
-    res = _chart_resolution(X, s_max, d_needed, budget, resolution)
     targets = [suspension_target(Y, t) for t in range(1, t_max + 1)]
+    res = CotripleResolution(X, s_max, d_needed, budget) if targets else None  # none at t_max = 0
     H = {d: res.der_cochain_complex(d, s_max + 1).cohomology_dims(s_max)
          for d in sorted({d for M in targets for d in M.degrees()})}
     entries = {}

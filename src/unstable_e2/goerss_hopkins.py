@@ -34,8 +34,8 @@ from . import tower
 from .adams import (
     Chart,
     ChartError,
+    CotripleResolution,
     SpaceModel,
-    _chart_resolution,
     _chart_window,
     adams_chart,
     suspension_has_trivial_action,
@@ -48,8 +48,7 @@ from .derivations import DEFAULT_BUDGET
 # the chart
 # ---------------------------------------------------------------------------
 
-def gh_chart(X: SpaceModel, Y: SpaceModel, s_max, t_max, D, level=2, budget=DEFAULT_BUDGET,
-             resolution=None):
+def gh_chart(X: SpaceModel, Y: SpaceModel, s_max, t_max, D, level=2, budget=DEFAULT_BUDGET):
     """The second-pipeline E2 chart, computed at a chain level and re-checked one deeper.
 
     Per construction level, the cochain group is the kernel of the two-term
@@ -58,8 +57,9 @@ def gh_chart(X: SpaceModel, Y: SpaceModel, s_max, t_max, D, level=2, budget=DEFA
     block by ``tower.base_slot_inverse_pair``, the check ``descent_verify``
     runs: the kernel and the base-field slot are inverse, so the restricted
     complex is the classical one at every one of the three levels, and the
-    entries are ``adams_chart``'s.  The chart records the highest verified
-    level; a failed check raises AssertionError naming the level.
+    entries are ``adams_chart``'s, on the resolution that it builds (none at
+    t_max = 0).  The chart records the highest verified level; a failed check
+    raises AssertionError naming the level.
     """
     if not suspension_has_trivial_action(Y):
         raise ChartError(
@@ -73,7 +73,7 @@ def gh_chart(X: SpaceModel, Y: SpaceModel, s_max, t_max, D, level=2, budget=DEFA
             raise AssertionError(
                 f"kernel of 1 - frobenius at chain level {k} is not the base-field slot"
             )
-    a = adams_chart(X, Y, s_max, t_max, D, budget, resolution)
+    a = adams_chart(X, Y, s_max, t_max, D, budget)
     return Chart(a.p, "gh", a.s_max, a.t_max, a.D, a.entries, a.fringe_set_size, level + 1)
 
 
@@ -103,7 +103,7 @@ def compare_charts(a: Chart, b: Chart):
 
 
 def d1_saturation_report(X: SpaceModel, Y: SpaceModel, s_max, t_max, D,
-                         schedule_max=3, budget=DEFAULT_BUDGET, resolution=None):
+                         schedule_max=3, budget=DEFAULT_BUDGET):
     """Death witnesses for every positive two-term cokernel class, per level and t.
 
     For each resolution level s and each t whose cochain group is nonzero
@@ -112,16 +112,19 @@ def d1_saturation_report(X: SpaceModel, Y: SpaceModel, s_max, t_max, D,
     each representative must become a boundary at some level within the
     schedule, witnessed by an Artin-Schreier solution.  An exhausted
     schedule is inconclusive, not a pass, and a schedule of one level or
-    less is reported so before the resolution is built.  Like
-    ``adams_chart``, it refuses a target with nontrivial operations when
-    t_max >= 1.
+    less is reported so before the resolution is built, as is the empty
+    pass of t_max = 0.  Like ``adams_chart``, it builds levels 0..s_max to
+    degree t_max + top(H*Y) and refuses a target with nontrivial operations
+    when t_max >= 1.
     """
     d_needed = _chart_window(Y, t_max, D)
     if schedule_max <= 1:
         reason = f"schedule max {schedule_max} cannot witness deaths from level 1"
         return {"entries": [], "pass": False, "inconclusive": True, "reason": reason}
-    res = _chart_resolution(X, s_max, d_needed, budget, resolution)
     report = {"entries": [], "pass": True, "inconclusive": False}
+    if t_max < 1:  # no target degree, so nothing to witness
+        return report
+    res = CotripleResolution(X, s_max, d_needed, budget)
     witnesses = tower.cokernel_witnesses(X.p, 1)
     for t in range(1, t_max + 1):
         M = suspension_target(Y, t)

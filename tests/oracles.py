@@ -12,11 +12,13 @@ resolution's faces extended through the algebra on every monomial instead
 of relabelled on the degenerate ones, and its degeneracies extended through
 the algebra instead of read off the monomial keys (the simplicial
 identities and the extra degeneracy are checked on these), the trace
-rule instead of Artin-Schreier solves for the death levels, and a search
-over generator assignments instead of the atom-by-atom hom-set count.  The
-dense adapters (``dense``, ``sparse``) let tests write maps as numpy
-literals, and ``boundary_matrix`` holds a bar boundary whole, as the engine
-never does.
+rule instead of Artin-Schreier solves for the death levels, a search
+over generator assignments instead of the atom-by-atom hom-set count, and
+level sizes from series over the oracle's own admissible words, for the
+Eilenberg-Zilber count of the nondegenerate generators, instead of the
+mask rule.  The dense adapters (``dense``, ``sparse``) let tests write maps
+as numpy literals, and ``boundary_matrix`` holds a bar boundary whole, as
+the engine never does.
 """
 
 import functools
@@ -204,6 +206,74 @@ def partition_count_dims(gen_degrees, D):
             new[e] += new[e - d]
         coeffs = new
     return tuple(coeffs)
+
+
+def odd_admissible(p, word_deg):
+    """Admissible flavor-A words at odd p by filtering every letter sequence.
+
+    A letter (eps, s) is beta^eps P^s, of degree 2(p - 1)s + eps; (0, 0) is
+    the identity and no letter.  A sequence is admissible when
+    s_j >= p s_(j+1) + eps_(j+1) for adjacent letters.
+    """
+    assert p != 2
+    letters = [(e, s) for s in range(word_deg // (2 * (p - 1)) + 1) for e in (0, 1) if e or s]
+
+    def sequences(deg):
+        if deg == 0:
+            yield ()
+        for e, s in letters:
+            if 2 * (p - 1) * s + e <= deg:
+                for rest in sequences(deg - 2 * (p - 1) * s - e):
+                    yield ((e, s),) + rest
+
+    return sorted(w for w in sequences(word_deg)
+                  if all(w[i][1] >= p * w[i + 1][1] + w[i + 1][0] for i in range(len(w) - 1)))
+
+
+def _polygen_degrees(p, n, D):
+    """Degrees up to D of the generators w(x) of the free unstable algebra on a degree-n class x.
+
+    At p = 2 the admissible Sq^I of excess < n (excess n gives a square).  At
+    odd p the admissible words of excess e = 2 s_1 + eps_1 - (degree of the
+    tail) below n, and of excess n led by a Bockstein: led by P^s, one is
+    the p-th power of the class it acts on.
+    """
+    out = []
+    for wd in range(D - n + 1):
+        if p == 2:
+            words = brute_force_admissible(2, wd, n - 1)
+        else:
+            words = []
+            for w in odd_admissible(p, wd):
+                eps, s = w[0] if w else (0, 0)
+                excess = 2 * s + eps - (wd - 2 * (p - 1) * s - eps)
+                if excess < n or (excess == n and eps):
+                    words.append(w)
+        out += [n + wd] * len(words)
+    return out
+
+
+def level_sizes(space, s_max, D):
+    """|V[k]_d| for k = 0..s_max + 1 and d = 0..D: a resolution's levels in full, by series.
+
+    V[0] is the space's classes; V[k + 1] is the positive-degree monomial
+    basis of the free unstable algebra on V[k], free graded-commutative on
+    its generators: a polynomial factor for each generator of even degree
+    (every degree at p = 2) and an exterior factor 1 + t^e for each odd e.
+    """
+    p = space.p
+    sizes = [[len(space.basis(d)) if d else 0 for d in range(D + 1)]]
+    for _ in range(s_max + 1):
+        poly, exterior = [], []
+        for n, count in enumerate(sizes[-1]):
+            for e in _polygen_degrees(p, n, D) if count else ():
+                (exterior if p != 2 and e % 2 else poly).extend([e] * count)
+        series = list(partition_count_dims(poly, D))
+        for e in exterior:
+            for i in range(D, e - 1, -1):
+                series[i] += series[i - e]
+        sizes.append([0] + series[1:])
+    return sizes
 
 
 class F16:

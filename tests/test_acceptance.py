@@ -14,10 +14,10 @@ import numpy as np
 
 from unstable_e2 import steenrod as st
 from unstable_e2.adams import (
+    CotripleResolution,
     adams_chart,
     builtin_space,
     chart_emit,
-    cotriple_resolution,
 )
 from unstable_e2.derivations import bar_homology_check, descent_verify
 from unstable_e2.goerss_hopkins import compare_charts, d1_saturation_report, gh_chart
@@ -174,7 +174,7 @@ def test_criterion_6_resolution_well_formedness():
     for name in ("S2", "K2"):
         space = builtin_space(name, 2, 8)
         # levels 0..3, complete in a resolution one level deeper
-        res = cotriple_resolution(space, 4, 8)
+        res = CotripleResolution(space, 4, 8)
         ok = ok and simplicial_identity_violations(res) == []
         # every cochain complex asserts d.d = 0 at construction; build the
         # ones against Sigma^t S1 for t = 5, 7 (degrees 5..8), where two

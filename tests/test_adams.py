@@ -1,21 +1,22 @@
 import gc
 import hashlib
 import itertools
+import math
 import time
 
 import numpy as np
 import pytest
 
-from unstable_e2 import adams
+from unstable_e2 import adams, goerss_hopkins
 from unstable_e2.adams import (
     BudgetExceeded,
     Chart,
     ChartError,
+    CotripleResolution,
     adams_chart,
     builtin_space,
     chart_emit,
     chart_from_json,
-    cotriple_resolution,
     hom_set_count,
     suspension_target,
 )
@@ -34,6 +35,7 @@ from oracles import (
     hom_set_assignments,
     hom_set_brute_force,
     kernel_normalized_dims,
+    level_sizes,
     simplicial_identity_violations,
     table_law_violations,
 )
@@ -171,7 +173,7 @@ def test_k_space_field_must_match_p():
 def test_simplicial_identities_smax3():
     # levels 0..3 in full: the top level keeps only its nondegenerate monomials
     S2 = builtin_space("S2", 2, 6)
-    res = cotriple_resolution(S2, 4, 6)
+    res = CotripleResolution(S2, 4, 6)
     assert "G" not in vars(res) and "degen_full" not in vars(res)  # built on first use
     assert simplicial_identity_violations(res) == []
     assert [len(maps) for maps in res.degen_full] == [1, 2, 3]
@@ -179,7 +181,7 @@ def test_simplicial_identities_smax3():
 
 def test_simplicial_check_catches_a_corrupted_face():
     S2 = builtin_space("S2", 2, 6)
-    res = cotriple_resolution(S2, 3, 6)
+    res = CotripleResolution(S2, 3, 6)
     col = next(c for c in res.face_full[1][0].cols if c)
     r = next(iter(col))
     col[r] = (col[r] + 1) % res.p
@@ -193,7 +195,7 @@ def test_simplicial_check_catches_a_corrupted_face():
 # S2's composites never cancel at p = 2; K1's do, which exercises the mod-p sum
 @pytest.mark.parametrize("name,D", [("S2", 6), ("K1", 5)])
 def test_sparse_composites_match_dense_products(monkeypatch, name, D):
-    res = cotriple_resolution(builtin_space(name, 2, D), 3, D)
+    res = CotripleResolution(builtin_space(name, 2, D), 3, D)
     seen = []
     compose = SparseMap.__matmul__
 
@@ -211,7 +213,7 @@ def test_sparse_composites_match_dense_products(monkeypatch, name, D):
 
 def test_structure_maps_stay_sparse():
     S2 = builtin_space("S2", 2, 6)
-    res = cotriple_resolution(S2, 3, 6)
+    res = CotripleResolution(S2, 3, 6)
     maps = [M for mats in res.face_full + res.degen_full for M in mats]
     assert maps
     composable = False
@@ -233,7 +235,7 @@ def test_structure_maps_stay_sparse():
 def test_extra_degeneracy_contracts_free_base():
     # levels 0..2 of a resolution one level deeper, which holds them in full
     K1 = builtin_space("K1", 2, 5)
-    res = cotriple_resolution(K1, 3, 5)
+    res = CotripleResolution(K1, 3, 5)
     h = extra_degeneracy(res)
     faces = completed_faces(res)
     p = 2
@@ -254,7 +256,7 @@ def test_extra_degeneracy_contracts_free_base():
 def test_budget_exceeded():
     K1 = builtin_space("K1", 2, 8)
     with pytest.raises(BudgetExceeded):
-        cotriple_resolution(K1, 3, 8, budget=40)
+        CotripleResolution(K1, 3, 8, budget=40)
 
 
 def test_refused_level_basis_is_never_enumerated(monkeypatch):
@@ -268,7 +270,7 @@ def test_refused_level_basis_is_never_enumerated(monkeypatch):
 
     monkeypatch.setattr(adams, "FreeUnstableAlgebra", Recorded)
     with pytest.raises(BudgetExceeded, match="level 4"):
-        cotriple_resolution(builtin_space("S3", 2, 12), 5, 12, budget=5_000)
+        CotripleResolution(builtin_space("S3", 2, 12), 5, 12, budget=5_000)
     assert len(levels) == 4
     assert levels[-1]._basis is None
     assert all(level._basis is not None for level in levels[:-1])
@@ -278,12 +280,14 @@ def test_top_level_basis_is_released_after_the_build():
     # the top level is enumerated only to keep its nondegenerate monomials,
     # whose faces are extended by name, so its basis goes after the build
     X, Y = builtin_space("S3", 2, 10), builtin_space("S1", 2, 10)
-    res, deeper = cotriple_resolution(X, 3, 10), cotriple_resolution(X, 4, 10)
+    res, deeper = CotripleResolution(X, 3, 10), CotripleResolution(X, 4, 10)
     assert res.levels[-1]._basis is None
     assert all(level._basis is not None for level in res.levels[:-1])
     assert deeper.levels[3]._basis is not None
-    chart = adams_chart(X, Y, 3, 7, 10, resolution=res)
-    assert chart.entries == adams_chart(X, Y, 3, 7, 10, resolution=deeper).entries
+    # the s_max = 3 chart, whose top level is released, has the rows of the
+    # s_max = 4 chart, whose level 3 is held in full
+    chart, deeper_chart = adams_chart(X, Y, 3, 7, 10), adams_chart(X, Y, 4, 7, 10)
+    assert chart.entries == {c: v for c, v in deeper_chart.entries.items() if c[0] <= 3}
     assert any(t for s, t in chart.entries if s == 3)
 
 
@@ -296,24 +300,48 @@ def test_chart_refuses_small_truncation():
 
 @pytest.mark.parametrize("p,X,s_max,t_max,D", [(2, "S2", 3, 8, 10), (3, "S3", 2, 12, 13)])
 def test_chart_builds_only_the_levels_it_reads(monkeypatch, p, X, s_max, t_max, D):
-    built = []
-    build = adams.cotriple_resolution
-
-    def recording(*args):
-        built.append(build(*args))
-        return built[-1]
-
-    monkeypatch.setattr(adams, "cotriple_resolution", recording)
+    built = _record_builds(monkeypatch)
     Xs, S1 = builtin_space(X, p, D), builtin_space("S1", p, D)
     chart = adams_chart(Xs, S1, s_max, t_max, D)
-    (res,) = built
-    assert res.s_max == s_max and len(res.levels) == s_max + 1
-    # no chart reads the degeneracies, so none builds them
-    gh_chart(Xs, S1, s_max, t_max, D, resolution=res)
-    d1_saturation_report(Xs, S1, s_max, t_max, D, resolution=res)
-    assert "G" not in vars(res) and "degen_full" not in vars(res)
-    deeper = build(Xs, s_max + 1, t_max + 1)
-    assert adams_chart(Xs, S1, s_max, t_max, D, resolution=deeper).entries == chart.entries
+    gh_chart(Xs, S1, s_max, t_max, D)
+    d1_saturation_report(Xs, S1, s_max, t_max, D)
+    assert len(built) == 3
+    for res in built:
+        assert res.s_max == s_max and len(res.levels) == s_max + 1 and res.D == t_max + 1
+        # no chart reads the degeneracies, so none builds them
+        assert "G" not in vars(res) and "degen_full" not in vars(res)
+    deeper = adams_chart(Xs, S1, s_max + 1, t_max, D).entries
+    assert {c: v for c, v in deeper.items() if c[0] <= s_max} == chart.entries
+
+
+def _record_builds(monkeypatch):
+    """The list of every CotripleResolution built, patched where each chart looks it up."""
+    built = []
+
+    class Recording(CotripleResolution):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(adams, "CotripleResolution", Recording)
+    monkeypatch.setattr(goerss_hopkins, "CotripleResolution", Recording)
+    return built
+
+
+def test_hom_set_cell_builds_no_resolution(monkeypatch):
+    # at t_max = 0 a chart reads the (0, 0) cell alone; S3 at s <= 6, D 14
+    # would take seconds and pass the default budget
+    built = _record_builds(monkeypatch)
+    S3, K1, S1 = (builtin_space(name, 2, 14) for name in ("S3", "K1", "S1"))
+    chart = adams_chart(S3, K1, 6, 0, 14)
+    assert (chart.entries, chart.fringe_set_size) == ({(0, 0): 0}, 1)
+    gh = gh_chart(S3, S1, 6, 0, 14)
+    assert (gh.entries, gh.fringe_set_size, gh.tower_level) == ({(0, 0): 0}, 1, 3)
+    # a class that S1 may hit: two maps, dimension 1
+    assert adams_chart(S1, S1, 6, 0, 14).entries == {(0, 0): 1}
+    rep = d1_saturation_report(S3, S1, 6, 0, 14)
+    assert rep == {"entries": [], "pass": True, "inconclusive": False}
+    assert built == []
 
 
 def test_chart_builds_each_degree_complex_once(monkeypatch):
@@ -330,19 +358,18 @@ def test_chart_builds_each_degree_complex_once(monkeypatch):
     assert sorted(degrees) == list(range(1, 10))
 
 
-def test_chart_resolution_depth_guard():
+def test_chart_resolution_depth_guard(monkeypatch):
+    # a resolution of another space, cut below t_max + top(H*Y) or with too
+    # few levels would give a wrong chart without an error; a chart takes no
+    # resolution, and the one it builds is of X, at that degree, s_max + 1 deep
     S2, S1 = builtin_space("S2", 2, 10), builtin_space("S1", 2, 10)
-    exact = adams_chart(S2, S1, 2, 6, 10, resolution=cotriple_resolution(S2, 2, 7))
-    assert exact.entries == adams_chart(S2, S1, 2, 6, 10).entries
-    with pytest.raises(ChartError, match="holds 2 levels, need 3"):
-        adams_chart(S2, S1, 2, 6, 10, resolution=cotriple_resolution(S2, 1, 7))
-    # a resolution cut below t_max + top(H*Y), or of another space, would
-    # give a wrong chart without an error
-    with pytest.raises(ChartError, match="stops at degree 4, need 7"):
-        adams_chart(S2, S1, 2, 6, 10, resolution=cotriple_resolution(S2, 2, 4))
-    S3 = builtin_space("S3", 2, 10)
-    with pytest.raises(ChartError, match="of S3, not of S2"):
-        adams_chart(S2, S1, 2, 6, 10, resolution=cotriple_resolution(S3, 2, 7))
+    with pytest.raises(TypeError, match="resolution"):
+        adams_chart(S2, S1, 2, 6, 10, resolution=CotripleResolution(S2, 2, 7))
+    built = _record_builds(monkeypatch)
+    adams_chart(S2, S1, 2, 6, 10)
+    (res,) = built
+    assert res.space is S2 and res.D == 6 + S1.top_degree() == 7
+    assert res.s_max == 2 and len(res.levels) == 3
 
 
 def test_sphere_chart_hom_column():
@@ -368,7 +395,7 @@ def test_restricted_complex_matches_kernel_of_codegeneracies(p, X, D, s_max, ts)
     # the complex on nondegenerate generators against the common kernel of
     # the codegeneracies of the full complex, at every cochain degree; the
     # full complex needs level s_max + 1 complete, so the resolution is one deeper
-    res = cotriple_resolution(builtin_space(X, p, D), s_max + 1, D)
+    res = CotripleResolution(builtin_space(X, p, D), s_max + 1, D)
     S1 = builtin_space("S1", p, D)
     # against a trivially-acting target the complex is the sum over its
     # degrees d of dim M_d copies of the degree-d complex; the oracle builds
@@ -394,7 +421,7 @@ def test_degenerate_sets_are_the_degeneracy_images(p, X, s_max, D):
     # polygens gives -1, as on K1).  Deg_0 is the insertion's image and
     # Deg_j, j >= 1, that of degen[s - 2][j - 1]; nondegenerate[s] is the rest.
     # Checked through level s_max + 1 of a resolution one level deeper
-    res = cotriple_resolution(builtin_space(X, p, D), s_max + 1, D)
+    res = CotripleResolution(builtin_space(X, p, D), s_max + 1, D)
     degen = full_degeneracies(res)
     for t in range(0, s_max + 1):
         assert res.G[t][0] == [(res._insertion_index(t, key), 1) for _, key in res.V[t]]
@@ -409,12 +436,39 @@ def test_degenerate_sets_are_the_degeneracy_images(p, X, s_max, D):
     assert res.nondegenerate[0] == list(range(len(res.V[0])))
 
 
+@pytest.mark.parametrize("p,X,s_max,D", [
+    (2, "S3", 4, 10), (2, "S2", 3, 9), (2, "S1*S1", 2, 7),
+    (3, "S3", 2, 13), (3, "S1*S3", 2, 9), (3, "K1", 1, 8),
+])
+def test_nondegenerate_counts_match_the_eilenberg_zilber_count(p, X, s_max, D):
+    # up to sign the levels and their degeneracies (the insertion included)
+    # form a simplicial set, so each monomial of V[n] is s_I(y) for one
+    # nondegenerate y in N[k] and one surjection I: [n] -> [k]; inverted,
+    # |N[n]_d| = sum_k (-1)^(n - k) C(n, k) |V[k]_d|, with |V| counted by
+    # the oracle's own words and series, not by the mask rule or hilbert()
+    res = CotripleResolution(builtin_space(X, p, D), s_max, D)
+    V = level_sizes(res.space, s_max, D)
+
+    def by_degree(indices, n):
+        counts = [0] * (D + 1)
+        for vi in indices:
+            counts[res.V[n][vi][0]] += 1
+        return counts
+
+    for n in range(0, s_max + 2):
+        want = [sum((-1) ** (n - k) * math.comb(n, k) * V[k][d] for k in range(n + 1))
+                for d in range(D + 1)]
+        assert by_degree(res.nondegenerate[n], n) == want, n
+        if n <= s_max:  # the top level keeps its nondegenerate monomials only
+            assert by_degree(range(len(res.V[n])), n) == V[n], n
+
+
 @pytest.mark.parametrize("p,X,s_max,D", [(2, "S3", 3, 10), (3, "K1", 2, 8)])
 def test_levels_are_enumerated_in_basis_order(p, X, s_max, D):
     # V[s + 1] is taken as the level's basis as enumerated, so that order
     # must be the sorted (degree, monomial) order the indices refer to; the
     # top level keeps a sublist, so levels 0..s_max are read one level deeper
-    res = cotriple_resolution(builtin_space(X, p, D), s_max + 1, D)
+    res = CotripleResolution(builtin_space(X, p, D), s_max + 1, D)
     for s, level in enumerate(res.levels[:-1]):
         assert res.V[s + 1] == list(level.reduced_basis_items()) == sorted(res.V[s + 1]), s
         assert res._vidx[s + 1] == {key: i for i, (_, key) in enumerate(res.V[s + 1])}, s
@@ -431,7 +485,7 @@ def test_faces_match_full_extension(p, X, s_max, D):
     # has degeneracy columns of coefficient -1, and at D = 8 its face 0
     # evaluates beta P^1 on the base tables.  Levels 0..s_max are complete in
     # a resolution one level deeper
-    res = cotriple_resolution(builtin_space(X, p, D), s_max + 1, D)
+    res = CotripleResolution(builtin_space(X, p, D), s_max + 1, D)
     assert simplicial_identity_violations(res) == []
     full = full_faces(res)
     held = 0
@@ -450,7 +504,7 @@ def test_level_memos_are_released_after_the_build(p, X, s_max, D):
     # once level s's faces exist no later face targets level s - 1, so the
     # build empties every level's tables; each entry is a pure function of
     # its key, and faces rebuilt through the algebra refill them on demand
-    res = cotriple_resolution(builtin_space(X, p, D), s_max, D)
+    res = CotripleResolution(builtin_space(X, p, D), s_max, D)
     for level in res.levels:
         assert not (level._op_memo or level._power_memo or level._products)
     held = 0
@@ -483,7 +537,7 @@ def _read_sets(res):
      (3, "S3", 3, 12, None), (3, "K1", 2, 8, None)],
 )
 def test_held_face_columns_are_exactly_the_read_set(p, X, s_max, D, counts):
-    res = cotriple_resolution(builtin_space(X, p, D), s_max, D)
+    res = CotripleResolution(builtin_space(X, p, D), s_max, D)
     reads = _read_sets(res)
     for s, read in enumerate(reads):
         for i, F in enumerate(res.face_full[s]):
@@ -502,7 +556,7 @@ def test_top_level_keeps_its_nondegenerate_monomials(p, X, s_max, D):
     # G[s_max]; one level deeper the same level is filtered by the images of
     # G[s_max].  K1 at p = 3 has degeneracies of coefficient -1
     space = builtin_space(X, p, D)
-    res, deeper = cotriple_resolution(space, s_max, D), cotriple_resolution(space, s_max + 1, D)
+    res, deeper = CotripleResolution(space, s_max, D), CotripleResolution(space, s_max + 1, D)
     kept = deeper.nondegenerate[s_max + 1]
     assert 0 < len(kept) < len(deeper.V[s_max + 1])
     assert res.V[s_max + 1] == [deeper.V[s_max + 1][vi] for vi in kept]
@@ -516,12 +570,12 @@ def test_frontier_top_level_holds_only_its_nondegenerate_monomials():
     # S3 -> point at s <= 5, t <= 12, whose chart test_lambda_oracle matches
     # against Lambda: level 5 enumerates 44,324 monomials and the resolution
     # keeps the 438 that no degeneracy hits (the budget counts all of them)
-    res = cotriple_resolution(builtin_space("S3", 2, 12), 5, 12)
+    res = CotripleResolution(builtin_space("S3", 2, 12), 5, 12)
     assert sum(res.levels[5].hilbert()[1:]) == 44_324
     assert [len(v) for v in res.V] == [1, 30, 319, 1_674, 6_096, 17_742, 438]
     assert [len(n) for n in res.nondegenerate] == [1, 29, 260, 806, 1_195, 961, 438]
     with pytest.raises(BudgetExceeded):
-        cotriple_resolution(builtin_space("S3", 2, 12), 5, 12, budget=70_000)
+        CotripleResolution(builtin_space("S3", 2, 12), 5, 12, budget=70_000)
 
 
 def test_chart_stable_under_deeper_truncation():
@@ -557,12 +611,14 @@ def test_non_p_power_hom_set_is_refused_before_the_build(monkeypatch):
     # y = a s + b t in H^2 (S2*S2) at p = 3 squares to 2ab st, so 2p - 1 = 5
     # maps: a set, not a vector space, refused before any resolution exists
     def build(*args, **kw):
-        raise AssertionError("cotriple_resolution called")
+        raise AssertionError("CotripleResolution called")
 
-    monkeypatch.setattr(adams, "cotriple_resolution", build)
+    monkeypatch.setattr(adams, "CotripleResolution", build)
     X, Y = builtin_space("S2", 3, 8), builtin_space("S2*S2", 3, 8)
-    with pytest.raises(ChartError, match=r"cardinality 5 of S2 -> S2\*S2 at p = 3 is not a p-power"):
-        adams_chart(X, Y, 1, 0, 8)
+    # t_max = 0 builds no resolution in any case; t_max = 2 would build one
+    for t_max in (0, 2):
+        with pytest.raises(ChartError, match=r"cardinality 5 of S2 -> S2\*S2 at p = 3 is not a p-power"):
+            adams_chart(X, Y, 1, t_max, 8)
     # the target and truncation checks still come first
     with pytest.raises(ChartError, match="truncation D=3"):
         adams_chart(X, Y, 1, 0, 3)
@@ -653,7 +709,7 @@ def test_three_sphere_chart_matches_classical_homotopy():
 
 def test_resolution_level_zero_matches_free_algebra():
     S2 = builtin_space("S2", 2, 7)
-    res = cotriple_resolution(S2, 1, 7)
+    res = CotripleResolution(S2, 1, 7)
     expected = FreeUnstableAlgebra(2, [("i", 2)], 7)
     assert res.levels[0].hilbert() == expected.hilbert()
 
@@ -665,7 +721,7 @@ def test_resolution_build_leaves_no_reference_cycles():
     gc.collect()
     gc.disable()
     try:
-        res = cotriple_resolution(builtin_space("S3", 2, 10), 4, 10)
+        res = CotripleResolution(builtin_space("S3", 2, 10), 4, 10)
         del res
         assert gc.collect() == 0
     finally:
@@ -728,7 +784,7 @@ def test_cochain_group_against_brute_force_maps():
     # the freeness shortcut says algebra maps into the square-zero target
     # biject with linear maps on generators; check by raw enumeration
     S2 = builtin_space("S2", 2, 4)
-    res = cotriple_resolution(S2, 1, 4)
+    res = CotripleResolution(S2, 1, 4)
     M = suspension_target(builtin_space("point", 2, 4), 2)
     level = res.levels[0]
     maps = _all_algebra_maps_brute(level, M)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from unstable_e2 import tower
-from unstable_e2.adams import builtin_space, cotriple_resolution, suspension_target
+from unstable_e2.adams import CotripleResolution, builtin_space, suspension_target
 from unstable_e2.derivations import BarWindow, CochainComplex, bar_homology_check
 
 from oracles import _rref_mod_p, boundary_matrix, dense, sparse
@@ -84,7 +84,7 @@ def test_complex_ranks_on_random_complexes(p):
     (3, "S3", "S1", 3, 12, 14),
 ])
 def test_complex_ranks_on_chart_complexes(p, X, Y, s_max, t_max, D):
-    res = cotriple_resolution(builtin_space(X, p, D), s_max, D)
+    res = CotripleResolution(builtin_space(X, p, D), s_max, D)
     target = builtin_space(Y, p, D)
     degrees = sorted({d for t in range(1, t_max + 1) for d in suspension_target(target, t).degrees()})
     entries = 0
